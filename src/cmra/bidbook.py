@@ -127,13 +127,10 @@ class BidBook:
         self.values = np.zeros(n + 1, dtype=np.int64)
         self.has_bid = np.zeros(n + 1, dtype=bool)
         self.kinds = np.zeros(n + 1, dtype=np.int8)
-        self.headline_history: list[tuple[float, int]] = []
-        # Drop segments (lo_k, hi_k, drop_price): the headline fell from
-        # hi to lo at drop_price; bids strictly inside are capped.  The
-        # headline is non-increasing, so segments never overlap and each
-        # grid point belongs to at most one; per-point arrays make the
-        # cap an O(1) lookup.
-        self.segments: list[tuple[int, int, float]] = []
+        # Drop segments: the headline fell from hi to lo at some price;
+        # bids strictly inside are capped.  The headline is non-increasing,
+        # so segments never overlap and each grid point belongs to at most
+        # one; per-point arrays make the cap an O(1) lookup.
         self._seg_lo = np.full(n + 1, -1, dtype=np.int64)
         self._seg_base = np.zeros(n + 1, dtype=np.int64)
         self.last_price: float | None = None
@@ -184,8 +181,6 @@ class BidBook:
         dup.values = self.values.copy()
         dup.has_bid = self.has_bid.copy()
         dup.kinds = self.kinds.copy()
-        dup.headline_history = list(self.headline_history)
-        dup.segments = list(self.segments)
         dup._seg_lo = self._seg_lo.copy()
         dup._seg_base = self._seg_base.copy()
         dup.last_price = self.last_price
@@ -229,14 +224,14 @@ class BidBook:
                 f"headline rose from {self.last_headline} to {headline_k}"
             )
 
-        dropped = self.last_headline is not None and headline_k < self.last_headline
+        lo, hi = headline_k, self.last_headline
+        dropped = hi is not None and lo < hi
         if dropped:
-            self.segments.append((headline_k, self.last_headline, clock_price))
             n = self.grid.n
-            for k in range(headline_k + 1, self.last_headline):
-                self._seg_lo[k] = headline_k
+            for k in range(lo + 1, hi):
+                self._seg_lo[k] = lo
                 self._seg_base[k] = money_units(
-                    clock_price * (k - headline_k) / n, self.scale)
+                    clock_price * (k - lo) / n, self.scale)
 
         # Headline bid at linear clock prices, recorded before additional
         # bids so the activity cap sees this round's base value.  Saved
@@ -253,7 +248,6 @@ class BidBook:
                 self.has_bid[headline_k], self.values[headline_k], \
                     self.kinds[headline_k] = saved
                 if dropped:
-                    lo, hi, _ = self.segments.pop()
                     self._seg_lo[lo + 1: hi] = -1
                     self._seg_base[lo + 1: hi] = 0
                 raise
@@ -265,7 +259,6 @@ class BidBook:
             self.has_bid[raised] = True
             self.kinds[raised] = KIND_ADDITIONAL
 
-        self.headline_history.append((clock_price, headline_k))
         self.last_price = clock_price
         self.last_headline = headline_k
 

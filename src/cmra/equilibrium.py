@@ -20,6 +20,16 @@ every member whose optimistic surplus bound clears the tolerance is
 re-run through the real auction engine.  Reported gains always come
 from such engine replays, so any reported deviation is reproducible.
 
+A replay does not restart the clock at price 0.  Proxy emissions are
+pure functions of the price, and before its divergence tick (the drop
+tick of a drop policy, the submission tick of a single bid) a deviation
+emits exactly what headline-only play emits; no tick before the first
+closing tick of headline-only play closes.  Up to the earlier of those
+two ticks the deviation's books therefore equal the ladders' books, and
+the replay resumes from the ladders' snapshot at the last snapshot tick
+not past it.  :func:`replay_deviation` still runs from price 0 and is
+the reference the resumed replays are tested against.
+
 The module also houses the collusion-threshold analysis for the
 riskless demand-reduction strategy and the VCG outcome-equivalence
 check.
@@ -28,13 +38,13 @@ check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 
 from .bidbook import BidBook, QuantityGrid, money_units
-from .mechanism import AuctionConfig, run_cmra
+from .mechanism import AuctionConfig, _run_clock_from, run_cmra
 from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
@@ -57,6 +67,7 @@ __all__ = [
 
 _NEG = np.int64(-(2 ** 53))
 _BIG = np.int64(2 ** 53)
+_PRICE_TOL = 1e-15  # a deviation acts at clock prices >= its price - this
 
 
 # -- deviation strategies ---------------------------------------------
@@ -87,7 +98,7 @@ class DropPolicy(ProxyStrategy):
 
     def headline_index(self, p: float) -> int:
         h = self._base.headline_index(p)
-        if p >= self.drop_price - 1e-15:
+        if p >= self.drop_price - _PRICE_TOL:
             return min(h, self.drop_k)
         return h
 
@@ -111,7 +122,7 @@ class SingleBidDeviation(ProxyStrategy):
         return self._base.headline_index(p)
 
     def additional_bid_arrays(self, p: float):
-        if p >= self.submit_price - 1e-15:
+        if p >= self.submit_price - _PRICE_TOL:
             return self._ks, self._amts
         return super().additional_bid_arrays(p)
 
@@ -209,20 +220,51 @@ def replay_deviation(profile: str, env: MarketEnv, seat: int,
     opp = make(mopp, grid)
     pair = (dev, opp) if seat == 0 else (opp, dev)
     models = (mdev, mopp) if seat == 0 else (mopp, mdev)
-    run_cfg = AuctionConfig(grid=grid, eps=config.eps, max_price=config.max_price,
-                            start=config.start, refine=config.refine,
-                            refine_tol=config.refine_tol,
-                            money_scale=config.money_scale, log_rounds=False)
-    out = run_cmra(pair[0], pair[1], env, run_cfg)
+    out = run_cmra(pair[0], pair[1], env, replace(config, log_rounds=False))
     return out, out.surplus(models)[seat]
+
+
+def _divergence_tick(deviation: Deviation, prices) -> int | None:
+    """First tick at which a deviation may emit other than headline-only play."""
+    price = {"drop": deviation.drop_price,
+             "single-bid": deviation.submit_price}.get(deviation.kind)
+    if price is None:
+        return None
+    return int(np.searchsorted(prices, price - _PRICE_TOL))
+
+
+def _resume_replay(seat, deviation: Deviation, dev_base, opp, dev_lad,
+                   opp_lad, prices, t0, config: AuctionConfig):
+    """Engine replay of one deviation, resumed from ladder snapshots.
+
+    ``dev_lad`` is the headline-only ladder of ``dev_base``, ``opp_lad``
+    the ladder of ``opp``, and ``t0`` their first closing tick (None if
+    they never close).  The run from price 0 reaches the last snapshot
+    tick at or below both ``t0`` and the divergence tick with exactly the
+    snapshots' books and no close, so resuming there gives its outcome.
+    """
+    limit = _divergence_tick(deviation, prices)
+    if t0 is not None:
+        limit = t0 if limit is None else min(limit, t0)
+    start = max(t for t in dev_lad.snaps if limit is None or t <= limit)
+    books = (dev_lad.snaps[start].copy(), opp_lad.snaps[start].copy())
+    strategies = (deviation.build(dev_base), opp)
+    if seat == 1:
+        books, strategies = books[::-1], strategies[::-1]
+    return _run_clock_from(strategies, books, start, config)
 
 
 # -- ladder replays ---------------------------------------------------
 
 class _Ladder:
-    """Book state of one strategy at every clock tick."""
+    """Book state of one strategy at every clock tick.
 
-    def __init__(self, strategy, prices, grid, scale, with_caps=False):
+    ``snaps`` maps each tick of ``snap_ticks`` to a copy of the book as it
+    stands before that tick's round: the state a replay resumes from.
+    """
+
+    def __init__(self, strategy, prices, grid, scale, with_caps=False,
+                 snap_ticks=()):
         book = BidBook(grid, scale)
         t_n = len(prices)
         width = grid.n + 1
@@ -230,7 +272,10 @@ class _Ladder:
         self.mask = np.zeros((t_n, width), dtype=bool)
         self.caps = np.full((t_n, width), _BIG, dtype=np.int64) if with_caps else None
         self.kpath = np.zeros(t_n, dtype=np.int64)
+        self.snaps = {}
         for t, p in enumerate(prices):
+            if t in snap_ticks:
+                self.snaps[t] = book.copy()
             p = float(p)
             ks, amounts = strategy.additional_bid_arrays(p)
             k = strategy.headline_index(p)
@@ -472,14 +517,16 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     # One strategy instance per type: their price-indexed emissions are
     # memoized, so ladders, baselines and replays share the work.
     strat = {th: make(models[th], grid) for th in thetas}
-    full_lad = {th: _Ladder(strat[th], prices, grid, scale) for th in thetas}
-    head_lad = {th: _Ladder(HeadlineOnly(strat[th]), prices, grid,
-                            scale, with_caps=True) for th in thetas}
+    # Replays resume at the latest snapshot not past their divergence
+    # tick, which is one of the family's submission or drop ticks.
+    snap_ticks = {0, *t_hats, *drop_ticks}
+    full_lad = {th: _Ladder(strat[th], prices, grid, scale,
+                            snap_ticks=snap_ticks) for th in thetas}
+    head_lad = {th: _Ladder(HeadlineOnly(strat[th]), prices, grid, scale,
+                            with_caps=True, snap_ticks=snap_ticks)
+                for th in thetas}
 
-    run_cfg = AuctionConfig(grid=grid, eps=config.eps, max_price=config.max_price,
-                            start=config.start, refine=config.refine,
-                            refine_tol=config.refine_tol, money_scale=scale,
-                            log_rounds=False)
+    run_cfg = replace(config, log_rounds=False)
     baselines = {}
 
     def baseline_run(th1, th2):
@@ -489,10 +536,10 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
             baselines[key] = out.surplus((models[th1], models[th2]))
         return baselines[key]
 
-    def fast_replay(seat, deviation, th_dev, th_opp):
-        dev = deviation.build(strat[th_dev])
-        pair = (dev, strat[th_opp]) if seat == 0 else (strat[th_opp], dev)
-        out = run_cmra(pair[0], pair[1], env, run_cfg)
+    def fast_replay(seat, deviation, th_dev, th_opp, t0):
+        out = _resume_replay(seat, deviation, strat[th_dev], strat[th_opp],
+                             head_lad[th_dev], full_lad[th_opp], prices, t0,
+                             run_cfg)
         pair_models = (models[th_dev], models[th_opp]) if seat == 0 \
             else (models[th_opp], models[th_dev])
         return out.surplus(pair_models)[seat]
@@ -530,7 +577,8 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
                 truncated = truncated or cut
                 best_here = -math.inf
                 for opt_gain, dev in top:
-                    surplus = fast_replay(seat, dev, th_dev, th_opp)
+                    surplus = fast_replay(seat, dev, th_dev, th_opp,
+                                          screen.t0)
                     replays += 1
                     gain = surplus - baseline
                     if gain > best_here:
@@ -694,10 +742,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
         make_const = STRATEGY_TAGS["constant"]
         make_rdr = STRATEGY_TAGS["rdr"]
         grid = config.grid
-        run_cfg = AuctionConfig(grid=grid, eps=config.eps,
-                                max_price=config.max_price, start=config.start,
-                                refine=config.refine, refine_tol=config.refine_tol,
-                                money_scale=config.money_scale, log_rounds=False)
+        run_cfg = replace(config, log_rounds=False)
         for th_j in draws[:engine_samples]:
             opp = model.with_theta(float(th_j))
             out = run_cmra(make_const(m_top, grid), make_rdr(opp, grid),
@@ -739,10 +784,7 @@ def vcg_equivalence_check(env: MarketEnv, config: AuctionConfig,
         raise AssumptionViolation("VCG equivalence holds in the non-decreasing regime")
     tol = payment_tol if payment_tol is not None else 2 * config.eps
     grid = config.grid
-    run_cfg = AuctionConfig(grid=grid, eps=config.eps, max_price=config.max_price,
-                            start=config.start, refine=config.refine,
-                            refine_tol=config.refine_tol,
-                            money_scale=config.money_scale, log_rounds=False)
+    run_cfg = replace(config, log_rounds=False)
     want = vcg_outcome(env)
     report = {"vcg": want, "profiles": {}, "all_match": True}
     for tag in ("cmra-truthful", "constant"):

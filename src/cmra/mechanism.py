@@ -201,13 +201,22 @@ def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome
     ``config.refine_tol`` between the last non-closing and the first
     closing clock price.
     """
-    grid = config.grid
-    strategies = (strategy1, strategy2)
-    books = (BidBook(grid, config.money_scale), BidBook(grid, config.money_scale))
-    log: list = []
+    books = (BidBook(config.grid, config.money_scale),
+             BidBook(config.grid, config.money_scale))
+    return _run_clock_from((strategy1, strategy2), books, 0, config)
 
-    t = 0
-    prev_price = None
+
+def _run_clock_from(strategies, books, start_tick: int,
+                    config: AuctionConfig) -> AuctionOutcome:
+    """The CMRA clock loop from tick ``start_tick`` on.
+
+    ``books`` hold both bidders' rounds at every earlier tick, none of
+    which closed; they are advanced in place.  From tick 0 with empty
+    books this is a full auction run.
+    """
+    log: list = []
+    t = start_tick
+    prev_price = config.start + (t - 1) * config.eps if t > 0 else None
     while True:
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
@@ -226,7 +235,7 @@ def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome
             if config.refine and prev_price is not None:
                 price, books, result = _refine_close(
                     base, strategies, prev_price, price, books, result, config)
-            return _build_outcome(price, books, result, env, config, log)
+            return _build_outcome(price, books, result, config, log)
         prev_price = price
         t += 1
 
@@ -258,7 +267,7 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
     return hi, final_books, final_result
 
 
-def _build_outcome(price, books, result: ClosingResult, env, config,
+def _build_outcome(price, books, result: ClosingResult, config,
                    log) -> AuctionOutcome:
     grid = config.grid
     k1, k2 = result.allocation

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -257,10 +257,7 @@ def _run_sweep(scenario: Scenario):
     tags = [type(s).tag for s in scenario.strategies]
     rows = []
     cfg = scenario.config
-    quiet = AuctionConfig(grid=cfg.grid, eps=cfg.eps, max_price=cfg.max_price,
-                          start=cfg.start, refine=cfg.refine,
-                          refine_tol=cfg.refine_tol,
-                          money_scale=cfg.money_scale, log_rounds=False)
+    quiet = replace(cfg, log_rounds=False)
     for t1 in thetas:
         for t2 in thetas:
             models = (scenario.env.models[0].with_theta(t1),

@@ -69,7 +69,7 @@ class TestRecordRound:
             book.record_round(48.0, 0.5, [(0.5, 30.0)])
         assert book.last_price == 40.0
         assert book.last_headline == 3
-        assert book.segments == []
+        assert (book._seg_lo == -1).all()
         assert book.bid_at(0.5) is None
 
     def test_cap_exceeded(self):

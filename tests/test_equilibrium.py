@@ -8,7 +8,8 @@ from cmra import (AssumptionViolation, AuctionConfig, MarketEnv, QuantityGrid,
                   check_rdr_bne, minimal_winning_bid, rdr_threshold,
                   replay_deviation, run_cmra, vcg_equivalence_check,
                   vcg_outcome)
-from cmra.equilibrium import Deviation, DeviationFamily
+from cmra.equilibrium import (Deviation, DeviationFamily, HeadlineOnly,
+                              _Ladder, _PairScreen, _resume_replay)
 from cmra.strategies import STRATEGY_TAGS
 
 
@@ -239,6 +240,96 @@ class TestExPostSearch:
                          env, cfg)
         assert mixed.quantities == (0.75, 0.25)
         assert mixed.payments[0] == pytest.approx(0.7, abs=5e-3)
+
+
+class TestResumedReplay:
+    """Replays resumed from ladder snapshots against runs from price 0."""
+
+    def test_matches_replay_from_price_zero(self):
+        rng = np.random.default_rng(23)
+        cases = [("cmra-truthful", pow_env(), small_config(0.75, 1.6, 2e-2)),
+                 ("constant", pow_env(), small_config(0.75, 1.6, 2e-2)),
+                 ("cmra-truthful", quad_env(), small_config(0.9, 1.5, 2e-2)),
+                 ("constant", quad_env(), small_config(0.9, 1.5, 2e-2))]
+        seen = {"kinds": set(), "seats": set(), "regimes": set(),
+                "at 0": 0, "at t0": 0, "below t0": 0, "past t0": 0}
+        checked = 0
+        for profile, env, cfg in cases:
+            grid = cfg.grid
+            t_n = int((cfg.max_price - cfg.start) / cfg.eps) + 1
+            prices = cfg.start + cfg.eps * np.arange(t_n)
+            lo, hi = env.distribution.support
+            make = STRATEGY_TAGS[profile]
+            for seat in (0, 1):
+                for _ in range(3):
+                    th_d, th_o = (float(v) for v in rng.uniform(lo, hi, 2))
+                    md = env.models[seat].with_theta(th_d)
+                    mo = env.models[1 - seat].with_theta(th_o)
+                    base, opp = make(md, grid), make(mo, grid)
+                    # Snapshots at a sparse random set of ticks, and at t0
+                    # for some pairs, so resume ticks fall on, below and
+                    # short of the limit.
+                    full = set(range(t_n))
+                    dev_lad = _Ladder(HeadlineOnly(base), prices, grid,
+                                      cfg.money_scale, with_caps=True,
+                                      snap_ticks=full)
+                    opp_lad = _Ladder(opp, prices, grid, cfg.money_scale,
+                                      snap_ticks=full)
+                    u_dev = np.array([md.value(grid.share(k))
+                                      for k in range(grid.n + 1)])
+                    t0 = _PairScreen(dev_lad, opp_lad, prices, grid,
+                                     cfg.money_scale, u_dev).t0
+                    keep = {0, *rng.choice(t_n, 8, replace=False).tolist()}
+                    if t0 is not None and rng.random() < 0.5:
+                        keep.add(t0)
+                    for lad in (dev_lad, opp_lad):
+                        lad.snaps = {t: b for t, b in lad.snaps.items()
+                                     if t in keep}
+                    for _ in range(10):
+                        dev, div = _random_deviation(rng, cfg, prices, t_n)
+                        want, _ = replay_deviation(profile, env, seat, dev,
+                                                   cfg, (th_d, th_o))
+                        got = _resume_replay(seat, dev, base, opp, dev_lad,
+                                             opp_lad, prices, t0, cfg)
+                        assert got.payment_units == want.payment_units
+                        assert got.indices == want.indices
+                        assert got.kinds == want.kinds
+                        assert got.final_price == want.final_price
+                        checked += 1
+                        limit = min(t for t in (div, t0, t_n) if t is not None)
+                        start = max(t for t in keep if t <= limit)
+                        seen["kinds"].add(dev.kind)
+                        seen["seats"].add(seat)
+                        seen["regimes"].add(env.regime)
+                        seen["at 0"] += start == 0
+                        seen["at t0"] += t0 is not None and start == t0
+                        seen["below t0"] += 0 < start < (t0 or t_n)
+                        seen["past t0"] += t0 is not None and div is not None \
+                            and div > t0
+        assert checked >= 200
+        assert len(seen["kinds"]) == 3 and seen["seats"] == {0, 1}
+        assert len(seen["regimes"]) == 2
+        assert min(seen["at 0"], seen["at t0"], seen["below t0"],
+                   seen["past t0"]) > 0, seen
+
+
+def _random_deviation(rng, cfg, prices, t_n):
+    """A random family-shaped deviation and its divergence tick."""
+    grid = cfg.grid
+    kind = rng.choice(["headline-only", "drop", "single-bid"], p=[.2, .4, .4])
+    if kind == "headline-only":
+        return Deviation("headline-only"), None
+    t = int(rng.integers(0, t_n))
+    q = float(prices[t])
+    if rng.random() < 0.2 and t > 0:
+        q -= 0.5 * cfg.eps   # between ticks: acts from tick t on
+    if kind == "drop":
+        return Deviation("drop", drop_price=q,
+                         drop_k=int(rng.integers(0, grid.cap_index))), t
+    k = int(rng.integers(1, grid.cap_index + 1))
+    return Deviation("single-bid", quantity_k=k,
+                     amount=float(rng.uniform(0, q * k / grid.n)),
+                     submit_price=q), t
 
 
 def _baseline(profile, env, cfg, th_d, th_o, seat):
