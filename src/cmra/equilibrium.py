@@ -27,8 +27,17 @@ emits exactly what headline-only play emits; no tick before the first
 closing tick of headline-only play closes.  Up to the earlier of those
 two ticks the deviation's books therefore equal the ladders' books, and
 the replay resumes from the ladders' snapshot at the last snapshot tick
-not past it.  :func:`replay_deviation` still runs from price 0 and is
-the reference the resumed replays are tested against.
+not past it.
+
+The replays of one search cell (seat x deviator type x opponent type)
+run in lockstep, in one clock loop: each joins at its resume tick, the
+opponent's book is recorded once per tick for all of them, and one
+batched closing test covers every replay still on the clock.  The
+opponent's emissions depend only on the price, so its book at every
+tick is the same for every replay, and a replay that closes refines
+from exactly the books its own clock loop would hold; the outcomes are
+those of separate runs.  :func:`replay_deviation` still runs from price
+0 and is the reference the lockstep replays are tested against.
 
 The module also houses the collusion-threshold analysis for the
 riskless demand-reduction strategy and the VCG outcome-equivalence
@@ -44,7 +53,7 @@ import numpy as np
 from scipy import integrate
 
 from .bidbook import BidBook, QuantityGrid, money_units
-from .mechanism import AuctionConfig, _run_clock_from, run_cmra
+from .mechanism import AuctionConfig, _run_lockstep, run_cmra
 from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
@@ -233,25 +242,27 @@ def _divergence_tick(deviation: Deviation, prices) -> int | None:
     return int(np.searchsorted(prices, price - _PRICE_TOL))
 
 
-def _resume_replay(seat, deviation: Deviation, dev_base, opp, dev_lad,
-                   opp_lad, prices, t0, config: AuctionConfig):
-    """Engine replay of one deviation, resumed from ladder snapshots.
+def _replay_cell(seat, deviations, dev_base, opp, dev_lad, opp_lad, prices,
+                 t0, config: AuctionConfig) -> list:
+    """Engine replays of one search cell's deviations, run in lockstep.
 
     ``dev_lad`` is the headline-only ladder of ``dev_base``, ``opp_lad``
-    the ladder of ``opp``, and ``t0`` their first closing tick (None if
-    they never close).  The run from price 0 reaches the last snapshot
-    tick at or below both ``t0`` and the divergence tick with exactly the
-    snapshots' books and no close, so resuming there gives its outcome.
+    the ladder of ``opp``, both with snapshots at the same ticks, and
+    ``t0`` their first closing tick (None if they never close).  The run
+    of a deviation from price 0 reaches the last snapshot tick at or
+    below both ``t0`` and its divergence tick with exactly the
+    snapshots' books and no close, so it joins the clock there.
     """
-    limit = _divergence_tick(deviation, prices)
-    if t0 is not None:
-        limit = t0 if limit is None else min(limit, t0)
-    start = max(t for t in dev_lad.snaps if limit is None or t <= limit)
-    books = (dev_lad.snaps[start].copy(), opp_lad.snaps[start].copy())
-    strategies = (deviation.build(dev_base), opp)
-    if seat == 1:
-        books, strategies = books[::-1], strategies[::-1]
-    return _run_clock_from(strategies, books, start, config)
+    starts = []
+    for dev in deviations:
+        limit = _divergence_tick(dev, prices)
+        if t0 is not None:
+            limit = t0 if limit is None else min(limit, t0)
+        starts.append(max(t for t in dev_lad.snaps
+                          if limit is None or t <= limit))
+    return _run_lockstep([dev.build(dev_base) for dev in deviations], starts,
+                         [dev_lad.snaps[t].copy() for t in starts], opp,
+                         opp_lad.snaps, seat, config)
 
 
 # -- ladder replays ---------------------------------------------------
@@ -536,14 +547,6 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
             baselines[key] = out.surplus((models[th1], models[th2]))
         return baselines[key]
 
-    def fast_replay(seat, deviation, th_dev, th_opp, t0):
-        out = _resume_replay(seat, deviation, strat[th_dev], strat[th_opp],
-                             head_lad[th_dev], full_lad[th_opp], prices, t0,
-                             run_cfg)
-        pair_models = (models[th_dev], models[th_opp]) if seat == 0 \
-            else (models[th_opp], models[th_dev])
-        return out.surplus(pair_models)[seat]
-
     reports = {}
     max_gain = -math.inf
     replays = 0
@@ -575,10 +578,14 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
 
                 top, cut = cands.top(replay_cap)
                 truncated = truncated or cut
+                outcomes = _replay_cell(
+                    seat, [dev for _, dev in top], strat[th_dev],
+                    strat[th_opp], head_lad[th_dev], full_lad[th_opp], prices,
+                    screen.t0, run_cfg)
+                pair_models = (models[pair[0]], models[pair[1]])
                 best_here = -math.inf
-                for opt_gain, dev in top:
-                    surplus = fast_replay(seat, dev, th_dev, th_opp,
-                                          screen.t0)
+                for (_, dev), out in zip(top, outcomes):
+                    surplus = out.surplus(pair_models)[seat]
                     replays += 1
                     gain = surplus - baseline
                     if gain > best_here:

@@ -52,15 +52,12 @@ class AuctionConfig:
     refine_tol: float = 1e-7
     money_scale: int = MICRO
     log_rounds: bool = True
-    tie_break: str = "egalitarian"  # max-min share, then bidder 1's share
 
     def __post_init__(self):
         if self.eps <= 0:
             raise ValueError("price increment must be positive")
         if self.max_price <= self.start:
             raise ValueError("max price must exceed the start price")
-        if self.tie_break != "egalitarian":
-            raise ValueError(f"unknown tie-break policy {self.tie_break!r}")
 
 
 @dataclass(frozen=True)
@@ -113,8 +110,7 @@ class AuctionOutcome:
         }
 
 
-def solve_closing(book1: BidBook, book2: BidBook, clock_price: float | None = None
-                  ) -> ClosingResult:
+def solve_closing(book1: BidBook, book2: BidBook) -> ClosingResult:
     """Maximize revenue over single acceptances and feasible bid pairs.
 
     A pair (x1, x2) is feasible when x1 + x2 <= 1 and both bidders hold
@@ -132,28 +128,32 @@ def solve_closing(book1: BidBook, book2: BidBook, clock_price: float | None = No
 
 def closing_from_arrays(b1, m1, b2, m2, n: int) -> ClosingResult:
     """Array core of the closing solver; values in money units, BOTTOM masked."""
-    single1 = int(b1[m1].max()) if m1.any() else None
-    single2 = int(b2[m2].max()) if m2.any() else None
+    best_pair, best_single, closed = _closing_rows(b1, m1, b2, m2)
+    best_pair = int(best_pair)
+    r_star = max(best_pair, int(best_single))
+    r_star = r_star if r_star >= 0 else None
+    allocation = _choose_allocation(b1, m1, b2, m2, n, r_star) if closed else None
+    return ClosingResult(r_star, bool(closed), allocation,
+                         best_pair if best_pair >= 0 else None)
 
+
+def _closing_rows(b1, m1, b2, m2):
+    """The closing test of side-1 rows ``(..., n+1)`` against one side-2 book.
+
+    Returns ``(best_pair, best_single, closed)`` per row.  Bid values are
+    non-negative, so a revenue is negative exactly when it does not exist
+    (no feasible pair, no bid at all).  The test is symmetric in the two
+    sides; only the allocation is not.
+    """
     masked2 = np.where(m2, b2, _NEG)
-    pref2 = np.maximum.accumulate(masked2)
-    pref2_has = np.maximum.accumulate(m2)
-
-    rev_idx = np.arange(n, -1, -1)
-    part_val = pref2[rev_idx]       # best partner value with x2 <= 1 - x1
-    part_has = pref2_has[rev_idx]
-    feasible = m1 & part_has
-    best_pair = int((b1 + part_val)[feasible].max()) if feasible.any() else None
-
-    r_star = max(v for v in (single1, single2, best_pair) if v is not None) \
-        if (single1 is not None or single2 is not None or best_pair is not None) \
-        else None
-
-    closed = best_pair is not None and best_pair == r_star
-    allocation = None
-    if closed:
-        allocation = _choose_allocation(b1, m1, b2, m2, n, r_star)
-    return ClosingResult(r_star, closed, allocation, best_pair)
+    # Best partner value with x2 <= 1 - x1, indexed by x1.
+    partner = np.maximum.accumulate(masked2)[::-1]
+    best_pair = np.where(m1, b1 + partner, _NEG).max(axis=-1)
+    best_single = np.maximum(np.where(m1, b1, _NEG).max(axis=-1),
+                             masked2.max())
+    # Closed: some pair exists and no single acceptance beats it.
+    closed = best_pair >= np.maximum(best_single, 0)
+    return best_pair, best_single, closed
 
 
 def _choose_allocation(b1, m1, b2, m2, n, r_star) -> tuple:
@@ -183,7 +183,7 @@ def _apply_round(book: BidBook, strategy, price: float):
     return k, ks, amounts
 
 
-def _log_round(log, round_no, price, emissions, result, scale):
+def _log_round(log, round_no, price, emissions, result):
     for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
         log.append((round_no, price, bidder, "headline", k, None,
                     result.closed, result.r_star))
@@ -201,36 +201,21 @@ def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome
     ``config.refine_tol`` between the last non-closing and the first
     closing clock price.
     """
+    strategies = (strategy1, strategy2)
     books = (BidBook(config.grid, config.money_scale),
              BidBook(config.grid, config.money_scale))
-    return _run_clock_from((strategy1, strategy2), books, 0, config)
-
-
-def _run_clock_from(strategies, books, start_tick: int,
-                    config: AuctionConfig) -> AuctionOutcome:
-    """The CMRA clock loop from tick ``start_tick`` on.
-
-    ``books`` hold both bidders' rounds at every earlier tick, none of
-    which closed; they are advanced in place.  From tick 0 with empty
-    books this is a full auction run.
-    """
     log: list = []
-    t = start_tick
-    prev_price = config.start + (t - 1) * config.eps if t > 0 else None
+    t = 0
+    prev_price = None
     while True:
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
-            return AuctionOutcome(
-                final_price=config.max_price, indices=None, quantities=None,
-                payments=(0.0, 0.0), payment_units=(0, 0),
-                kinds=("none", "none"), revenue=0.0, revenue_units=0,
-                termination=MAX_PRICE_HIT, excess_supply=1.0,
-                r_star_units=None, rounds=log)
+            return _max_price_outcome(config, log)
         base = (books[0].copy(), books[1].copy())
         emissions = [_apply_round(b, s, price) for b, s in zip(books, strategies)]
-        result = solve_closing(books[0], books[1], price)
+        result = solve_closing(books[0], books[1])
         if config.log_rounds:
-            _log_round(log, t, price, emissions, result, config.money_scale)
+            _log_round(log, t, price, emissions, result)
         if result.closed:
             if config.refine and prev_price is not None:
                 price, books, result = _refine_close(
@@ -238,6 +223,81 @@ def _run_clock_from(strategies, books, start_tick: int,
             return _build_outcome(price, books, result, config, log)
         prev_price = price
         t += 1
+
+
+def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
+                  config: AuctionConfig) -> list:
+    """CMRA runs of many strategies against one opponent, in one clock loop.
+
+    Member ``i`` plays ``strategies[i]`` in seat ``seat`` (0 or 1) and
+    joins the clock at tick ``starts[i]`` with ``books[i]`` holding its
+    rounds at every earlier tick (advanced in place); none of those
+    ticks closed.  ``opp_snaps`` maps every start tick to the opponent's
+    book before that tick's round.  Returns each member's outcome, in
+    member order, equal to that of its own clock loop resumed at its
+    start tick; no round log is kept.
+
+    Emissions are pure functions of the price, so the opponent's book at
+    a tick is the same for every member: it is recorded once per tick,
+    and one batched closing test covers every member on the clock.  A
+    member that closes leaves the clock and refines from its own pre-tick
+    book and the opponent's.  While no member is on the clock, the clock
+    jumps to the next start tick.
+    """
+    outcomes = [None] * len(strategies)
+    pending = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
+    active: list = []
+    t = opp_book = None
+    while pending or active:
+        if not active:
+            t = starts[pending[-1]]
+            opp_book = opp_snaps[t].copy()
+        while pending and starts[pending[-1]] == t:
+            active.append(pending.pop())
+        price = config.start + t * config.eps
+        if price > config.max_price + 1e-12:
+            for i in active:
+                outcomes[i] = _max_price_outcome(config, [])
+            active = []
+            continue
+        opp_base = opp_book.copy()
+        _apply_round(opp_book, opponent, price)
+        bases = [books[i].copy() for i in active]
+        for i in active:
+            _apply_round(books[i], strategies[i], price)
+        # The closing test is seat-symmetric: members go on side 1.
+        closed = _closing_rows(np.stack([books[i].values for i in active]),
+                               np.stack([books[i].has_bid for i in active]),
+                               opp_book.values, opp_book.has_bid)[2]
+        still = []
+        for i, own_base, done in zip(active, bases, closed):
+            if not done:
+                still.append(i)
+                continue
+            pair = (books[i], opp_book)
+            base = (own_base, opp_base)
+            bidders = (strategies[i], opponent)
+            if seat == 1:
+                pair, base, bidders = pair[::-1], base[::-1], bidders[::-1]
+            result = solve_closing(*pair)
+            close_price = price
+            if config.refine and t > 0:
+                close_price, pair, result = _refine_close(
+                    base, bidders, config.start + (t - 1) * config.eps,
+                    price, pair, result, config)
+            outcomes[i] = _build_outcome(close_price, pair, result, config, [])
+        active = still
+        t += 1
+    return outcomes
+
+
+def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
+    """The outcome of a clock that passed the maximum price unclosed."""
+    return AuctionOutcome(
+        final_price=config.max_price, indices=None, quantities=None,
+        payments=(0.0, 0.0), payment_units=(0, 0), kinds=("none", "none"),
+        revenue=0.0, revenue_units=0, termination=MAX_PRICE_HIT,
+        excess_supply=1.0, r_star_units=None, rounds=log)
 
 
 def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
@@ -253,7 +313,7 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
         trial = (lo_books[0].copy(), lo_books[1].copy())
         for b, s in zip(trial, strategies):
             _apply_round(b, s, mid)
-        res = solve_closing(trial[0], trial[1], mid)
+        res = solve_closing(trial[0], trial[1])
         if res.closed:
             hi = mid
         else:
@@ -261,7 +321,7 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
     final_books = (lo_books[0].copy(), lo_books[1].copy())
     for b, s in zip(final_books, strategies):
         _apply_round(b, s, hi)
-    final_result = solve_closing(final_books[0], final_books[1], hi)
+    final_result = solve_closing(final_books[0], final_books[1])
     if not final_result.closed:  # pragma: no cover - monotone for proxy families
         return hi, hi_books, hi_result
     return hi, final_books, final_result
@@ -316,12 +376,7 @@ def run_clock(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcom
     while True:
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
-            return AuctionOutcome(
-                final_price=config.max_price, indices=None, quantities=None,
-                payments=(0.0, 0.0), payment_units=(0, 0),
-                kinds=("none", "none"), revenue=0.0, revenue_units=0,
-                termination=MAX_PRICE_HIT, excess_supply=1.0,
-                r_star_units=None, rounds=log)
+            return _max_price_outcome(config, log)
         k1, k2 = demands(price)
         if config.log_rounds:
             log.append((t, price, 1, "headline", k1, None, k1 + k2 <= n, None))
@@ -363,7 +418,7 @@ def _clock_outcome(price, indices, config, log) -> AuctionOutcome:
         r_star_units=revenue_units, rounds=log)
 
 
-def revenue_curve(book1: BidBook, book2: BidBook, clock_price: float | None = None):
+def revenue_curve(book1: BidBook, book2: BidBook):
     """Revenue of split allocations (x1, 1-x1) and of single acceptances.
 
     For each grid share x1 the row holds the both-bidder revenue

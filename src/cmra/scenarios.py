@@ -314,7 +314,7 @@ def export_figure_data(source, prices, outdir=None) -> dict:
                     if v is not None:
                         wb.writerow([_fmt(float(p)), i,
                                      _fmt(cfg.grid.share(k)), _fmt(v / scale)])
-            for x1, pair, single in revenue_curve(books[0], books[1], p):
+            for x1, pair, single in revenue_curve(books[0], books[1]):
                 wr.writerow([_fmt(float(p)), _fmt(x1),
                              _fmt(None if pair is None else pair / scale),
                              _fmt(None if single is None else single / scale)])

@@ -9,7 +9,7 @@ from cmra import (AssumptionViolation, AuctionConfig, MarketEnv, QuantityGrid,
                   replay_deviation, run_cmra, vcg_equivalence_check,
                   vcg_outcome)
 from cmra.equilibrium import (Deviation, DeviationFamily, HeadlineOnly,
-                              _Ladder, _PairScreen, _resume_replay)
+                              _Ladder, _PairScreen, _replay_cell)
 from cmra.strategies import STRATEGY_TAGS
 
 
@@ -142,6 +142,9 @@ class TestExPostSearch:
         assert res.verified
         assert not res.truncated
         assert res.max_gain <= 1e-4
+        # Pinned: the replay order and its bookkeeping are fixed.
+        assert (res.replays, res.members) == (76, 18108)
+        assert res.max_gain == 0.0
 
     def test_refuted_profile_reports_replayable_deviation(self):
         fam = DeviationFamily(n_amounts=12, n_submit_prices=6, n_drop_prices=6)
@@ -150,6 +153,9 @@ class TestExPostSearch:
         res = check_expost("clock-truthful", env, cfg, theta_grid=3,
                            family=fam, tol=1e-4, stop_at_gain=1e-3)
         assert not res.verified and res.max_gain > 1e-3
+        # Pinned: the sweep stops at the same replay as a sequential scan.
+        assert (res.replays, res.members) == (28, 1207)
+        assert res.max_gain == pytest.approx(0.23375, abs=1e-12)
         report = next(r for r in res.reports.values()
                       if r.best_deviation is not None
                       and r.best_gain == res.max_gain)
@@ -243,7 +249,7 @@ class TestExPostSearch:
 
 
 class TestResumedReplay:
-    """Replays resumed from ladder snapshots against runs from price 0."""
+    """A cell's deviations replayed in lockstep against runs from price 0."""
 
     def test_matches_replay_from_price_zero(self):
         rng = np.random.default_rng(23)
@@ -252,7 +258,8 @@ class TestResumedReplay:
                  ("cmra-truthful", quad_env(), small_config(0.9, 1.5, 2e-2)),
                  ("constant", quad_env(), small_config(0.9, 1.5, 2e-2))]
         seen = {"kinds": set(), "seats": set(), "regimes": set(),
-                "at 0": 0, "at t0": 0, "below t0": 0, "past t0": 0}
+                "at 0": 0, "at t0": 0, "below t0": 0, "past t0": 0,
+                "mixed starts": 0, "mixed closes": 0}
         checked = 0
         for profile, env, cfg in cases:
             grid = cfg.grid
@@ -285,19 +292,26 @@ class TestResumedReplay:
                     for lad in (dev_lad, opp_lad):
                         lad.snaps = {t: b for t, b in lad.snaps.items()
                                      if t in keep}
-                    for _ in range(10):
-                        dev, div = _random_deviation(rng, cfg, prices, t_n)
+                    batch = [_random_deviation(rng, cfg, prices, t_n)
+                             for _ in range(10)]
+                    got = _replay_cell(seat, [dev for dev, _ in batch], base,
+                                       opp, dev_lad, opp_lad, prices, t0, cfg)
+                    starts, closes = set(), set()
+                    for (dev, div), out in zip(batch, got):
                         want, _ = replay_deviation(profile, env, seat, dev,
                                                    cfg, (th_d, th_o))
-                        got = _resume_replay(seat, dev, base, opp, dev_lad,
-                                             opp_lad, prices, t0, cfg)
-                        assert got.payment_units == want.payment_units
-                        assert got.indices == want.indices
-                        assert got.kinds == want.kinds
-                        assert got.final_price == want.final_price
+                        assert out.payment_units == want.payment_units
+                        assert out.indices == want.indices
+                        assert out.kinds == want.kinds
+                        assert out.final_price == want.final_price
+                        assert out.termination == want.termination
                         checked += 1
                         limit = min(t for t in (div, t0, t_n) if t is not None)
                         start = max(t for t in keep if t <= limit)
+                        starts.add(start)
+                        if want.closed:
+                            closes.add(int(np.searchsorted(prices,
+                                                           want.final_price)))
                         seen["kinds"].add(dev.kind)
                         seen["seats"].add(seat)
                         seen["regimes"].add(env.regime)
@@ -306,11 +320,14 @@ class TestResumedReplay:
                         seen["below t0"] += 0 < start < (t0 or t_n)
                         seen["past t0"] += t0 is not None and div is not None \
                             and div > t0
+                    seen["mixed starts"] += len(starts) >= 2
+                    seen["mixed closes"] += len(closes) >= 2
         assert checked >= 200
         assert len(seen["kinds"]) == 3 and seen["seats"] == {0, 1}
         assert len(seen["regimes"]) == 2
         assert min(seen["at 0"], seen["at t0"], seen["below t0"],
-                   seen["past t0"]) > 0, seen
+                   seen["past t0"], seen["mixed starts"],
+                   seen["mixed closes"]) > 0, seen
 
 
 def _random_deviation(rng, cfg, prices, t_n):

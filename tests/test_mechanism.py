@@ -244,10 +244,10 @@ class TestRevenueCurve:
                 book.record_round_indexed(p, s.headline_index(p),
                                           *s.additional_bid_arrays(p),
                                           clamp=True)
-            if solve_closing(books[0], books[1], p).closed:
+            if solve_closing(books[0], books[1]).closed:
                 break
             t += 1
-        rows = revenue_curve(books[0], books[1], p)
+        rows = revenue_curve(books[0], books[1])
         best_pair = max(r[1] for r in rows if r[1] is not None)
         best_single = max(r[2] for r in rows if r[2] is not None)
         assert best_pair >= best_single

@@ -5,7 +5,9 @@ import math
 import numpy as np
 
 from cmra import (AuctionConfig, BidBook, MarketEnv, QuantityGrid,
-                  ValuationModel, run_clock, run_cmra, solve_closing)
+                  ValuationModel, closing_from_arrays, run_clock, run_cmra,
+                  solve_closing)
+from cmra.mechanism import _closing_rows
 from cmra.strategies import STRATEGY_TAGS, cmra_truthful
 
 
@@ -13,7 +15,10 @@ def brute_force_closing(book1, book2):
     """Independent enumeration of every acceptance; loops, no shortcuts."""
     b1, m1 = book1.arrays()
     b2, m2 = book2.arrays()
-    n = book1.grid.n
+    return brute_force_arrays(b1, m1, b2, m2, book1.grid.n)
+
+
+def brute_force_arrays(b1, m1, b2, m2, n):
     pairs = []
     for k1 in range(n + 1):
         if not m1[k1]:
@@ -97,6 +102,52 @@ class TestClosingSolverEquivalence:
             assert got.allocation == alloc
             checked += 1
         assert checked == 1000
+
+
+    def test_batched_rows_match_closing_from_arrays(self):
+        # Rows of side-1 books tested at once against one side-2 book give
+        # each row's closed flag, r* and best pair.  Small value ranges
+        # make ties between the best pair and a single bid common.
+        rng = np.random.default_rng(7)
+        seen = {"empty": 0, "one bid": 0, "no pair": 0, "tie": 0,
+                "closed": 0, "open": 0}
+
+        def random_mask(size):
+            mode = rng.choice(["empty", "one bid", "random"], p=[.15, .25, .6])
+            mask = np.zeros(size, dtype=bool)
+            if mode == "one bid":
+                mask[rng.integers(0, size)] = True
+            elif mode == "random":
+                mask = rng.random(size) < rng.uniform(0.1, 0.9)
+            return mask
+
+        for _ in range(400):
+            n = int(rng.integers(1, 10))
+            rows = int(rng.integers(1, 7))
+            top = int(rng.choice([3, 20, 10 ** 7]))
+            b1 = rng.integers(0, top, (rows, n + 1))
+            m1 = np.array([random_mask(n + 1) for _ in range(rows)])
+            b2 = rng.integers(0, top, n + 1)
+            m2 = random_mask(n + 1)
+            pair, single, closed = _closing_rows(b1, m1, b2, m2)
+            for r in range(rows):
+                want = closing_from_arrays(b1[r], m1[r], b2, m2, n)
+                got_pair = int(pair[r]) if pair[r] >= 0 else None
+                got_r = max(int(pair[r]), int(single[r]))
+                assert (got_pair, got_r if got_r >= 0 else None,
+                        bool(closed[r])) == \
+                    (want.best_pair, want.r_star, want.closed)
+                r_ref, closed_ref, _ = brute_force_arrays(b1[r], m1[r], b2,
+                                                          m2, n)
+                assert (want.r_star, want.closed) == (r_ref, closed_ref)
+                singles = np.concatenate([b1[r][m1[r]], b2[m2]])
+                seen["empty"] += not m1[r].any() or not m2.any()
+                seen["one bid"] += m1[r].sum() == 1
+                seen["no pair"] += want.best_pair is None and singles.size > 0
+                seen["tie"] += want.best_pair is not None and \
+                    singles.size > 0 and want.best_pair == singles.max()
+                seen["closed" if want.closed else "open"] += 1
+        assert min(seen.values()) > 0, seen
 
 
 class TestBidBookLaws:
@@ -227,7 +278,6 @@ class TestNoCloseMonotonicity:
                     book.record_round_indexed(p, s.headline_index(p),
                                               *s.additional_bid_arrays(p),
                                               clamp=True)
-                closed_flags.append(solve_closing(books[0], books[1],
-                                                  p).closed)
+                closed_flags.append(solve_closing(books[0], books[1]).closed)
             first = closed_flags.index(True)
             assert all(closed_flags[first:])
