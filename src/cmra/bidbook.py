@@ -167,7 +167,7 @@ class BidBook:
         caps = self.values[lo] + self._seg_base
         return np.where(self._seg_lo >= 0, caps, unbounded)
 
-    def activity_cap(self, x: float, current_clock: float | None = None):
+    def activity_cap(self, x: float):
         return self.activity_cap_index(self.grid.index(x))
 
     def arrays(self):

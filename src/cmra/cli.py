@@ -15,14 +15,13 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 
 from .audit import AuditError
 from .scenarios import (ScenarioError, bundled_scenario_path,
-                        export_figure_data, run_scenario)
+                        export_figure_data, run_scenario, write_verify_report)
 from .verify import CLAIMS, run_claim
 
 __all__ = ["main"]
@@ -71,12 +70,7 @@ def cmd_verify(args) -> int:
     outdir = Path(_outdir(args))
     outdir.mkdir(parents=True, exist_ok=True)
     report = outdir / f"{result.claim}_report.json"
-    with open(report, "w") as fh:
-        json.dump({"claim": result.claim, "passed": result.passed,
-                   "lines": result.lines,
-                   "elapsed_s": round(result.elapsed, 3)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_verify_report(report, result)
     print(f"report: {report}")
     return 0 if result.passed else 1
 

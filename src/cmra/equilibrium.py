@@ -20,6 +20,18 @@ every member whose optimistic surplus bound clears the tolerance is
 re-run through the real auction engine.  Reported gains always come
 from such engine replays, so any reported deviation is reproducible.
 
+Neither screen builds a book per member.  The headline is
+non-increasing, so from its drop tick td on, a drop policy's book is
+the headline-only book on quantities below its drop quantity y, the
+headline-only book of tick td - 1 above y, and on y the linear-price
+bid of the last tick whose headline is still at least y: its pair
+revenue is a prefix maximum over k < y, the y entry and a suffix
+maximum over k > y.  A single bid of amount a closes its book at tick t
+exactly when a is at most one per-tick threshold or at least another,
+so each bid's first closing tick is a bisection on the thresholds'
+running extrema from its submission tick.  Both screens are checked
+against per-member loop versions on random ladders.
+
 A replay does not restart the clock at price 0.  Proxy emissions are
 pure functions of the price, and before its divergence tick (the drop
 tick of a drop policy, the submission tick of a single bid) a deviation
@@ -52,7 +64,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import integrate
 
-from .bidbook import BidBook, QuantityGrid, money_units
+from .bidbook import BidBook, QuantityGrid
 from .mechanism import AuctionConfig, _run_lockstep, run_cmra
 from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
@@ -339,9 +351,11 @@ class _PairScreen:
         self.max_o = om.max(axis=1)
 
         self.max_h = self.hd.max(axis=1)
-        pair_hh = np.where(self.md & self.po_has_rev, self.dev_vals + self.po_rev,
-                           _NEG)
-        self.hh = pair_hh.max(axis=1)
+        # pair_hh[t, k]: revenue of the pair (k, best partner) on the
+        # headline-only book at tick t.
+        self.pair_hh = np.where(self.md & self.po_has_rev,
+                                self.dev_vals + self.po_rev, _NEG)
+        self.hh = self.pair_hh.max(axis=1)
         self.s = np.maximum(self.max_h, self.max_o)
         self.t0 = _first_true((self.hh > _NEG // 2) & (self.hh >= self.s))
 
@@ -354,125 +368,186 @@ class _PairScreen:
         #              - max B_opp(.; t-1).
         self.r_floor = np.zeros(len(prices))
         self.r_floor[1:] = np.maximum(self.max_o[:-1], 0) / scale
-        pair_w = np.where(self.md & self.po_has_rev,
-                          u_dev[None, :] + self.po_rev / scale, -np.inf)
-        self.hh_opt = pair_w.max(axis=1) - self.r_floor
+        self.pair_w = np.where(self.md & self.po_has_rev,
+                               u_dev[None, :] + self.po_rev / scale, -np.inf)
+        self.hh_opt = self.pair_w.max(axis=1) - self.r_floor
 
     # -- family screens ------------------------------------------------
 
     def screen_single_bids(self, family: DeviationFamily, t_hats, baseline,
                            cutoff, out):
-        """Single-package deviations: quantity x amount x submission price."""
+        """Single-package deviations: quantity x amount x submission price.
+
+        Every (quantity, submission tick, amount level) of the family is
+        screened at once: the first closing tick of each comes from two
+        per-tick amount thresholds, and the surplus bound is vectorized.
+        """
         n = self.grid.n
         quants = family.bid_quantities or range(1, self.grid.cap_index + 1)
-        for k_hat in quants:
-            hk = self.hd[:, k_hat]
-            qcol = self.po[:, n - k_hat]
-            qhas = self.po_has[:, n - k_hat]
-            u_k = self.u_dev[k_hat]
-            for t_hat in t_hats:
-                if self.t0 is not None and self.t0 < t_hat:
-                    # Closes before the bid is ever submitted: outcome is
-                    # exactly the headline-only one, reported once.
-                    out.members += family.n_amounts
-                    continue
-                cap = min(money_units(self.prices[t_hat] * k_hat / n, self.scale),
-                          int(self.dev_caps[t_hat, k_hat]))
-                if cap < 0:
-                    continue
-                levels = np.unique(np.linspace(0, cap, family.n_amounts)
-                                   .round().astype(np.int64))
-                out.members += levels.size
-                # A bid at or below the deviator's recorded headline value
-                # never changes the book: identical to headline-only play.
-                if self.md[t_hat, k_hat]:
-                    levels = levels[levels > self.dev_vals[t_hat, k_hat]]
-                    if not levels.size:
-                        continue
-                a = levels[:, None]
-                vhat = np.maximum(hk[None, :], a)
-                pair2 = np.where(qhas[None, :], vhat + qcol[None, :], _NEG)
-                lhs = np.maximum(self.hh[None, :], pair2)
-                rhs = np.maximum(self.s[None, :], a)
-                closed = (lhs > _NEG // 2) & (lhs >= rhs)
-                closed[:, :t_hat] = False
-                any_close = closed.any(axis=1)
-                t_close = np.argmax(closed, axis=1)
-                for i, amt_units in enumerate(levels):
-                    if not any_close[i]:
-                        continue  # never closes: the deviator wins nothing
-                    tc = int(t_close[i])
-                    if int(pair2[i, tc]) < int(self.hh[tc]) \
-                            and self.t0 is not None and tc == self.t0:
-                        # The extra bid is in no revenue-maximizing pair:
-                        # outcome identical to the headline-only deviation.
-                        continue
-                    pay_lb = max(int(amt_units),
-                                 int(self.dev_vals[tc - 1, k_hat])
-                                 if tc > 0 and self.md[tc - 1, k_hat] else 0)
-                    win_opt = u_k - pay_lb / self.scale
-                    opt = max(win_opt, float(self.hh_opt[tc]))
-                    if opt - baseline > cutoff:
-                        out.add(opt - baseline, Deviation(
-                            "single-bid", quantity_k=k_hat,
-                            amount=int(amt_units) / self.scale,
-                            submit_price=float(self.prices[t_hat])))
+        k, th = (a.ravel() for a in np.meshgrid(
+            np.asarray(quants, dtype=np.int64),
+            np.asarray(t_hats, dtype=np.int64), indexing="ij"))
+        if self.t0 is not None:
+            # Closes before the bid is ever submitted: outcome is exactly
+            # the headline-only one, reported once.
+            late = th > self.t0
+            out.members += family.n_amounts * int(late.sum())
+            k, th = k[~late], th[~late]
+        # The legal maximum; prices, hence caps, are non-negative.
+        lin = np.floor(self.prices[th] * k / n * self.scale + 0.5)
+        cap = np.minimum(lin.astype(np.int64), self.dev_caps[th, k])
+        # Amount levels: np.unique(np.linspace(0, cap, n_amounts).round())
+        # for each cap, bit for bit.  Each row is non-decreasing, so its
+        # distinct levels are those that differ from their left neighbour.
+        m = family.n_amounts
+        levels = np.arange(m, dtype=float) * (cap / max(m - 1, 1))[:, None]
+        if m > 1:
+            levels[:, -1] = cap
+        levels = levels.round().astype(np.int64)
+        distinct = np.ones(levels.shape, dtype=bool)
+        distinct[:, 1:] = levels[:, 1:] != levels[:, :-1]
+        out.members += int(distinct.sum())
+        # A bid at or below the deviator's recorded headline value never
+        # changes the book: identical to headline-only play.
+        live = distinct & ~(self.md[th, k][:, None]
+                            & (levels <= self.dev_vals[th, k][:, None]))
+        row, col = np.nonzero(live)
+        k, th, a = k[row], th[row], levels[row, col]
+
+        tc = self._single_bid_closes(k, th, a)
+        keep = tc < len(self.prices)  # never closes: the deviator wins nothing
+        if self.t0 is not None:
+            # The extra bid is in no revenue-maximizing pair: outcome
+            # identical to the headline-only deviation.
+            t = self.t0
+            pair2 = np.where(self.po_has_rev[t, k], np.maximum(self.hd[t, k], a)
+                             + self.po_rev[t, k], _NEG)
+            keep &= ~((tc == t) & (pair2 < self.hh[t]))
+        k, th, a, tc = k[keep], th[keep], a[keep], tc[keep]
+        prev = np.maximum(tc - 1, 0)
+        held = (tc > 0) & self.md[prev, k]
+        pay_lb = np.maximum(a, np.where(held, self.dev_vals[prev, k], 0))
+        win_opt = self.u_dev[k] - pay_lb / self.scale
+        pair_opt = self.hh_opt[tc]
+        gain = np.where(pair_opt > win_opt, pair_opt, win_opt) - baseline
+        for i in np.nonzero(gain > cutoff)[0]:
+            out.add(float(gain[i]), Deviation(
+                "single-bid", quantity_k=int(k[i]), amount=int(a[i]) / self.scale,
+                submit_price=float(self.prices[th[i]])))
+
+    def _single_bid_closes(self, k, t_hat, a):
+        """First closing tick of each single bid, ``len(prices)`` if none.
+
+        From its submission tick on, bid i's book is the headline-only
+        book plus ``a[i] >= 0`` on quantity ``k[i]``.  Opponent bids are
+        non-negative, so that book closes at tick t exactly when
+        ``a <= a_lo[t]`` (the headline-only pairs close and beat the bid
+        as a single acceptance) or ``a >= a_hi[t, k]`` (the bid's pair
+        with its best partner beats every single acceptance).  Each test
+        stays true from the first tick on that the running maximum of
+        ``a_lo`` or minimum of ``a_hi`` from the submission tick passes
+        ``a``, so the first close is found by bisection.
+        """
+        t_n = len(self.prices)
+        a_lo = np.where(self.hh >= self.s, self.hh, -1)
+        need = self.s[:, None] - self.po_rev
+        a_hi = np.where(self.po_has_rev, np.where(self.hd >= need, 0, need),
+                        _BIG)
+        tc = np.full(a.size, t_n)
+        for t in np.unique(t_hat).tolist():
+            rows = np.nonzero(t_hat == t)[0]
+            kk, aa = k[rows], a[rows]
+            lo_run = np.maximum.accumulate(a_lo[t:])
+            hi_run = np.minimum.accumulate(a_hi[t:], axis=0)
+            lo = np.zeros(rows.size, dtype=np.int64)
+            hi = np.full(rows.size, t_n - t)
+            while (open_ := lo < hi).any():
+                mid = (lo + hi) // 2
+                at = np.minimum(mid, t_n - t - 1)
+                shut = (lo_run[at] >= aa) | (hi_run[at, kk] <= aa)
+                hi = np.where(open_ & shut, mid, hi)
+                lo = np.where(open_ & ~shut, mid + 1, lo)
+            tc[rows] = t + lo
+        return tc
 
     def screen_drops(self, family: DeviationFamily, drop_ticks, baseline,
                      cutoff, out):
-        """Headline-drop policies, screened jointly across the policy grid."""
+        """Headline-drop policies (y, td): cap the headline at y from tick td.
+
+        The headline is non-increasing, so from td on a policy's book is
+        the headline-only book at t on k < y, the headline-only book at
+        td - 1 on k > y (frozen), and on y the linear-price bid of the
+        last tick s <= t whose headline is still at least y.  Each
+        revenue is then a prefix maximum over k < y, the y entry and a
+        suffix maximum over k > y, with no per-policy book.  Before td the
+        book is the headline-only one, which first closes at ``t0``.
+        """
         n = self.grid.n
         t_n = len(self.prices)
         ys = np.asarray(family.drop_quantities
                         if family.drop_quantities is not None
                         else range(0, self.grid.cap_index), dtype=np.int64)
         tq = np.asarray(drop_ticks, dtype=np.int64)
-        d_y, d_t = np.meshgrid(ys, tq, indexing="ij")
-        d_y, d_t = d_y.ravel(), d_t.ravel()
-        n_pol = d_y.size
-        out.members += n_pol
-
-        steps = np.arange(t_n)
-        mp = np.where(steps[None, :] >= d_t[:, None],
-                      np.minimum(self.kpath[None, :], d_y[:, None]),
-                      self.kpath[None, :])
-        hu = np.floor(self.prices[None, :] * mp / n * self.scale + 0.5) \
-            .astype(np.int64)
-        max_d = np.maximum.accumulate(hu, axis=1)
-
-        vals = np.full((n_pol, n + 1), 0, dtype=np.int64)
-        mask = np.zeros((n_pol, n + 1), dtype=bool)
-        rows = np.arange(n_pol)
-        hh_d = np.empty((n_pol, t_n), dtype=np.int64)
-        w_d = np.empty((n_pol, t_n))
-        u_row = self.u_dev[None, :]
-        for t in range(t_n):
-            kt = mp[:, t]
-            better = ~mask[rows, kt] | (hu[:, t] > vals[rows, kt])
-            vals[rows[better], kt[better]] = hu[better, t]
-            mask[rows, kt] = True
-            feas = mask & self.po_has_rev[t][None, :]
-            hh_d[:, t] = np.where(feas, vals + self.po_rev[t][None, :],
-                                  _NEG).max(axis=1)
-            w_d[:, t] = np.where(feas, u_row + self.po_rev[t][None, :]
-                                 / self.scale, -np.inf).max(axis=1)
-        s_d = np.maximum(max_d, self.max_o[None, :])
-        closed = (hh_d > _NEG // 2) & (hh_d >= s_d)
-        any_close = closed.any(axis=1)
-        t_close = np.argmax(closed, axis=1)
-
-        for j in range(n_pol):
-            if not any_close[j]:
+        out.members += ys.size * tq.size
+        gains = np.full((ys.size, tq.size), -np.inf)
+        pre_hd = _before(self.hd, _NEG)
+        pre_pair = _before(self.pair_hh, _NEG)
+        pre_w = _before(self.pair_w, -np.inf)
+        for j, td in enumerate(tq.tolist()):
+            if self.t0 is not None and self.t0 < td:
+                continue  # closes before the drop: headline-only outcome
+            # A drop binds, before or at the close, exactly when the
+            # headline at td is above y; otherwise it is headline-only play.
+            cols = np.nonzero(self.kpath[td] > ys)[0]
+            if not cols.size:
                 continue
-            tc = int(t_close[j])
-            if np.array_equal(mp[j, : tc + 1], self.kpath[: tc + 1]):
-                # Drop never binds before the close: headline-only outcome.
-                continue
-            opt = float(w_d[j, tc]) - float(self.r_floor[tc])
-            if opt - baseline > cutoff:
-                out.add(opt - baseline, Deviation(
-                    "drop", drop_price=float(self.prices[d_t[j]]),
-                    drop_k=int(d_y[j])))
+            y = ys[cols]
+            # The book of tick td - 1, empty when td = 0.
+            frozen = self.md[td - 1] & (td > 0)
+            f_vals = self.dev_vals[td - 1]
+            po_rev, po_has = self.po_rev[td:], self.po_has_rev[td:]
+            post_pair = _after(np.where(frozen & po_has, f_vals + po_rev, _NEG),
+                               _NEG)[:, y]
+            post_hd = _after(np.where(frozen, f_vals, _NEG), _NEG)[y]
+            # The last tick from td on whose headline is still >= y.
+            last = td - 1 + np.searchsorted(-self.kpath[td:], -y, side="right")
+            s_y = np.minimum(np.arange(td, t_n)[:, None], last[None, :])
+            v_y = np.floor(self.prices[s_y] * y / n * self.scale + 0.5) \
+                .astype(np.int64)
+            pair_y = np.where(po_has[:, y], v_y + po_rev[:, y], _NEG)
+            hh_d = np.maximum(np.maximum(pre_pair[td:, y], pair_y), post_pair)
+            max_d = np.maximum(np.maximum(pre_hd[td:, y], v_y), post_hd)
+            s_d = np.maximum(max_d, self.max_o[td:, None])
+            closed = (hh_d > _NEG // 2) & (hh_d >= s_d)
+            hit = closed.any(axis=0)
+            cols, y = cols[hit], y[hit]
+            tc = td + np.argmax(closed[:, hit], axis=0)
+            # Surplus ceiling, only at the close tick.
+            w_rows = np.where(frozen & self.po_has_rev[tc],
+                              self.u_dev + self.po_rev[tc] / self.scale, -np.inf)
+            pick = np.arange(y.size)
+            w_post = _after(w_rows, -np.inf)[pick, y]
+            w_y = np.where(self.po_has_rev[tc, y],
+                           self.u_dev[y] + self.po_rev[tc, y] / self.scale,
+                           -np.inf)
+            w = np.maximum(np.maximum(pre_w[tc, y], w_y), w_post)
+            gains[cols, j] = w - self.r_floor[tc] - baseline
+        for i, j in zip(*np.nonzero(gains > cutoff)):
+            out.add(float(gains[i, j]), Deviation(
+                "drop", drop_price=float(self.prices[tq[j]]),
+                drop_k=int(ys[i])))
+
+
+def _before(a, fill):
+    """Exclusive prefix maximum along the last axis: max of a[..., :k]."""
+    out = np.full_like(a, fill)
+    np.maximum.accumulate(a[..., :-1], axis=-1, out=out[..., 1:])
+    return out
+
+
+def _after(a, fill):
+    """Exclusive suffix maximum along the last axis: max of a[..., k+1:]."""
+    return _before(a[..., ::-1], fill)[..., ::-1]
 
 
 class _Candidates:

@@ -306,6 +306,8 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
 
     Non-closing probes accumulate into the books so recorded bids
     converge to their continuous-clock suprema below the closing price.
+    A probe needs only the closing flag; the allocation is built for the
+    final books alone.
     """
     lo_books = base_books
     while hi - lo > config.refine_tol:
@@ -313,8 +315,8 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
         trial = (lo_books[0].copy(), lo_books[1].copy())
         for b, s in zip(trial, strategies):
             _apply_round(b, s, mid)
-        res = solve_closing(trial[0], trial[1])
-        if res.closed:
+        if _closing_rows(trial[0].values, trial[0].has_bid,
+                         trial[1].values, trial[1].has_bid)[2]:
             hi = mid
         else:
             lo, lo_books = mid, trial

@@ -38,6 +38,7 @@ __all__ = [
     "bundled_scenario_path",
     "bundled_audit_record",
     "write_round_log",
+    "write_verify_report",
 ]
 
 
@@ -178,6 +179,13 @@ def _write_json(path, payload: dict) -> None:
         fh.write("\n")
 
 
+def write_verify_report(path, result) -> None:
+    """Report JSON of one verification claim (a ``ClaimResult``)."""
+    _write_json(path, {"claim": result.claim, "passed": result.passed,
+                       "lines": result.lines,
+                       "elapsed_s": round(result.elapsed, 3)})
+
+
 def run_scenario(source, outdir=None, seed=None) -> dict:
     """Execute a scenario file (path, dict or Scenario); write artifacts.
 
@@ -227,9 +235,7 @@ def run_scenario(source, outdir=None, seed=None) -> dict:
         options = {k: v for k, v in scenario.options.items() if k != "claim"}
         result = run_claim(scenario.options["claim"], **options)
         path = outdir / f"{scenario.name}_report.json"
-        _write_json(path, {"claim": result.claim, "passed": result.passed,
-                           "lines": result.lines,
-                           "elapsed_s": round(result.elapsed, 3)})
+        write_verify_report(path, result)
         outputs["report"] = str(path)
         return {"ok": result.passed, "scenario": scenario.name,
                 "outputs": outputs, "result": result}

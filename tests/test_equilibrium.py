@@ -8,9 +8,12 @@ from cmra import (AssumptionViolation, AuctionConfig, MarketEnv, QuantityGrid,
                   check_rdr_bne, minimal_winning_bid, rdr_threshold,
                   replay_deviation, run_cmra, vcg_equivalence_check,
                   vcg_outcome)
+from cmra.bidbook import money_units
 from cmra.equilibrium import (Deviation, DeviationFamily, HeadlineOnly,
-                              _Ladder, _PairScreen, _replay_cell)
+                              _Candidates, _Ladder, _PairScreen, _replay_cell)
 from cmra.strategies import STRATEGY_TAGS
+
+_NEG = np.int64(-(2 ** 53))  # the screens' marker for an absent bid or pair
 
 
 def pow_env(alpha=2.0, thetas=(0.8, 0.5), support=(0.1, 1.0)):
@@ -328,6 +331,183 @@ class TestResumedReplay:
         assert min(seen["at 0"], seen["at t0"], seen["below t0"],
                    seen["past t0"], seen["mixed starts"],
                    seen["mixed closes"]) > 0, seen
+
+
+class TestScreenEquivalence:
+    """The screens against their per-member loop versions on random ladders."""
+
+    def test_matches_loop_screens(self):
+        rng = np.random.default_rng(41)
+        # An increment off the money grid makes amount caps other than
+        # round numbers, where amount levels are sensitive to rounding.
+        cases = [("cmra-truthful", pow_env(), small_config(0.75, 1.6, 0.0197)),
+                 ("constant", pow_env(), small_config(0.75, 1.6, 0.0197)),
+                 ("cmra-truthful", quad_env(), small_config(0.9, 1.5, 0.0197)),
+                 ("constant", quad_env(), small_config(0.9, 1.5, 0.0197)),
+                 # The clock stops before most pairs close: t0 is None.
+                 ("cmra-truthful", pow_env(), small_config(0.75, 0.3, 0.0197)),
+                 ("constant", quad_env(), small_config(0.9, 0.6, 0.0197))]
+        seen = {"seats": set(), "regimes": set(), "no t0": 0, "t0": 0,
+                "cap 0": 0, "drop at 0": 0, "single": 0, "drop": 0}
+        for profile, env, cfg in cases:
+            grid, scale = cfg.grid, cfg.money_scale
+            t_n = int((cfg.max_price - cfg.start) / cfg.eps) + 1
+            prices = cfg.start + cfg.eps * np.arange(t_n)
+            lo, hi = env.distribution.support
+            make = STRATEGY_TAGS[profile]
+            for seat in (0, 1):
+                for _ in range(4):
+                    th_d, th_o = (float(v) for v in rng.uniform(lo, hi, 2))
+                    md = env.models[seat].with_theta(th_d)
+                    mo = env.models[1 - seat].with_theta(th_o)
+                    dev_lad = _Ladder(HeadlineOnly(make(md, grid)), prices,
+                                      grid, scale, with_caps=True)
+                    opp_lad = _Ladder(make(mo, grid), prices, grid, scale)
+                    u_dev = np.array([md.value(grid.share(k))
+                                      for k in range(grid.n + 1)])
+                    screen = _PairScreen(dev_lad, opp_lad, prices, grid,
+                                         scale, u_dev)
+                    fam = DeviationFamily(
+                        n_amounts=int(rng.choice([1, 2, 11, 21, 50])))
+                    t_hats = sorted({0, *rng.choice(t_n, 6).tolist()})
+                    drop_ticks = sorted({0, *rng.choice(t_n, 6).tolist()})
+                    # Baselines low enough that many members are candidates;
+                    # with no cutoff every member that closes is one.
+                    baseline = float(rng.uniform(-0.3, 0.2))
+                    cutoff = -np.inf if rng.random() < 0.5 else 5e-5
+                    for name, fast, loop, ticks in (
+                            ("single", _PairScreen.screen_single_bids,
+                             _loop_single_bids, t_hats),
+                            ("drop", _PairScreen.screen_drops, _loop_drops,
+                             drop_ticks)):
+                        got, want = _Candidates(), _Candidates()
+                        fast(screen, fam, ticks, baseline, cutoff, got)
+                        loop(screen, fam, ticks, baseline, cutoff, want)
+                        assert got.members == want.members
+                        assert got.items == want.items
+                        assert all(type(g) is float for g, _ in got.items)
+                        seen[name] += len(want.items)
+                    seen["seats"].add(seat)
+                    seen["regimes"].add(env.regime)
+                    seen["no t0" if screen.t0 is None else "t0"] += 1
+                    seen["cap 0"] += fam.n_amounts > 1 and (
+                        screen.t0 is None or screen.t0 > 0)
+                    seen["drop at 0"] += screen.kpath[0] > 0 and (
+                        screen.t0 is None or screen.t0 > 0)
+        assert seen["seats"] == {0, 1} and len(seen["regimes"]) == 2
+        assert min(seen["no t0"], seen["t0"], seen["cap 0"],
+                   seen["drop at 0"]) > 0, seen
+        assert min(seen["single"], seen["drop"]) > 100, seen
+
+
+def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
+    """Reference single-bid screen: one (level x tick) scan per quantity
+    and submission tick, one Python step per level."""
+    n = screen.grid.n
+    quants = family.bid_quantities or range(1, screen.grid.cap_index + 1)
+    for k_hat in quants:
+        hk = screen.hd[:, k_hat]
+        qcol = screen.po[:, n - k_hat]
+        qhas = screen.po_has[:, n - k_hat]
+        u_k = screen.u_dev[k_hat]
+        for t_hat in t_hats:
+            if screen.t0 is not None and screen.t0 < t_hat:
+                out.members += family.n_amounts
+                continue
+            cap = min(money_units(screen.prices[t_hat] * k_hat / n,
+                                  screen.scale),
+                      int(screen.dev_caps[t_hat, k_hat]))
+            if cap < 0:
+                continue
+            levels = np.unique(np.linspace(0, cap, family.n_amounts)
+                               .round().astype(np.int64))
+            out.members += levels.size
+            if screen.md[t_hat, k_hat]:
+                levels = levels[levels > screen.dev_vals[t_hat, k_hat]]
+                if not levels.size:
+                    continue
+            a = levels[:, None]
+            vhat = np.maximum(hk[None, :], a)
+            pair2 = np.where(qhas[None, :], vhat + qcol[None, :], _NEG)
+            lhs = np.maximum(screen.hh[None, :], pair2)
+            rhs = np.maximum(screen.s[None, :], a)
+            closed = (lhs > _NEG // 2) & (lhs >= rhs)
+            closed[:, :t_hat] = False
+            any_close = closed.any(axis=1)
+            t_close = np.argmax(closed, axis=1)
+            for i, amt_units in enumerate(levels):
+                if not any_close[i]:
+                    continue
+                tc = int(t_close[i])
+                if int(pair2[i, tc]) < int(screen.hh[tc]) \
+                        and screen.t0 is not None and tc == screen.t0:
+                    continue
+                pay_lb = max(int(amt_units),
+                             int(screen.dev_vals[tc - 1, k_hat])
+                             if tc > 0 and screen.md[tc - 1, k_hat] else 0)
+                win_opt = u_k - pay_lb / screen.scale
+                opt = max(win_opt, float(screen.hh_opt[tc]))
+                if opt - baseline > cutoff:
+                    out.add(opt - baseline, Deviation(
+                        "single-bid", quantity_k=k_hat,
+                        amount=int(amt_units) / screen.scale,
+                        submit_price=float(screen.prices[t_hat])))
+
+
+def _loop_drops(screen, family, drop_ticks, baseline, cutoff, out):
+    """Reference drop screen: every policy's book advanced tick by tick."""
+    n = screen.grid.n
+    t_n = len(screen.prices)
+    ys = np.asarray(family.drop_quantities
+                    if family.drop_quantities is not None
+                    else range(0, screen.grid.cap_index), dtype=np.int64)
+    tq = np.asarray(drop_ticks, dtype=np.int64)
+    d_y, d_t = np.meshgrid(ys, tq, indexing="ij")
+    d_y, d_t = d_y.ravel(), d_t.ravel()
+    n_pol = d_y.size
+    out.members += n_pol
+
+    steps = np.arange(t_n)
+    mp = np.where(steps[None, :] >= d_t[:, None],
+                  np.minimum(screen.kpath[None, :], d_y[:, None]),
+                  screen.kpath[None, :])
+    hu = np.floor(screen.prices[None, :] * mp / n * screen.scale + 0.5) \
+        .astype(np.int64)
+    max_d = np.maximum.accumulate(hu, axis=1)
+
+    vals = np.full((n_pol, n + 1), 0, dtype=np.int64)
+    mask = np.zeros((n_pol, n + 1), dtype=bool)
+    rows = np.arange(n_pol)
+    hh_d = np.empty((n_pol, t_n), dtype=np.int64)
+    w_d = np.empty((n_pol, t_n))
+    u_row = screen.u_dev[None, :]
+    for t in range(t_n):
+        kt = mp[:, t]
+        better = ~mask[rows, kt] | (hu[:, t] > vals[rows, kt])
+        vals[rows[better], kt[better]] = hu[better, t]
+        mask[rows, kt] = True
+        feas = mask & screen.po_has_rev[t][None, :]
+        hh_d[:, t] = np.where(feas, vals + screen.po_rev[t][None, :],
+                              _NEG).max(axis=1)
+        w_d[:, t] = np.where(feas, u_row + screen.po_rev[t][None, :]
+                             / screen.scale, -np.inf).max(axis=1)
+    s_d = np.maximum(max_d, screen.max_o[None, :])
+    closed = (hh_d > _NEG // 2) & (hh_d >= s_d)
+    any_close = closed.any(axis=1)
+    t_close = np.argmax(closed, axis=1)
+
+    for j in range(n_pol):
+        if not any_close[j]:
+            continue
+        tc = int(t_close[j])
+        if np.array_equal(mp[j, : tc + 1], screen.kpath[: tc + 1]):
+            continue
+        opt = float(w_d[j, tc]) - float(screen.r_floor[tc])
+        if opt - baseline > cutoff:
+            out.add(opt - baseline, Deviation(
+                "drop", drop_price=float(screen.prices[d_t[j]]),
+                drop_k=int(d_y[j])))
+
 
 
 def _random_deviation(rng, cfg, prices, t_n):

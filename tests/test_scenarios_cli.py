@@ -6,8 +6,10 @@ import json
 import pytest
 
 from cmra import Scenario, ScenarioError, export_figure_data, run_scenario
+from cmra import cli, scenarios
 from cmra.cli import main
 from cmra.scenarios import bundled_scenario_path
+from cmra.verify import ClaimResult
 
 
 def pow_scenario(name="pow-test", **config):
@@ -185,6 +187,25 @@ class TestCli:
         assert main(["verify", "truthful-nondecreasing",
                      "--out", str(tmp_path)]) == 0
         assert (tmp_path / "truthful-nondecreasing_report.json").exists()
+
+    def test_verify_report_writers_agree(self, tmp_path, monkeypatch):
+        # The CLI and the scenario runner write the same report bytes.
+        fixed = ClaimResult("lots-example", True,
+                            lines=["[PASS] one", "[FAIL] two: detail"],
+                            elapsed=1.23456)
+        for module in (cli, scenarios):
+            monkeypatch.setattr(module, "run_claim", lambda *a, **k: fixed)
+        assert main(["verify", "lots-example", "--out",
+                     str(tmp_path / "cli")]) == 0
+        run_scenario({"name": "lots-example", "mode": "verify",
+                      "verify": {"claim": "lots-example"}},
+                     outdir=tmp_path / "scenario")
+        got = [(tmp_path / d / "lots-example_report.json").read_bytes()
+               for d in ("cli", "scenario")]
+        assert got[0] == got[1]
+        assert json.loads(got[0]) == {
+            "claim": "lots-example", "passed": True, "elapsed_s": 1.235,
+            "lines": ["[PASS] one", "[FAIL] two: detail"]}
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMRA_OUTPUT_DIR", str(tmp_path))
