@@ -10,8 +10,7 @@ about the format at desk scale.
 
 from .valuation import (
     AssumptionViolation, MarketEnv, TypeDistribution, ValuationModel,
-    VcgOutcome, efficient_allocation, final_price, indirect_surplus,
-    marginal, truthful_demand, value, vcg_outcome,
+    VcgOutcome, efficient_allocation, vcg_outcome,
 )
 from .bidbook import (
     MICRO, ActivityCapViolation, AdditionalBid, BidBook, BidError,

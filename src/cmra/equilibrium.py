@@ -48,8 +48,11 @@ batched closing test covers every replay still on the clock.  The
 opponent's emissions depend only on the price, so its book at every
 tick is the same for every replay, and a replay that closes refines
 from exactly the books its own clock loop would hold; the outcomes are
-those of separate runs.  :func:`replay_deviation` still runs from price
-0 and is the reference the lockstep replays are tested against.
+those of separate runs.  The profile's own runs, the baselines that
+gains are measured against, take their first closing tick from the
+engine's closing test on the two full ladders and resume in the same
+loop from the last snapshot not past it.  :func:`replay_deviation`
+runs one deviation from price 0.
 
 The module also houses the collusion-threshold analysis for the
 riskless demand-reduction strategy and the VCG outcome-equivalence
@@ -65,7 +68,8 @@ import numpy as np
 from scipy import integrate
 
 from .bidbook import BidBook, QuantityGrid
-from .mechanism import AuctionConfig, _run_lockstep, run_cmra
+from .mechanism import (AuctionConfig, _apply_round, _closing_rows,
+                        _run_lockstep, run_cmra)
 from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
@@ -270,11 +274,15 @@ def _replay_cell(seat, deviations, dev_base, opp, dev_lad, opp_lad, prices,
         limit = _divergence_tick(dev, prices)
         if t0 is not None:
             limit = t0 if limit is None else min(limit, t0)
-        starts.append(max(t for t in dev_lad.snaps
-                          if limit is None or t <= limit))
+        starts.append(_resume_tick(dev_lad, limit))
     return _run_lockstep([dev.build(dev_base) for dev in deviations], starts,
                          [dev_lad.snaps[t].copy() for t in starts], opp,
                          opp_lad.snaps, seat, config)
+
+
+def _resume_tick(ladder, limit) -> int:
+    """The last snapshot tick of ``ladder`` not past ``limit`` (None: any)."""
+    return max(t for t in ladder.snaps if limit is None or t <= limit)
 
 
 # -- ladder replays ---------------------------------------------------
@@ -299,13 +307,9 @@ class _Ladder:
         for t, p in enumerate(prices):
             if t in snap_ticks:
                 self.snaps[t] = book.copy()
-            p = float(p)
-            ks, amounts = strategy.additional_bid_arrays(p)
-            k = strategy.headline_index(p)
-            book.record_round_indexed(p, k, ks, amounts, clamp=True)
+            self.kpath[t] = _apply_round(book, strategy, float(p))[0]
             self.values[t] = book.values
             self.mask[t] = book.has_bid
-            self.kpath[t] = k
             if with_caps:
                 self.caps[t] = book.activity_caps_array(_BIG)
 
@@ -350,14 +354,15 @@ class _PairScreen:
         self.po_has_rev = self.po_has[:, ::-1]
         self.max_o = om.max(axis=1)
 
-        self.max_h = self.hd.max(axis=1)
         # pair_hh[t, k]: revenue of the pair (k, best partner) on the
         # headline-only book at tick t.
         self.pair_hh = np.where(self.md & self.po_has_rev,
                                 self.dev_vals + self.po_rev, _NEG)
-        self.hh = self.pair_hh.max(axis=1)
-        self.s = np.maximum(self.max_h, self.max_o)
-        self.t0 = _first_true((self.hh > _NEG // 2) & (self.hh >= self.s))
+        # The engine's closing test on the two ladders, tick by tick: the
+        # best pair, the best single acceptance, and the first close.
+        self.hh, self.s, self.closed = _closing_rows(
+            dev_lad.values, dev_lad.mask, opp_lad.values, opp_lad.mask)
+        self.t0 = _first_true(self.closed)
 
         # Ceiling on the deviator's surplus when a pair closes at tick t.
         # The accepted pair (y, partner) satisfies payment_dev =
@@ -449,7 +454,7 @@ class _PairScreen:
         ``a``, so the first close is found by bisection.
         """
         t_n = len(self.prices)
-        a_lo = np.where(self.hh >= self.s, self.hh, -1)
+        a_lo = np.where(self.closed, self.hh, -1)
         need = self.s[:, None] - self.po_rev
         a_hi = np.where(self.po_has_rev, np.where(self.hd >= need, 0, need),
                         _BIG)
@@ -616,9 +621,16 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     baselines = {}
 
     def baseline_run(th1, th2):
+        # The profile's own run: it first closes where its full ladders
+        # do, so it resumes from their last snapshot not past that tick.
         key = (th1, th2)
         if key not in baselines:
-            out = run_cmra(strat[th1], strat[th2], env, run_cfg)
+            lad1, lad2 = full_lad[th1], full_lad[th2]
+            closed = _closing_rows(lad1.values, lad1.mask,
+                                   lad2.values, lad2.mask)[2]
+            t = _resume_tick(lad1, _first_true(closed))
+            out, = _run_lockstep([strat[th1]], [t], [lad1.snaps[t].copy()],
+                                 strat[th2], lad2.snaps, 0, run_cfg)
             baselines[key] = out.surplus((models[th1], models[th2]))
         return baselines[key]
 

@@ -13,6 +13,12 @@ re-querying the proxies at probe prices.  Probe rounds below the
 closing price accumulate into the books (they are legitimate bids at
 legitimate prices), which makes recorded values converge to their
 continuous-clock suprema.
+
+There is one clock loop, :func:`_run_lockstep`, which runs any number
+of strategies in one seat against one opponent and tests all of them in
+one batched closing test per tick.  :func:`run_cmra` is its one-member
+call from the start price; the deviation search enters it with many
+members, each at its own resume tick.
 """
 
 from __future__ import annotations
@@ -138,19 +144,21 @@ def closing_from_arrays(b1, m1, b2, m2, n: int) -> ClosingResult:
 
 
 def _closing_rows(b1, m1, b2, m2):
-    """The closing test of side-1 rows ``(..., n+1)`` against one side-2 book.
+    """The closing test of side-1 rows ``(..., n+1)`` against side-2 rows.
 
-    Returns ``(best_pair, best_single, closed)`` per row.  Bid values are
-    non-negative, so a revenue is negative exactly when it does not exist
-    (no feasible pair, no bid at all).  The test is symmetric in the two
-    sides; only the allocation is not.
+    Side 2 is one book or rows that broadcast against side 1's, such as
+    two ladders tick by tick.  Returns ``(best_pair, best_single,
+    closed)`` per row.  Bid values are non-negative, so a revenue is
+    negative exactly when it does not exist (no feasible pair, no bid at
+    all).  The test is symmetric in the two sides; only the allocation
+    is not.
     """
     masked2 = np.where(m2, b2, _NEG)
     # Best partner value with x2 <= 1 - x1, indexed by x1.
-    partner = np.maximum.accumulate(masked2)[::-1]
+    partner = np.maximum.accumulate(masked2, axis=-1)[..., ::-1]
     best_pair = np.where(m1, b1 + partner, _NEG).max(axis=-1)
     best_single = np.maximum(np.where(m1, b1, _NEG).max(axis=-1),
-                             masked2.max())
+                             masked2.max(axis=-1))
     # Closed: some pair exists and no single acceptance beats it.
     closed = best_pair >= np.maximum(best_single, 0)
     return best_pair, best_single, closed
@@ -183,13 +191,13 @@ def _apply_round(book: BidBook, strategy, price: float):
     return k, ks, amounts
 
 
-def _log_round(log, round_no, price, emissions, result):
+def _log_round(log, round_no, price, emissions, closed, r_star):
     for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
         log.append((round_no, price, bidder, "headline", k, None,
-                    result.closed, result.r_star))
+                    closed, r_star))
         for kk, aa in zip(ks, amounts):
             log.append((round_no, price, bidder, "additional", int(kk),
-                        float(aa), result.closed, result.r_star))
+                        float(aa), closed, r_star))
 
 
 def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome:
@@ -201,28 +209,9 @@ def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome
     ``config.refine_tol`` between the last non-closing and the first
     closing clock price.
     """
-    strategies = (strategy1, strategy2)
-    books = (BidBook(config.grid, config.money_scale),
-             BidBook(config.grid, config.money_scale))
-    log: list = []
-    t = 0
-    prev_price = None
-    while True:
-        price = config.start + t * config.eps
-        if price > config.max_price + 1e-12:
-            return _max_price_outcome(config, log)
-        base = (books[0].copy(), books[1].copy())
-        emissions = [_apply_round(b, s, price) for b, s in zip(books, strategies)]
-        result = solve_closing(books[0], books[1])
-        if config.log_rounds:
-            _log_round(log, t, price, emissions, result)
-        if result.closed:
-            if config.refine and prev_price is not None:
-                price, books, result = _refine_close(
-                    base, strategies, prev_price, price, books, result, config)
-            return _build_outcome(price, books, result, config, log)
-        prev_price = price
-        t += 1
+    fresh = [BidBook(config.grid, config.money_scale) for _ in range(2)]
+    return _run_lockstep([strategy1], [0], fresh[:1], strategy2,
+                         {0: fresh[1]}, 0, config)[0]
 
 
 def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
@@ -235,7 +224,8 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     ticks closed.  ``opp_snaps`` maps every start tick to the opponent's
     book before that tick's round.  Returns each member's outcome, in
     member order, equal to that of its own clock loop resumed at its
-    start tick; no round log is kept.
+    start tick; with ``config.log_rounds`` each keeps the round log of
+    the ticks it was on the clock.
 
     Emissions are pure functions of the price, so the opponent's book at
     a tick is the same for every member: it is recorded once per tick,
@@ -245,6 +235,7 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     jumps to the next start tick.
     """
     outcomes = [None] * len(strategies)
+    logs = [[] for _ in strategies]
     pending = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
     active: list = []
     t = opp_book = None
@@ -257,36 +248,57 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
             for i in active:
-                outcomes[i] = _max_price_outcome(config, [])
+                outcomes[i] = _max_price_outcome(config, logs[i])
             active = []
             continue
         opp_base = opp_book.copy()
-        _apply_round(opp_book, opponent, price)
-        bases = [books[i].copy() for i in active]
+        opp_emitted = _apply_round(opp_book, opponent, price)
+        bases, emitted = [], []
         for i in active:
-            _apply_round(books[i], strategies[i], price)
-        # The closing test is seat-symmetric: members go on side 1.
-        closed = _closing_rows(np.stack([books[i].values for i in active]),
-                               np.stack([books[i].has_bid for i in active]),
-                               opp_book.values, opp_book.has_bid)[2]
-        still = []
-        for i, own_base, done in zip(active, bases, closed):
-            if not done:
-                still.append(i)
-                continue
-            pair = (books[i], opp_book)
-            base = (own_base, opp_base)
-            bidders = (strategies[i], opponent)
-            if seat == 1:
-                pair, base, bidders = pair[::-1], base[::-1], bidders[::-1]
-            result = solve_closing(*pair)
-            close_price = price
-            if config.refine and t > 0:
-                close_price, pair, result = _refine_close(
-                    base, bidders, config.start + (t - 1) * config.eps,
-                    price, pair, result, config)
-            outcomes[i] = _build_outcome(close_price, pair, result, config, [])
-        active = still
+            bases.append(books[i].copy())
+            emitted.append(_apply_round(books[i], strategies[i], price))
+        # The closing test is seat-symmetric: members go on side 1.  A
+        # lone member's book enters unstacked, as 1-D arrays, which the
+        # closing test handles faster than one-row stacks or views.
+        if len(active) == 1:
+            own = books[active[0]]
+            pair_rev, single_rev, done = _closing_rows(
+                own.values, own.has_bid, opp_book.values, opp_book.has_bid)
+            best_pair, best_single, closed = \
+                [pair_rev.tolist()], [single_rev.tolist()], [done.tolist()]
+        else:
+            best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
+                np.stack([books[i].values for i in active]),
+                np.stack([books[i].has_bid for i in active]),
+                opp_book.values, opp_book.has_bid))
+        if config.log_rounds:
+            for i, emit, done, pair_rev, single_rev in zip(
+                    active, emitted, closed, best_pair, best_single):
+                r_star = max(pair_rev, single_rev)
+                emissions = (emit, opp_emitted) if seat == 0 \
+                    else (opp_emitted, emit)
+                _log_round(logs[i], t, price, emissions, done,
+                           r_star if r_star >= 0 else None)
+        if any(closed):
+            still = []
+            for i, own_base, done in zip(active, bases, closed):
+                if not done:
+                    still.append(i)
+                    continue
+                pair = (books[i], opp_book)
+                base = (own_base, opp_base)
+                bidders = (strategies[i], opponent)
+                if seat == 1:
+                    pair, base, bidders = pair[::-1], base[::-1], bidders[::-1]
+                if config.refine and t > 0:
+                    close_price, pair, result = _refine_close(
+                        base, bidders, config.start + (t - 1) * config.eps,
+                        price, pair, config)
+                else:
+                    close_price, result = price, solve_closing(*pair)
+                outcomes[i] = _build_outcome(close_price, pair, result,
+                                             config, logs[i])
+            active = still
         t += 1
     return outcomes
 
@@ -300,7 +312,7 @@ def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
         excess_supply=1.0, r_star_units=None, rounds=log)
 
 
-def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
+def _refine_close(base_books, strategies, lo, hi, hi_books,
                   config: AuctionConfig):
     """Bisect the continuous closing price on (lo, hi].
 
@@ -325,7 +337,7 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, hi_result,
         _apply_round(b, s, hi)
     final_result = solve_closing(final_books[0], final_books[1])
     if not final_result.closed:  # pragma: no cover - monotone for proxy families
-        return hi, hi_books, hi_result
+        return hi, hi_books, solve_closing(*hi_books)
     return hi, final_books, final_result
 
 

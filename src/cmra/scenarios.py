@@ -25,7 +25,8 @@ from pathlib import Path
 
 from .audit import AuctionAuditRecord, audit_linear_prices
 from .bidbook import BidBook, MICRO, QuantityGrid
-from .mechanism import AuctionConfig, revenue_curve, run_clock, run_cmra
+from .mechanism import (AuctionConfig, _apply_round, revenue_curve, run_clock,
+                        run_cmra)
 from .strategies import STRATEGY_TAGS
 from .valuation import MarketEnv, TypeDistribution, ValuationModel
 from .verify import run_claim
@@ -335,19 +336,12 @@ def _books_at_price(scenario: Scenario, price: float):
     cfg = scenario.config
     books = tuple(BidBook(cfg.grid, cfg.money_scale) for _ in range(2))
     t = 0
-    while True:
-        p = cfg.start + t * cfg.eps
-        if p >= price - 1e-15:
-            break
+    while (p := cfg.start + t * cfg.eps) < price - 1e-15:
         for book, strat in zip(books, scenario.strategies):
-            book.record_round_indexed(p, strat.headline_index(p),
-                                      *strat.additional_bid_arrays(p),
-                                      clamp=True)
+            _apply_round(book, strat, p)
         t += 1
     for book, strat in zip(books, scenario.strategies):
-        book.record_round_indexed(price, strat.headline_index(price),
-                                  *strat.additional_bid_arrays(price),
-                                  clamp=True)
+        _apply_round(book, strat, price)
     return books
 
 

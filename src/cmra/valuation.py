@@ -20,11 +20,6 @@ __all__ = [
     "ValuationModel",
     "TypeDistribution",
     "MarketEnv",
-    "value",
-    "marginal",
-    "indirect_surplus",
-    "truthful_demand",
-    "final_price",
     "efficient_allocation",
     "vcg_outcome",
     "VcgOutcome",
@@ -143,6 +138,7 @@ class ValuationModel:
     # -- closed forms ------------------------------------------------
 
     def value(self, x: float) -> float:
+        """Utility U(x) of winning quantity share x."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"quantity {x} outside [0, 1]")
         if self.family == "quadratic-decreasing":
@@ -155,6 +151,7 @@ class ValuationModel:
         return self.theta * (c1 * x + c2 * x * x + c3 * x ** 3)
 
     def marginal(self, x: float) -> float:
+        """Marginal value u(x) = dU/dx."""
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"quantity {x} outside [0, 1]")
         if self.family == "quadratic-decreasing":
@@ -174,6 +171,14 @@ class ValuationModel:
         return self.cap ** a - (1.0 - self.cap) ** a
 
     def truthful_demand(self, p: float) -> float:
+        """Utility-maximizing quantity at linear price p, restricted to [0, cap].
+
+        Decreasing regime: the unique interior solution of u(x) = p
+        clamped to [0, cap].  Non-decreasing regime: the cap while it
+        yields strictly positive surplus, zero from the indifference
+        price U(cap)/cap on (so the clock stops exactly when value is
+        exhausted).
+        """
         if p < 0:
             raise ValueError("price must be non-negative")
         lam = self.cap
@@ -191,10 +196,16 @@ class ValuationModel:
                        else 1e-300, lam)
 
     def indirect_surplus(self, p: float) -> float:
+        """V(p) = max over x in [0, cap] of U(x) - p*x."""
         h = self.truthful_demand(p)
         return self.value(h) - p * h
 
     def final_price(self) -> float:
+        """Price at which winning cap at linear prices ties winning 1-cap for free.
+
+        Equals (U(cap) - U(1-cap)) / cap; under the power family's
+        normalization this is theta / cap.
+        """
         lam = self.cap
         return (self.value(lam) - self.value(1.0 - lam)) / lam
 
@@ -295,43 +306,6 @@ class MarketEnv:
         if r1 != r2:
             raise AssumptionViolation("bidders must share a marginal-value regime")
         return r1
-
-
-# -- module-level operation surface ----------------------------------
-
-def value(model: ValuationModel, x: float) -> float:
-    """Utility of winning quantity share x."""
-    return model.value(x)
-
-
-def marginal(model: ValuationModel, x: float) -> float:
-    """Marginal value u(x) = dU/dx."""
-    return model.marginal(x)
-
-
-def indirect_surplus(model: ValuationModel, p: float) -> float:
-    """V(p) = max over x in [0, cap] of U(x) - p*x."""
-    return model.indirect_surplus(p)
-
-
-def truthful_demand(model: ValuationModel, p: float) -> float:
-    """Utility-maximizing quantity at linear price p, restricted to [0, cap].
-
-    Decreasing regime: the unique interior solution of u(x) = p clamped
-    to [0, cap].  Non-decreasing regime: the cap while it yields strictly
-    positive surplus, zero from the indifference price U(cap)/cap on (so
-    the clock stops exactly when value is exhausted).
-    """
-    return model.truthful_demand(p)
-
-
-def final_price(model: ValuationModel) -> float:
-    """Price at which winning cap at linear prices ties winning 1-cap for free.
-
-    Equals (U(cap) - U(1-cap)) / cap; under the power family's
-    normalization this is theta / cap.
-    """
-    return model.final_price()
 
 
 def efficient_allocation(env: MarketEnv) -> tuple:

@@ -1,13 +1,17 @@
 """Deviation oracles, collusion thresholds, VCG equivalence, search soundness."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from cmra import (AssumptionViolation, AuctionConfig, MarketEnv, QuantityGrid,
-                  TypeDistribution, ValuationModel, check_expost,
-                  check_rdr_bne, minimal_winning_bid, rdr_threshold,
-                  replay_deviation, run_cmra, vcg_equivalence_check,
-                  vcg_outcome)
+from reference_engine import reference_run_cmra
+
+from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
+                  MarketEnv, QuantityGrid, TypeDistribution, ValuationModel,
+                  check_expost, check_rdr_bne, minimal_winning_bid,
+                  rdr_threshold, replay_deviation, run_cmra,
+                  vcg_equivalence_check, vcg_outcome)
 from cmra.bidbook import money_units
 from cmra.equilibrium import (Deviation, DeviationFamily, HeadlineOnly,
                               _Candidates, _Ladder, _PairScreen, _replay_cell)
@@ -251,6 +255,34 @@ class TestExPostSearch:
         assert mixed.payments[0] == pytest.approx(0.7, abs=5e-3)
 
 
+class TestBaselines:
+    """The search's profile baselines against runs from price 0."""
+
+    def test_match_reference_runs(self):
+        fam = DeviationFamily(n_amounts=4, n_submit_prices=4, n_drop_prices=4)
+        cases = [("cmra-truthful", pow_env(), small_config(0.75, 1.6)),
+                 ("constant", quad_env(), small_config(0.9, 1.5)),
+                 # The clock stops before some pairs close.
+                 ("cmra-truthful", pow_env(), small_config(0.75, 0.5)),
+                 ("clock-truthful", quad_env(), AuctionConfig(
+                     grid=QuantityGrid(20, 0.9), eps=1.3e-2, max_price=1.5,
+                     start=0.21, refine=False, log_rounds=False))]
+        seen = {"closed": 0, "unclosed": 0}
+        for profile, env, cfg in cases:
+            res = check_expost(profile, env, cfg, theta_grid=3, family=fam)
+            make = STRATEGY_TAGS[profile]
+            for (th_dev, seat), report in res.reports.items():
+                assert report.baseline.keys() == report.by_opponent.keys()
+                for th_opp, baseline in report.baseline.items():
+                    thetas = (th_dev, th_opp) if seat == 0 else (th_opp, th_dev)
+                    models = [env.models[0].with_theta(th) for th in thetas]
+                    out = reference_run_cmra(
+                        *(make(m, cfg.grid) for m in models), cfg)
+                    assert baseline == out.surplus(models)[seat]
+                    seen["closed" if out.closed else "unclosed"] += 1
+        assert min(seen.values()) > 0, seen
+
+
 class TestResumedReplay:
     """A cell's deviations replayed in lockstep against runs from price 0."""
 
@@ -301,13 +333,11 @@ class TestResumedReplay:
                                        opp, dev_lad, opp_lad, prices, t0, cfg)
                     starts, closes = set(), set()
                     for (dev, div), out in zip(batch, got):
-                        want, _ = replay_deviation(profile, env, seat, dev,
-                                                   cfg, (th_d, th_o))
-                        assert out.payment_units == want.payment_units
-                        assert out.indices == want.indices
-                        assert out.kinds == want.kinds
-                        assert out.final_price == want.final_price
-                        assert out.termination == want.termination
+                        pair = (dev.build(make(md, grid)), make(mo, grid))
+                        want = reference_run_cmra(
+                            *(pair if seat == 0 else pair[::-1]), cfg)
+                        for f in fields(AuctionOutcome):
+                            assert getattr(out, f.name) == getattr(want, f.name)
                         checked += 1
                         limit = min(t for t in (div, t0, t_n) if t is not None)
                         start = max(t for t in keep if t <= limit)

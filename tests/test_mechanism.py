@@ -1,13 +1,18 @@
 """Closing solver, auction engines, and revenue-curve behavior."""
 
+from dataclasses import fields, replace
+
+import numpy as np
 import pytest
 
-from cmra import (AuctionConfig, BidBook, MarketEnv, QuantityGrid,
-                  ValuationModel, revenue_curve, run_clock, run_cmra,
-                  solve_closing)
+from reference_engine import reference_run_cmra
+
+from cmra import (AuctionConfig, AuctionOutcome, BidBook, MarketEnv,
+                  QuantityGrid, ValuationModel, revenue_curve, run_clock,
+                  run_cmra, solve_closing)
 from cmra.bidbook import MICRO
-from cmra.strategies import (clock_truthful, cmra_truthful, constant_strategy,
-                             rdr_strategy)
+from cmra.strategies import (STRATEGY_TAGS, clock_truthful, cmra_truthful,
+                             constant_strategy, rdr_strategy)
 
 
 def lots_env():
@@ -173,6 +178,54 @@ class TestRunCmra:
                 assert q <= 0.75 + 1e-12
                 if kind != "none":
                     assert pay <= out.final_price * q + 1e-6
+
+
+class TestOneClockLoop:
+    """run_cmra, a one-member lockstep run, against the per-auction loop."""
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(5)
+        families = {
+            "power": (lambda th: ValuationModel.power(2.0, 0.75, th,
+                                                      (0.1, 1.0)),
+                      (0.1, 1.0), 0.75, 1.6),
+            "quadratic": (lambda th: ValuationModel.quadratic(
+                th, 0.5, 0.9, (1.05, 1.25)), (1.05, 1.25), 0.9, 1.5)}
+        seen = {"tick 0": 0, "refined": 0, "unrefined": 0, "max price": 0,
+                "start": 0, "logged": 0}
+        for profile, make in STRATEGY_TAGS.items():
+            for family, (model, (lo, hi), cap, top) in families.items():
+                for n in (20, 100):
+                    grid = QuantityGrid(n, cap)
+                    for _ in range(3):
+                        m1, m2 = (model(float(th)) for th in rng.uniform(lo, hi, 2))
+                        config = AuctionConfig(
+                            grid=grid, eps=float(rng.choice([7e-3, 2e-2])),
+                            max_price=top, refine=bool(rng.random() < 0.7),
+                            start=float(rng.choice([0.0, rng.uniform(0, 0.6)])),
+                            log_rounds=bool(rng.random() < 0.8))
+                        if rng.random() < 0.3:
+                            # Stop the clock short of the close.
+                            close = reference_run_cmra(
+                                make(m1, grid), make(m2, grid), config).final_price
+                            if close > config.start + 1e-9:
+                                config = replace(config, max_price=float(
+                                    rng.uniform(config.start, close)))
+                        want = reference_run_cmra(make(m1, grid), make(m2, grid),
+                                                  config)
+                        got = run_cmra(make(m1, grid), make(m2, grid), None,
+                                       config)
+                        for f in fields(AuctionOutcome):
+                            assert getattr(got, f.name) == getattr(want, f.name), \
+                                (profile, family, n, config, f.name)
+                        seen["tick 0"] += want.closed and \
+                            want.final_price == config.start
+                        seen["refined" if config.refine else "unrefined"] += \
+                            want.closed
+                        seen["max price"] += not want.closed
+                        seen["start"] += config.start > 0 and want.closed
+                        seen["logged"] += len(want.rounds) > 2
+        assert min(seen.values()) > 0, seen
 
 
 class TestRunClock:

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from cmra import (AssumptionViolation, MarketEnv, ValuationModel,
-                  efficient_allocation, final_price, indirect_surplus,
-                  truthful_demand, value, vcg_outcome)
+                  efficient_allocation, vcg_outcome)
 
 
 def lots_model():
@@ -29,43 +28,43 @@ def grid_argmax_surplus(model, p, n=200_000):
 
 class TestValue:
     def test_lots_half_supply(self):
-        assert value(lots_model(), 0.5) == 60.0
+        assert lots_model().value(0.5) == 60.0
 
     def test_empty_package(self):
         for m in (lots_model(), *dec_models(), ValuationModel.power(2.0)):
-            assert value(m, 0.0) == 0.0
+            assert m.value(0.0) == 0.0
 
     def test_power_formula(self):
         m = ValuationModel.power(2.0, cap=0.75, theta=1.0)
-        assert value(m, 0.75) == pytest.approx(0.5625 / 0.5, abs=1e-15)
+        assert m.value(0.75) == pytest.approx(0.5625 / 0.5, abs=1e-15)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            value(lots_model(), 1.2)
+            lots_model().value(1.2)
         with pytest.raises(ValueError):
-            value(lots_model(), -0.1)
+            lots_model().value(-0.1)
 
 
 class TestIndirectSurplus:
     def test_lots_at_per_lot_ten(self):
         # Per-share price 40 is $10 per lot: surplus 3 x $20.
-        assert indirect_surplus(lots_model(), 40.0) == pytest.approx(60.0)
+        assert lots_model().indirect_surplus(40.0) == pytest.approx(60.0)
 
     def test_zero_price_gives_cap_value(self):
         for m in (lots_model(), dec_models()[0]):
-            assert indirect_surplus(m, 0.0) == pytest.approx(m.value(m.cap))
+            assert m.indirect_surplus(0.0) == pytest.approx(m.value(m.cap))
 
     def test_dec_against_grid_oracle(self):
         m1, _ = dec_models()
         _, oracle = grid_argmax_surplus(m1, 0.65)
         assert oracle == pytest.approx(0.18, abs=1e-8)
-        assert indirect_surplus(m1, 0.65) == pytest.approx(0.18, abs=1e-9)
+        assert m1.indirect_surplus(0.65) == pytest.approx(0.18, abs=1e-9)
 
     def test_envelope_property(self):
         m1, m2 = dec_models()
         for m in (m1, m2, ValuationModel.power(2.0, theta=0.7)):
             ps = np.linspace(0.0, 2.0, 80)
-            vs = [indirect_surplus(m, p) for p in ps]
+            vs = [m.indirect_surplus(p) for p in ps]
             for (pa, va), (pb, vb) in zip(zip(ps, vs), zip(ps[1:], vs[1:])):
                 assert vb <= va + 1e-12
                 assert va - vb <= (pb - pa) * m.cap + 1e-12
@@ -74,51 +73,51 @@ class TestIndirectSurplus:
 class TestTruthfulDemand:
     def test_dec_interior(self):
         m1, _ = dec_models()
-        assert truthful_demand(m1, 0.5) == pytest.approx(0.75, abs=1e-9)
+        assert m1.truthful_demand(0.5) == pytest.approx(0.75, abs=1e-9)
 
     def test_power_below_exit_price(self):
         m = ValuationModel.power(2.0, cap=0.75, theta=1.0)
-        assert truthful_demand(m, 0.5) == 0.75
+        assert m.truthful_demand(0.5) == 0.75
 
     def test_lots_drops_at_value(self):
         # The clock stops at $30 per lot: demand falls to zero exactly there.
-        assert truthful_demand(lots_model(), 120.0) == 0.0
-        assert truthful_demand(lots_model(), 119.999) == 0.75
+        assert lots_model().truthful_demand(120.0) == 0.0
+        assert lots_model().truthful_demand(119.999) == 0.75
 
     def test_monotone_in_price(self):
         m1, _ = dec_models()
         ps = np.linspace(0.0, 1.3, 120)
-        ds = [truthful_demand(m1, p) for p in ps]
+        ds = [m1.truthful_demand(p) for p in ps]
         assert all(b <= a + 1e-12 for a, b in zip(ds, ds[1:]))
 
     def test_nondecreasing_regime_is_step(self):
         m = ValuationModel.power(2.0, cap=0.75, theta=0.6)
         exit_price = m.value(0.75) / 0.75
-        ds = {truthful_demand(m, p) for p in np.linspace(0, 2 * exit_price, 60)}
+        ds = {m.truthful_demand(p) for p in np.linspace(0, 2 * exit_price, 60)}
         assert ds <= {0.0, 0.75}
 
     def test_demand_against_grid_oracle(self):
         m1, _ = dec_models()
         for p in (0.3, 0.5, 0.8):
             x_star, _ = grid_argmax_surplus(m1, p)
-            assert truthful_demand(m1, p) == pytest.approx(x_star, abs=1e-5)
+            assert m1.truthful_demand(p) == pytest.approx(x_star, abs=1e-5)
 
 
 class TestFinalPrice:
     def test_power_normalization(self):
         m = ValuationModel.power(2.0, cap=0.75, theta=0.6)
-        assert final_price(m) == pytest.approx(0.8, abs=1e-12)
+        assert m.final_price() == pytest.approx(0.8, abs=1e-12)
 
     def test_lots(self):
-        assert final_price(lots_model()) == pytest.approx(80.0)
+        assert lots_model().final_price() == pytest.approx(80.0)
 
     def test_below_exit_price(self):
         for theta in (0.3, 0.6, 1.0):
             m = ValuationModel.power(2.0, cap=0.75, theta=theta)
-            assert final_price(m) < m.value(0.75) / 0.75
+            assert m.final_price() < m.value(0.75) / 0.75
 
     def test_monotone_in_type(self):
-        pfs = [final_price(ValuationModel.power(2.0, cap=0.75, theta=t))
+        pfs = [ValuationModel.power(2.0, cap=0.75, theta=t).final_price()
                for t in np.linspace(0.1, 1.0, 11)]
         assert all(b > a for a, b in zip(pfs, pfs[1:]))
 
