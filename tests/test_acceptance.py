@@ -17,6 +17,16 @@ from test_properties import TestClosingSolverEquivalence as _SolverEquiv
 from test_properties import TestEpsilonConvergence as _EpsConv
 
 
+BATTERY_CELLS = {
+    "cmra-truthful/non-decreasing": (11794, 3524972, 5.551115123125783e-17),
+    "constant/non-decreasing": (7642, 3524972, 5.551115123125783e-17),
+    "constant/decreasing": (1084, 4229918, 8.326672684688674e-17),
+    "cmra-truthful/decreasing": (1664, 209748, 0.0036009999999999653),
+    "clock-truthful/decreasing": (343, 17479, 0.23375),
+    "clock-truthful/non-decreasing": (2, 14566, 0.0125),
+}
+
+
 def report(criterion, ok, elapsed, limit, detail=""):
     mark = "PASS" if ok else "FAIL"
     print(f"[{mark}] criterion {criterion}: {detail} "
@@ -61,6 +71,11 @@ class TestAcceptance:
             report(4, result.passed and dt < 300.0, dt, 300,
                    "11x11 grid: truthful/constant verified at 1e-4, "
                    "decreasing-regime and clock profiles refuted at 1e-3")
+        # Pinned per cell: replays and members fix the screen and the
+        # replay order, the max gain the replayed outcomes.
+        got = {key: (r.replays, r.members, r.max_gain)
+               for key, r in result.data["results"].items()}
+        assert got == BATTERY_CELLS
 
     def test_criterion_5_vcg_equivalence(self, capsys):
         result, dt = timed(claim_vcg_equivalence, pairs=25)
