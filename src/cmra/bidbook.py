@@ -105,11 +105,10 @@ class QuantityGrid:
 
 @dataclass(frozen=True)
 class AdditionalBid:
-    """A pay-as-bid package bid: quantity share, amount, submission price."""
+    """A pay-as-bid package bid: quantity share and amount."""
 
     quantity: float
     amount: float
-    price: float | None = None
 
 
 class BidBook:
@@ -297,6 +296,154 @@ class BidBook:
                 f"bid {amounts[i]} on {ks[i]}/{n} exceeds the relative cap "
                 f"{act[i] / self.scale}")
         return units
+
+
+class BookRows:
+    """Bid books stacked as rows: ``BidBook``'s arrays with shape ``(R, n+1)``.
+
+    The engine's batched refine holds every closer's two books here and
+    records one round on many rows in one :meth:`record` call, with the
+    rules, integer rounding and errors of
+    ``BidBook.record_round_indexed(clamp=True)``.
+    """
+
+    __slots__ = ("grid", "scale", "values", "has_bid", "kinds", "seg_lo",
+                 "seg_base", "last_price", "last_headline")
+
+    def __init__(self, grid, scale, values, has_bid, kinds, seg_lo, seg_base,
+                 last_price, last_headline):
+        self.grid = grid
+        self.scale = scale
+        self.values = values
+        self.has_bid = has_bid
+        self.kinds = kinds
+        self.seg_lo = seg_lo
+        self.seg_base = seg_base
+        self.last_price = last_price          # per row, None before a round
+        self.last_headline = last_headline    # per row, None before a round
+
+    @classmethod
+    def stack(cls, books) -> "BookRows":
+        """Rows holding copies of ``books``, which share one grid and scale."""
+        return cls(books[0].grid, books[0].scale,
+                   np.array([b.values for b in books]),
+                   np.array([b.has_bid for b in books]),
+                   np.array([b.kinds for b in books]),
+                   np.array([b._seg_lo for b in books]),
+                   np.array([b._seg_base for b in books]),
+                   [b.last_price for b in books],
+                   [b.last_headline for b in books])
+
+    def copy(self) -> "BookRows":
+        return BookRows(self.grid, self.scale, self.values.copy(),
+                        self.has_bid.copy(), self.kinds.copy(),
+                        self.seg_lo.copy(), self.seg_base.copy(),
+                        self.last_price.copy(), self.last_headline.copy())
+
+    def take(self, rows) -> "BookRows":
+        """Copies of the given rows, in that order."""
+        return BookRows(self.grid, self.scale, self.values[rows],
+                        self.has_bid[rows], self.kinds[rows],
+                        self.seg_lo[rows], self.seg_base[rows],
+                        [self.last_price[r] for r in rows],
+                        [self.last_headline[r] for r in rows])
+
+    def put(self, rows, src: "BookRows", src_rows) -> None:
+        """Overwrite ``rows`` with rows ``src_rows`` of ``src``."""
+        self.values[rows] = src.values[src_rows]
+        self.has_bid[rows] = src.has_bid[src_rows]
+        self.kinds[rows] = src.kinds[src_rows]
+        self.seg_lo[rows] = src.seg_lo[src_rows]
+        self.seg_base[rows] = src.seg_base[src_rows]
+        for r, s in zip(rows, src_rows):
+            self.last_price[r] = src.last_price[s]
+            self.last_headline[r] = src.last_headline[s]
+
+    def book(self, r: int) -> BidBook:
+        """A ``BidBook`` on row ``r``: it shares the row's arrays."""
+        book = BidBook.__new__(BidBook)
+        book.grid = self.grid
+        book.scale = self.scale
+        book.values = self.values[r]
+        book.has_bid = self.has_bid[r]
+        book.kinds = self.kinds[r]
+        book._seg_lo = self.seg_lo[r]
+        book._seg_base = self.seg_base[r]
+        book.last_price = self.last_price[r]
+        book.last_headline = self.last_headline[r]
+        return book
+
+    def record(self, prices, emissions) -> None:
+        """One clamped round per row: row ``r`` bids ``emissions[r]`` at ``prices[r]``.
+
+        An emission is ``(headline_k, ks, amounts)``.  Checks, the
+        headline bid and drop segments are scalar work per row, as in
+        ``BidBook``; the additional bids of all rows are admitted and
+        folded into the running maxima at once.  A ``BidError`` leaves
+        the rows undefined: callers drop them.
+        """
+        grid, scale = self.grid, self.scale
+        n, width, cap = grid.n, grid.n + 1, grid.cap_index
+        values, has_bid, kinds = self.values, self.has_bid, self.kinds
+        seg_lo, seg_base = self.seg_lo, self.seg_base
+        last_price, last_headline = self.last_price, self.last_headline
+        bid_rows, bid_prices, bid_ks, bid_amounts = [], [], [], []
+        for r, (price, (k, ks, amounts)) in enumerate(zip(prices, emissions)):
+            last = last_price[r]
+            if last is not None and price <= last:
+                raise BidError(
+                    f"clock price {price} does not exceed previous {last}")
+            if k > cap:
+                raise CapExceeded("headline demand exceeds the quantity cap")
+            hi = last_headline[r]
+            if hi is not None:
+                if k > hi:
+                    raise NonMonotoneHeadline(f"headline rose from {hi} to {k}")
+                for j in range(k + 1, hi):
+                    seg_lo[r, j] = k
+                    seg_base[r, j] = money_units(price * (j - k) / n, scale)
+            units = money_units(price * k / n, scale)
+            if not has_bid[r, k] or units > values[r, k]:
+                values[r, k] = units
+                has_bid[r, k] = True
+                kinds[r, k] = KIND_HEADLINE
+            if len(ks):
+                bid_rows.append(r)
+                bid_prices.append(price)
+                bid_ks.append(ks)
+                bid_amounts.append(amounts)
+            last_price[r] = price
+            last_headline[r] = k
+        if not bid_rows:
+            return
+        if len(bid_rows) == 1:
+            ks, amounts = bid_ks[0], bid_amounts[0]
+            price = bid_prices[0]
+            base = bid_rows[0] * width
+        else:
+            counts = [len(x) for x in bid_ks]
+            ks, amounts = np.concatenate(bid_ks), np.concatenate(bid_amounts)
+            price = np.repeat(bid_prices, counts)
+            base = np.repeat(np.asarray(bid_rows) * width, counts)
+        if ks.max() > cap:
+            raise CapExceeded("additional bid above the quantity cap")
+        if amounts.min() < 0:
+            raise BidError("bid amounts must be non-negative")
+        units = np.floor(amounts * scale + 0.5).astype(np.int64)
+        lin = np.floor(price * ks / n * scale + 0.5).astype(np.int64)
+        flat = base + ks
+        flat_values = values.reshape(-1)
+        lo = seg_lo.reshape(-1)[flat]
+        act = np.where(lo >= 0, flat_values[base + np.maximum(lo, 0)]
+                       + seg_base.reshape(-1)[flat], np.int64(2 ** 62))
+        units = np.minimum(units, np.minimum(lin, act))
+        prev = np.where(has_bid, values, np.int64(-1))
+        after = prev.copy()
+        np.maximum.at(after.reshape(-1), flat, units)
+        raised = after > prev
+        values[raised] = after[raised]
+        has_bid[raised] = True
+        kinds[raised] = KIND_ADDITIONAL
 
 
 def _normalize_bids(additional_bids, grid: QuantityGrid):

@@ -292,16 +292,18 @@ class _Ladder:
 
     ``snaps`` maps each tick of ``snap_ticks`` to a copy of the book as it
     stands before that tick's round: the state a replay resumes from.
+    ``caps`` maps each tick of ``cap_ticks`` to the activity caps after
+    that tick's round, ``_BIG`` where none binds.
     """
 
-    def __init__(self, strategy, prices, grid, scale, with_caps=False,
+    def __init__(self, strategy, prices, grid, scale, cap_ticks=(),
                  snap_ticks=()):
         book = BidBook(grid, scale)
         t_n = len(prices)
         width = grid.n + 1
         self.values = np.zeros((t_n, width), dtype=np.int64)
         self.mask = np.zeros((t_n, width), dtype=bool)
-        self.caps = np.full((t_n, width), _BIG, dtype=np.int64) if with_caps else None
+        self.caps = {}
         self.kpath = np.zeros(t_n, dtype=np.int64)
         self.snaps = {}
         for t, p in enumerate(prices):
@@ -310,7 +312,7 @@ class _Ladder:
             self.kpath[t] = _apply_round(book, strategy, float(p))[0]
             self.values[t] = book.values
             self.mask[t] = book.has_bid
-            if with_caps:
+            if t in cap_ticks:
                 self.caps[t] = book.activity_caps_array(_BIG)
 
 
@@ -400,7 +402,9 @@ class _PairScreen:
             k, th = k[~late], th[~late]
         # The legal maximum; prices, hence caps, are non-negative.
         lin = np.floor(self.prices[th] * k / n * self.scale + 0.5)
-        cap = np.minimum(lin.astype(np.int64), self.dev_caps[th, k])
+        caps = np.array([self.dev_caps[t] for t in t_hats])
+        cap = np.minimum(lin.astype(np.int64),
+                         caps[np.searchsorted(t_hats, th), k])
         # Amount levels: np.unique(np.linspace(0, cap, n_amounts).round())
         # for each cap, bit for bit.  Each row is non-decreasing, so its
         # distinct levels are those that differ from their left neighbour.
@@ -614,7 +618,7 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     full_lad = {th: _Ladder(strat[th], prices, grid, scale,
                             snap_ticks=snap_ticks) for th in thetas}
     head_lad = {th: _Ladder(HeadlineOnly(strat[th]), prices, grid, scale,
-                            with_caps=True, snap_ticks=snap_ticks)
+                            cap_ticks=t_hats, snap_ticks=snap_ticks)
                 for th in thetas}
 
     run_cfg = replace(config, log_rounds=False)

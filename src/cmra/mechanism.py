@@ -18,16 +18,21 @@ There is one clock loop, :func:`_run_lockstep`, which runs any number
 of strategies in one seat against one opponent and tests all of them in
 one batched closing test per tick.  :func:`run_cmra` is its one-member
 call from the start price; the deviation search enters it with many
-members, each at its own resume tick.
+members, each at its own resume tick.  A member that closes leaves the
+clock, and the loop refines every closer at its end in one batched
+bisection, :func:`_refine_closers`: the closers' books are rows of one
+``BookRows`` state, and each step records one probe round on every
+closer still bisecting and runs one batched closing test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .bidbook import MICRO, BidBook, QuantityGrid, money_units
+from .bidbook import MICRO, BidBook, BookRows, QuantityGrid, money_units
 
 __all__ = [
     "AuctionConfig",
@@ -92,6 +97,9 @@ class AuctionOutcome:
     excess_supply: float
     r_star_units: int | None
     rounds: list = field(default_factory=list, repr=False)
+    # Set when a refined close fell back to the clock tick's books,
+    # which only a strategy whose closing is not monotone in price does.
+    refine_fallback: bool = False
 
     @property
     def closed(self) -> bool:
@@ -183,6 +191,12 @@ def _choose_allocation(b1, m1, b2, m2, n, r_star) -> tuple:
     return (best[1], best[2])
 
 
+def _emit(strategy, price: float):
+    """One bidder's emission at a price: ``(headline_k, ks, amounts)``."""
+    k = strategy.headline_index(price)
+    return (k, *strategy.additional_bid_arrays(price))
+
+
 def _apply_round(book: BidBook, strategy, price: float):
     """One bidder's round: headline plus additional bids, clamped to legality."""
     k = strategy.headline_index(price)
@@ -230,12 +244,14 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     Emissions are pure functions of the price, so the opponent's book at
     a tick is the same for every member: it is recorded once per tick,
     and one batched closing test covers every member on the clock.  A
-    member that closes leaves the clock and refines from its own pre-tick
-    book and the opponent's.  While no member is on the clock, the clock
+    member that closes leaves the clock; when it refines, it keeps its
+    own pre-tick book and the opponent's, and all closers refine together
+    once the clock stops.  While no member is on the clock, the clock
     jumps to the next start tick.
     """
     outcomes = [None] * len(strategies)
     logs = [[] for _ in strategies]
+    closers: list = []
     pending = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
     active: list = []
     t = opp_book = None
@@ -268,8 +284,8 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
                 [pair_rev.tolist()], [single_rev.tolist()], [done.tolist()]
         else:
             best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
-                np.stack([books[i].values for i in active]),
-                np.stack([books[i].has_bid for i in active]),
+                np.array([books[i].values for i in active]),
+                np.array([books[i].has_bid for i in active]),
                 opp_book.values, opp_book.has_bid))
         if config.log_rounds:
             for i, emit, done, pair_rev, single_rev in zip(
@@ -281,26 +297,117 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
                            r_star if r_star >= 0 else None)
         if any(closed):
             still = []
+            opp_hi = None
             for i, own_base, done in zip(active, bases, closed):
                 if not done:
                     still.append(i)
                     continue
-                pair = (books[i], opp_book)
-                base = (own_base, opp_base)
-                bidders = (strategies[i], opponent)
-                if seat == 1:
-                    pair, base, bidders = pair[::-1], base[::-1], bidders[::-1]
                 if config.refine and t > 0:
-                    close_price, pair, result = _refine_close(
-                        base, bidders, config.start + (t - 1) * config.eps,
-                        price, pair, config)
-                else:
-                    close_price, result = price, solve_closing(*pair)
-                outcomes[i] = _build_outcome(close_price, pair, result,
+                    if opp_hi is None:
+                        opp_hi = opp_book.copy()
+                    closers.append(_Closer(i, t, own_base, opp_base,
+                                           books[i], opp_hi))
+                    continue
+                pair = (books[i], opp_book) if seat == 0 \
+                    else (opp_book, books[i])
+                outcomes[i] = _build_outcome(price, pair, solve_closing(*pair),
                                              config, logs[i])
             active = still
         t += 1
+    if closers:
+        for c, (close_price, pair, result, fallback) in zip(
+                closers, _refine_closers(closers, strategies, opponent, seat,
+                                         config)):
+            outcomes[c.member] = _build_outcome(close_price, pair, result,
+                                                config, logs[c.member],
+                                                fallback)
     return outcomes
+
+
+class _Closer(NamedTuple):
+    """What a member that closed at clock tick ``tick > 0`` refines from."""
+
+    member: int
+    tick: int
+    own_base: BidBook   # its book before the tick's round
+    opp_base: BidBook   # the opponent's book before the tick's round
+    own_hi: BidBook     # both books after the round, for the fallback
+    opp_hi: BidBook
+
+
+def _refine_closers(closers, strategies, opponent, seat: int,
+                    config: AuctionConfig) -> list:
+    """Bisect every closer's continuous closing price, all in one loop.
+
+    Closer j closed at clock tick t_j and bisects on (price of t_j - 1,
+    price of t_j] from its books before that tick.  Probes that do not
+    close keep their round, so recorded bids converge to their
+    continuous-clock suprema below the closing price; a probe needs only
+    the closing flag.  A closer's probes depend on its own books and
+    interval alone, so bisecting all at once gives each closer the
+    probes it would make by itself.  The books of all closers live in
+    one ``BookRows``, members' rows first, and each step makes one
+    record on the closers still bisecting and one batched closing test.
+
+    Returns ``(price, seat-ordered books, ClosingResult, fallback)`` per
+    closer.  The books recorded at the final price must close; when a
+    non-monotone strategy makes them not close, the closer falls back to
+    the tick's books at that price and ``fallback`` is set.
+    """
+    m = len(closers)
+    tol = config.refine_tol
+    state = BookRows.stack([c.own_base for c in closers]
+                           + [c.opp_base for c in closers])
+    bidders = [strategies[c.member] for c in closers] + [opponent] * m
+    lo = [config.start + (c.tick - 1) * config.eps for c in closers]
+    hi = [config.start + c.tick * config.eps for c in closers]
+    live = [j for j in range(m) if hi[j] - lo[j] > tol]
+    while live:
+        size = len(live)
+        if size == m:
+            mids = [0.5 * (a + b) for a, b in zip(lo, hi)]
+            rows, trial = None, state.copy()
+        else:
+            mids = [0.5 * (lo[j] + hi[j]) for j in live]
+            rows = live + [m + j for j in live]
+            trial = state.take(rows)
+        prices = mids * 2
+        trial.record(prices, [_emit(b, p) for b, p in zip(
+            bidders if rows is None else [bidders[r] for r in rows], prices)])
+        values, has_bid = trial.values, trial.has_bid
+        if size == 1:
+            closed = [bool(_closing_rows(values[0], has_bid[0],
+                                         values[1], has_bid[1])[2])]
+        else:
+            closed = _closing_rows(values[:size], has_bid[:size],
+                                   values[size:], has_bid[size:])[2].tolist()
+        # Rows that did not close keep the probe's round.
+        if rows is None and not any(closed):
+            state = trial
+        elif not all(closed):
+            src = [s for s, done in enumerate(closed) if not done]
+            src += [s + size for s in src]
+            state.put(src if rows is None else [rows[s] for s in src],
+                      trial, src)
+        for j, mid, done in zip(live, mids, closed):
+            if done:
+                hi[j] = mid
+            else:
+                lo[j] = mid
+        live = [j for j in live if hi[j] - lo[j] > tol]
+    state.record(hi + hi, [_emit(b, p) for b, p in zip(bidders, hi + hi)])
+    refined = []
+    for j, c in enumerate(closers):
+        pair = (state.book(j), state.book(m + j))
+        hi_pair = (c.own_hi, c.opp_hi)
+        if seat == 1:
+            pair, hi_pair = pair[::-1], hi_pair[::-1]
+        result = solve_closing(*pair)
+        fallback = not result.closed
+        if fallback:
+            pair, result = hi_pair, solve_closing(*hi_pair)
+        refined.append((hi[j], pair, result, fallback))
+    return refined
 
 
 def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
@@ -312,37 +419,8 @@ def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
         excess_supply=1.0, r_star_units=None, rounds=log)
 
 
-def _refine_close(base_books, strategies, lo, hi, hi_books,
-                  config: AuctionConfig):
-    """Bisect the continuous closing price on (lo, hi].
-
-    Non-closing probes accumulate into the books so recorded bids
-    converge to their continuous-clock suprema below the closing price.
-    A probe needs only the closing flag; the allocation is built for the
-    final books alone.
-    """
-    lo_books = base_books
-    while hi - lo > config.refine_tol:
-        mid = 0.5 * (lo + hi)
-        trial = (lo_books[0].copy(), lo_books[1].copy())
-        for b, s in zip(trial, strategies):
-            _apply_round(b, s, mid)
-        if _closing_rows(trial[0].values, trial[0].has_bid,
-                         trial[1].values, trial[1].has_bid)[2]:
-            hi = mid
-        else:
-            lo, lo_books = mid, trial
-    final_books = (lo_books[0].copy(), lo_books[1].copy())
-    for b, s in zip(final_books, strategies):
-        _apply_round(b, s, hi)
-    final_result = solve_closing(final_books[0], final_books[1])
-    if not final_result.closed:  # pragma: no cover - monotone for proxy families
-        return hi, hi_books, solve_closing(*hi_books)
-    return hi, final_books, final_result
-
-
-def _build_outcome(price, books, result: ClosingResult, config,
-                   log) -> AuctionOutcome:
+def _build_outcome(price, books, result: ClosingResult, config, log,
+                   refine_fallback: bool = False) -> AuctionOutcome:
     grid = config.grid
     k1, k2 = result.allocation
     indices = (k1, k2)
@@ -365,7 +443,8 @@ def _build_outcome(price, books, result: ClosingResult, config,
         kinds=tuple(kinds), revenue=revenue_units / scale,
         revenue_units=revenue_units, termination=CLOSED,
         excess_supply=1.0 - quantities[0] - quantities[1],
-        r_star_units=result.r_star, rounds=log)
+        r_star_units=result.r_star, rounds=log,
+        refine_fallback=refine_fallback)
 
 
 def run_clock(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome:

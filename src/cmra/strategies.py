@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .bidbook import AdditionalBid, QuantityGrid
+from .bidbook import QuantityGrid
 from .valuation import ValuationModel
 
 __all__ = [
@@ -58,11 +58,6 @@ class ProxyStrategy:
 
     def additional_bid_arrays(self, p: float):
         return _EMPTY_KS, _EMPTY_AMTS
-
-    def additional_bids(self, p: float) -> list:
-        ks, amounts = self.additional_bid_arrays(p)
-        return [AdditionalBid(self.grid.share(int(k)), float(a), p)
-                for k, a in zip(ks, amounts)]
 
     def _snap(self, x: float) -> int:
         k = int(math.floor(x * self.grid.n + 0.5))

@@ -1,13 +1,15 @@
 """The per-auction CMRA clock loop, kept as the reference for the engine.
 
 ``cmra.mechanism.run_cmra`` runs through the lockstep clock loop that
-also replays the deviation search's families.  This is the plain loop
-it replaced: two books, one full closing solve per tick.
+also replays the deviation search's families, and refines every closer
+of one loop in one batched bisection.  This is the plain loop it
+replaced: two books, one full closing solve per tick, and one
+bisection per auction on two ``BidBook`` copies per probe.
 """
 
 from cmra.bidbook import BidBook
-from cmra.mechanism import (_apply_round, _build_outcome, _log_round,
-                            _max_price_outcome, _refine_close, solve_closing)
+from cmra.mechanism import (_apply_round, _build_outcome, _closing_rows,
+                            _log_round, _max_price_outcome, solve_closing)
 
 
 def reference_run_cmra(strategy1, strategy2, config):
@@ -34,3 +36,33 @@ def reference_run_cmra(strategy1, strategy2, config):
             return _build_outcome(price, books, result, config, log)
         prev_price = price
         t += 1
+
+
+def _refine_close(base_books, strategies, lo, hi, hi_books, config):
+    """Bisect the continuous closing price on (lo, hi].
+
+    Non-closing probes accumulate into the books so recorded bids
+    converge to their continuous-clock suprema below the closing price.
+    A probe needs only the closing flag; the allocation is built for the
+    final books alone.  Books at the final price that do not close (a
+    strategy whose closing is not monotone in price) fall back to the
+    clock tick's books.
+    """
+    lo_books = base_books
+    while hi - lo > config.refine_tol:
+        mid = 0.5 * (lo + hi)
+        trial = (lo_books[0].copy(), lo_books[1].copy())
+        for b, s in zip(trial, strategies):
+            _apply_round(b, s, mid)
+        if _closing_rows(trial[0].values, trial[0].has_bid,
+                         trial[1].values, trial[1].has_bid)[2]:
+            hi = mid
+        else:
+            lo, lo_books = mid, trial
+    final_books = (lo_books[0].copy(), lo_books[1].copy())
+    for b, s in zip(final_books, strategies):
+        _apply_round(b, s, hi)
+    final_result = solve_closing(final_books[0], final_books[1])
+    if not final_result.closed:
+        return hi, hi_books, solve_closing(*hi_books)
+    return hi, final_books, final_result

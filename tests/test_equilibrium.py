@@ -313,8 +313,7 @@ class TestResumedReplay:
                     # short of the limit.
                     full = set(range(t_n))
                     dev_lad = _Ladder(HeadlineOnly(base), prices, grid,
-                                      cfg.money_scale, with_caps=True,
-                                      snap_ticks=full)
+                                      cfg.money_scale, snap_ticks=full)
                     opp_lad = _Ladder(opp, prices, grid, cfg.money_scale,
                                       snap_ticks=full)
                     u_dev = np.array([md.value(grid.share(k))
@@ -390,16 +389,16 @@ class TestScreenEquivalence:
                     th_d, th_o = (float(v) for v in rng.uniform(lo, hi, 2))
                     md = env.models[seat].with_theta(th_d)
                     mo = env.models[1 - seat].with_theta(th_o)
+                    fam = DeviationFamily(
+                        n_amounts=int(rng.choice([1, 2, 11, 21, 50])))
+                    t_hats = sorted({0, *rng.choice(t_n, 6).tolist()})
                     dev_lad = _Ladder(HeadlineOnly(make(md, grid)), prices,
-                                      grid, scale, with_caps=True)
+                                      grid, scale, cap_ticks=t_hats)
                     opp_lad = _Ladder(make(mo, grid), prices, grid, scale)
                     u_dev = np.array([md.value(grid.share(k))
                                       for k in range(grid.n + 1)])
                     screen = _PairScreen(dev_lad, opp_lad, prices, grid,
                                          scale, u_dev)
-                    fam = DeviationFamily(
-                        n_amounts=int(rng.choice([1, 2, 11, 21, 50])))
-                    t_hats = sorted({0, *rng.choice(t_n, 6).tolist()})
                     drop_ticks = sorted({0, *rng.choice(t_n, 6).tolist()})
                     # Baselines low enough that many members are candidates;
                     # with no cutoff every member that closes is one.
@@ -446,7 +445,7 @@ def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
                 continue
             cap = min(money_units(screen.prices[t_hat] * k_hat / n,
                                   screen.scale),
-                      int(screen.dev_caps[t_hat, k_hat]))
+                      int(screen.dev_caps[t_hat][k_hat]))
             if cap < 0:
                 continue
             levels = np.unique(np.linspace(0, cap, family.n_amounts)

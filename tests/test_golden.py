@@ -3,7 +3,7 @@
 ``tests/data/golden.json`` holds, recorded once, every field of a few
 small ``check_expost`` reports (all four profiles in both regimes, one
 ``stop_at_gain`` refutation), the payments, final price and termination
-of 48 ``run_cmra`` auctions, and the SHA-256 of every artifact of a few
+of 64 ``run_cmra`` auctions, and the SHA-256 of every artifact of a few
 ``run_scenario`` runs.  Floats are stored as ``float.hex``, so the test
 asserts identical results, not close ones.  A change that alters any of
 these on purpose re-records the file with
