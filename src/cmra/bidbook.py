@@ -38,6 +38,11 @@ __all__ = [
 
 MICRO = 10 ** 6
 
+# Magnitude of the money-unit sentinels: "no activity cap" here, and
+# negated, "no bid" in the engine's closing test.  It exceeds any bid
+# value, and a value plus the negated sentinel stays inside int64.
+SENTINEL_UNITS = np.int64(2 ** 62)
+
 KIND_NONE = 0
 KIND_HEADLINE = 1
 KIND_ADDITIONAL = 2
@@ -280,7 +285,7 @@ class BidBook:
         lo = self._seg_lo[ks]
         act = np.where(lo >= 0,
                        self.values[np.maximum(lo, 0)] + self._seg_base[ks],
-                       np.int64(2 ** 62))
+                       SENTINEL_UNITS)
         if clamp:
             return np.minimum(units, np.minimum(lin, act))
         over_lin = units > lin
@@ -435,7 +440,7 @@ class BookRows:
         flat_values = values.reshape(-1)
         lo = seg_lo.reshape(-1)[flat]
         act = np.where(lo >= 0, flat_values[base + np.maximum(lo, 0)]
-                       + seg_base.reshape(-1)[flat], np.int64(2 ** 62))
+                       + seg_base.reshape(-1)[flat], SENTINEL_UNITS)
         units = np.minimum(units, np.minimum(lin, act))
         prev = np.where(has_bid, values, np.int64(-1))
         after = prev.copy()

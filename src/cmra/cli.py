@@ -3,9 +3,16 @@
 Subcommands::
 
     cmra run <scenario.json> [--out DIR] [--seed N]
-    cmra verify <claim> [--grid N] [--eps E] [--tol T] [--out DIR]
+    cmra verify <claim> [--theta-grid N] [--grid-n N] [--eps E] [--tol T]
+                        [--seed S] [--out DIR]
     cmra audit <record.json or bundled name> [--out DIR]
     cmra export-fig <scenario.json> --prices P [P ...] [--out DIR]
+
+``verify`` forwards each option it is given to the claim under its own
+name: ``--theta-grid`` sets the type-grid points per bidder of the
+deviation searches (``expost-battery``, ``strategy-matrix``) and
+``--grid-n`` the quantity-grid size (``truthful-decreasing``).  A claim
+ignores options it does not take.
 
 The output directory defaults to $CMRA_OUTPUT_DIR, then the working
 directory.  Exit status is 0 on success and nonzero on validation or
@@ -51,17 +58,12 @@ def cmd_run(args) -> int:
     return 0 if result["ok"] else 1
 
 
+_VERIFY_OPTIONS = ("theta_grid", "grid_n", "eps", "tol", "seed")
+
+
 def cmd_verify(args) -> int:
-    options = {}
-    if args.grid is not None:
-        options["theta_grid"] = args.grid
-        options["grid_n"] = args.grid
-    if args.eps is not None:
-        options["eps"] = args.eps
-    if args.tol is not None:
-        options["tol"] = args.tol
-    if args.seed is not None:
-        options["seed"] = args.seed
+    options = {name: getattr(args, name) for name in _VERIFY_OPTIONS
+               if getattr(args, name) is not None}
     result = run_claim(args.claim, **options)
     for line in result.lines:
         print(line)
@@ -116,10 +118,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
-    p_ver = sub.add_parser("verify", help="run a named verification claim")
+    # No prefix matching, so the retired ``--grid`` is rejected rather
+    # than taken as ``--grid-n``.
+    p_ver = sub.add_parser("verify", help="run a named verification claim",
+                           allow_abbrev=False)
     p_ver.add_argument("claim", choices=sorted(CLAIMS))
-    p_ver.add_argument("--grid", type=int, default=None,
-                       help="type-grid points per bidder")
+    p_ver.add_argument("--theta-grid", type=int, default=None,
+                       help="type-grid points per bidder of a deviation "
+                            "search (expost-battery, strategy-matrix)")
+    p_ver.add_argument("--grid-n", type=int, default=None,
+                       help="quantity-grid size (truthful-decreasing)")
     p_ver.add_argument("--eps", type=float, default=None,
                        help="clock increment")
     p_ver.add_argument("--tol", type=float, default=None,

@@ -90,6 +90,13 @@ __all__ = [
     "SingleBidDeviation",
 ]
 
+# Masked money values of the screens, kept at +-2**53 rather than the
+# engine's bidbook.SENTINEL_UNITS (2**62).  The screens add masked
+# entries to amounts and to the engine's closing-test results, e.g.
+# ``np.maximum(self.hd[t, k], a) + self.po_rev[t, k]`` and
+# ``self.s - self.po_rev``: distinct magnitudes keep a screen sentinel
+# and an engine sentinel from cancelling to a legal amount, and a masked
+# value plus an amount below 2**53 is still exact as a float.
 _NEG = np.int64(-(2 ** 53))
 _BIG = np.int64(2 ** 53)
 _PRICE_TOL = 1e-15  # a deviation acts at clock prices >= its price - this

@@ -32,7 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bidbook import MICRO, BidBook, BookRows, QuantityGrid, money_units
+from .bidbook import (MICRO, SENTINEL_UNITS, BidBook, BookRows, QuantityGrid,
+                      money_units)
 
 __all__ = [
     "AuctionConfig",
@@ -45,7 +46,7 @@ __all__ = [
     "revenue_curve",
 ]
 
-_NEG = np.int64(-(2 ** 62))  # solver-internal only; masked entries never leak
+_NEG = -SENTINEL_UNITS  # solver-internal only; masked entries never leak
 
 CLOSED = "closed"
 MAX_PRICE_HIT = "max-price-hit"
@@ -209,9 +210,10 @@ def _log_round(log, round_no, price, emissions, closed, r_star):
     for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
         log.append((round_no, price, bidder, "headline", k, None,
                     closed, r_star))
-        for kk, aa in zip(ks, amounts):
-            log.append((round_no, price, bidder, "additional", int(kk),
-                        float(aa), closed, r_star))
+        if len(ks):
+            log.extend([(round_no, price, bidder, "additional", kk, aa,
+                         closed, r_star)
+                        for kk, aa in zip(ks.tolist(), amounts.tolist())])
 
 
 def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome:

@@ -162,16 +162,53 @@ def _fmt(v) -> str:
     return str(v)
 
 
+_ROUND_LOG_HEADER = ("round,clock_price,bidder,kind,quantity,amount,"
+                     "closed_flag,r_star\r\n")
+_ROUND_LOG_KINDS = frozenset(("headline", "additional"))
+_ROUND_LOG_CHUNK = 256  # rows per write
+
+
 def write_round_log(path, rounds, grid: QuantityGrid) -> None:
-    """Round log CSV: one row per submission plus the round's closing state."""
+    """Round log CSV: one row per submission plus the round's closing state.
+
+    ``rounds`` holds the engine's ``(round, price, bidder, kind, k,
+    amount, closed, r_star)`` tuples.  A line is ``round,clock_price,
+    bidder,kind,quantity,amount,closed_flag,r_star`` ended by ``\\r\\n``,
+    the bytes ``csv.writer`` gives for it: floats are written as
+    ``repr``, ``None`` as an empty field, the quantity as the grid share
+    ``k/n`` and the closed flag as 0 or 1.  Only the two known kinds
+    are written, so no field needs quoting; an unknown ``kind`` or an
+    off-grid ``k`` raises ``ValueError``.
+
+    Lines are formatted directly and written a chunk of rows at a time,
+    so the text never holds more than one chunk.  The engine's rows of
+    one round share their price, flag and R* objects, so those fields
+    are formatted once per round.
+    """
+    shares = [repr(grid.share(k)) for k in range(grid.n + 1)]
+    last_rnd = last_price = last_closed = last_r_star = object()
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["round", "clock_price", "bidder", "kind", "quantity",
-                    "amount", "closed_flag", "r_star"])
-        for rec in rounds:
-            rnd, price, bidder, kind, k, amount, closed, r_star = rec
-            w.writerow([rnd, _fmt(price), bidder, kind, _fmt(grid.share(k)),
-                        _fmt(amount), int(bool(closed)), _fmt(r_star)])
+        fh.write(_ROUND_LOG_HEADER)
+        chunk = []
+        for rnd, price, bidder, kind, k, amount, closed, r_star in rounds:
+            if price is not last_price or rnd is not last_rnd:
+                last_rnd, last_price = rnd, price
+                lead = f"{rnd},{_fmt(price)},"
+            if closed is not last_closed or r_star is not last_r_star:
+                last_closed, last_r_star = closed, r_star
+                tail = f",{int(bool(closed))},{_fmt(r_star)}\r\n"
+            if kind not in _ROUND_LOG_KINDS:
+                raise ValueError(f"round-log kind {kind!r} is not "
+                                 "'headline' or 'additional'")
+            if not 0 <= k < len(shares):
+                raise ValueError(f"round-log quantity index {k} is off the "
+                                 f"1/{grid.n} grid")
+            chunk.append(
+                f"{lead}{bidder},{kind},{shares[k]},{_fmt(amount)}{tail}")
+            if len(chunk) == _ROUND_LOG_CHUNK:
+                fh.write("".join(chunk))
+                chunk.clear()
+        fh.write("".join(chunk))
 
 
 def _write_json(path, payload: dict) -> None:

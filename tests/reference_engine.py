@@ -1,15 +1,21 @@
-"""The per-auction CMRA clock loop, kept as the reference for the engine.
+"""Plain implementations kept as references for the engine and writers.
 
 ``cmra.mechanism.run_cmra`` runs through the lockstep clock loop that
 also replays the deviation search's families, and refines every closer
-of one loop in one batched bisection.  This is the plain loop it
-replaced: two books, one full closing solve per tick, and one
-bisection per auction on two ``BidBook`` copies per probe.
+of one loop in one batched bisection.  ``reference_run_cmra`` is the
+plain loop it replaced: two books, one full closing solve per tick, and
+one bisection per auction on two ``BidBook`` copies per probe.
+
+``cmra.scenarios.write_round_log`` formats its CSV lines directly.
+``reference_write_round_log`` is the ``csv.writer`` version it replaced.
 """
+
+import csv
 
 from cmra.bidbook import BidBook
 from cmra.mechanism import (_apply_round, _build_outcome, _closing_rows,
                             _log_round, _max_price_outcome, solve_closing)
+from cmra.scenarios import _fmt
 
 
 def reference_run_cmra(strategy1, strategy2, config):
@@ -66,3 +72,15 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
     if not final_result.closed:
         return hi, hi_books, solve_closing(*hi_books)
     return hi, final_books, final_result
+
+
+def reference_write_round_log(path, rounds, grid):
+    """The round-log CSV through ``csv.writer``, one row per log entry."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["round", "clock_price", "bidder", "kind", "quantity",
+                    "amount", "closed_flag", "r_star"])
+        for rec in rounds:
+            rnd, price, bidder, kind, k, amount, closed, r_star = rec
+            w.writerow([rnd, _fmt(price), bidder, kind, _fmt(grid.share(k)),
+                        _fmt(amount), int(bool(closed)), _fmt(r_star)])

@@ -207,6 +207,37 @@ class TestCli:
             "claim": "lots-example", "passed": True, "elapsed_s": 1.235,
             "lines": ["[PASS] one", "[FAIL] two: detail"]}
 
+    @pytest.mark.parametrize("flags, forwarded", [
+        ([], {}),
+        (["--theta-grid", "3"], {"theta_grid": 3}),
+        (["--grid-n", "40"], {"grid_n": 40}),
+        (["--theta-grid", "3", "--grid-n", "40", "--eps", "0.01",
+          "--tol", "1e-05", "--seed", "9"],
+         {"theta_grid": 3, "grid_n": 40, "eps": 0.01, "tol": 1e-05,
+          "seed": 9}),
+    ])
+    def test_verify_forwards_each_option_by_name(self, tmp_path, monkeypatch,
+                                                 flags, forwarded):
+        calls = []
+
+        def fake(name, **options):
+            calls.append((name, options))
+            return ClaimResult(name, True, elapsed=0.0)
+
+        monkeypatch.setattr(cli, "run_claim", fake)
+        assert main(["verify", "expost-battery", *flags,
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [("expost-battery", forwarded)]
+
+    def test_verify_rejects_retired_grid_flag(self, tmp_path, monkeypatch,
+                                              capsys):
+        monkeypatch.setattr(cli, "run_claim", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "truthful-decreasing", "--grid", "40",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--grid" in capsys.readouterr().err
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMRA_OUTPUT_DIR", str(tmp_path))
         path = tmp_path / "s.json"
