@@ -247,7 +247,10 @@ class BidBook:
 
         if len(ks):
             try:
-                units = self._admit_additional(clock_price, ks, amounts, clamp)
+                _admit_and_fold(self.values, self.has_bid, self.kinds,
+                                self._seg_lo, self._seg_base, 0, ks, ks,
+                                amounts, clock_price, self.grid, self.scale,
+                                clamp)
             except BidError:
                 self.has_bid[headline_k], self.values[headline_k], \
                     self.kinds[headline_k] = saved
@@ -255,13 +258,6 @@ class BidBook:
                     self._seg_lo[lo + 1: hi] = -1
                     self._seg_base[lo + 1: hi] = 0
                 raise
-            prev = np.where(self.has_bid, self.values, np.int64(-1))
-            after = prev.copy()
-            np.maximum.at(after, ks, units)
-            raised = after > prev
-            self.values[raised] = after[raised]
-            self.has_bid[raised] = True
-            self.kinds[raised] = KIND_ADDITIONAL
 
         self.last_price = clock_price
         self.last_headline = headline_k
@@ -271,36 +267,6 @@ class BidBook:
             self.values[k] = units
             self.has_bid[k] = True
             self.kinds[k] = kind
-
-    def _admit_additional(self, price: float, ks: np.ndarray,
-                          amounts: np.ndarray, clamp: bool) -> np.ndarray:
-        """Money units for each additional bid, validated or clamped legal."""
-        n = self.grid.n
-        if np.any(ks > self.grid.cap_index):
-            raise CapExceeded("additional bid above the quantity cap")
-        if np.any(amounts < 0):
-            raise BidError("bid amounts must be non-negative")
-        units = np.floor(amounts * self.scale + 0.5).astype(np.int64)
-        lin = np.floor(price * ks / n * self.scale + 0.5).astype(np.int64)
-        lo = self._seg_lo[ks]
-        act = np.where(lo >= 0,
-                       self.values[np.maximum(lo, 0)] + self._seg_base[ks],
-                       SENTINEL_UNITS)
-        if clamp:
-            return np.minimum(units, np.minimum(lin, act))
-        over_lin = units > lin
-        if over_lin.any():
-            i = int(np.argmax(over_lin))
-            raise OverLinearPrice(
-                f"bid {amounts[i]} on {ks[i]}/{n} exceeds the linear price "
-                f"{price * ks[i] / n}")
-        over_act = units > act
-        if over_act.any():
-            i = int(np.argmax(over_act))
-            raise ActivityCapViolation(
-                f"bid {amounts[i]} on {ks[i]}/{n} exceeds the relative cap "
-                f"{act[i] / self.scale}")
-        return units
 
 
 class BookRows:
@@ -430,25 +396,83 @@ class BookRows:
             ks, amounts = np.concatenate(bid_ks), np.concatenate(bid_amounts)
             price = np.repeat(bid_prices, counts)
             base = np.repeat(np.asarray(bid_rows) * width, counts)
-        if ks.max() > cap:
-            raise CapExceeded("additional bid above the quantity cap")
-        if amounts.min() < 0:
-            raise BidError("bid amounts must be non-negative")
+        _admit_and_fold(values.reshape(-1), has_bid.reshape(-1),
+                        kinds.reshape(-1), seg_lo.reshape(-1),
+                        seg_base.reshape(-1), base, base + ks, ks, amounts,
+                        price, grid, scale, True)
+
+
+def _admit_and_fold(values, has_bid, kinds, seg_lo, seg_base, base, flat, ks,
+                    amounts, price, grid: QuantityGrid, scale: int,
+                    clamp: bool) -> None:
+    """Admit additional bids and fold them into the running maxima.
+
+    The arrays are one book's, or several books' rows flattened; bid
+    ``i`` is on grid index ``ks[i]`` of the row that starts at offset
+    ``base`` (per bid, or one offset for all), flat index ``flat[i]``,
+    at clock ``price`` (per bid, or one price for all).  Amounts are
+    rounded to money units; with ``clamp`` an amount over the linear
+    price or the activity cap is reduced to the legal maximum, otherwise
+    it raises.  Every check runs before any array changes.
+    """
+    n = grid.n
+    if ks.max() > grid.cap_index:
+        raise CapExceeded("additional bid above the quantity cap")
+    if amounts.min() < 0:
+        raise BidError("bid amounts must be non-negative")
+    lo = seg_lo[flat]
+    capped = lo.max() >= 0
+    if capped:
+        act = np.where(lo >= 0, values[base + np.maximum(lo, 0)]
+                       + seg_base[flat], SENTINEL_UNITS)
+    if clamp:
+        # Rounding is monotone, so rounding the smaller of the amount
+        # and the linear price equals the smaller of the two rounded.
+        units = np.floor(np.minimum(amounts * scale, price * ks / n * scale)
+                         + 0.5).astype(np.int64)
+        if capped:
+            units = np.minimum(units, act)
+    else:
         units = np.floor(amounts * scale + 0.5).astype(np.int64)
         lin = np.floor(price * ks / n * scale + 0.5).astype(np.int64)
-        flat = base + ks
-        flat_values = values.reshape(-1)
-        lo = seg_lo.reshape(-1)[flat]
-        act = np.where(lo >= 0, flat_values[base + np.maximum(lo, 0)]
-                       + seg_base.reshape(-1)[flat], SENTINEL_UNITS)
-        units = np.minimum(units, np.minimum(lin, act))
-        prev = np.where(has_bid, values, np.int64(-1))
-        after = prev.copy()
-        np.maximum.at(after.reshape(-1), flat, units)
-        raised = after > prev
-        values[raised] = after[raised]
-        has_bid[raised] = True
-        kinds[raised] = KIND_ADDITIONAL
+        over_lin = units > lin
+        if over_lin.any():
+            i = int(np.argmax(over_lin))
+            raise OverLinearPrice(
+                f"bid {amounts[i]} on {ks[i]}/{n} exceeds the linear price "
+                f"{price * ks[i] / n}")
+        if capped:
+            over_act = units > act
+            if over_act.any():
+                i = int(np.argmax(over_act))
+                raise ActivityCapViolation(
+                    f"bid {amounts[i]} on {ks[i]}/{n} exceeds the relative "
+                    f"cap {act[i] / scale}")
+    if len(flat) == 1 or (flat[1:] > flat[:-1]).all():
+        at, raised = _fold_distinct(values, has_bid, flat, units)
+    else:
+        at, raised = _fold_any(values, has_bid, flat, units)
+    values[at] = raised
+    has_bid[at] = True
+    kinds[at] = KIND_ADDITIONAL
+
+
+def _fold_distinct(values, has_bid, flat, units):
+    """The indices and values a fold raises, for distinct flat indices:
+    a gather and a compare on the bid indices only."""
+    up = units > np.where(has_bid[flat], values[flat], -1)
+    return flat[up], units[up]
+
+
+def _fold_any(values, has_bid, flat, units):
+    """The indices and values a fold raises, for any flat indices: a
+    running maximum over the full width, so repeated indices keep their
+    largest bid."""
+    prev = np.where(has_bid, values, np.int64(-1))
+    after = prev.copy()
+    np.maximum.at(after, flat, units)
+    up = after > prev
+    return up, after[up]
 
 
 def _normalize_bids(additional_bids, grid: QuantityGrid):

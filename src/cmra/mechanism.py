@@ -15,18 +15,23 @@ legitimate prices), which makes recorded values converge to their
 continuous-clock suprema.
 
 There is one clock loop, :func:`_run_lockstep`, which runs any number
-of strategies in one seat against one opponent and tests all of them in
-one batched closing test per tick.  :func:`run_cmra` is its one-member
-call from the start price; the deviation search enters it with many
-members, each at its own resume tick.  A member that closes leaves the
-clock, and the loop refines every closer at its end in one batched
-bisection, :func:`_refine_closers`: the closers' books are rows of one
-``BookRows`` state, and each step records one probe round on every
-closer still bisecting and runs one batched closing test.
+of strategies in one seat against one opponent.  While several members
+are on the clock, one batched closing test per tick covers them all;
+while one is, the loop records both books ahead for a block of up to
+``_BLOCK_MAX`` ticks and runs one closing test over the block.
+:func:`run_cmra` is its one-member call from the start price; the
+deviation search enters it with many members, each at its own resume
+tick.  A member that closes leaves the clock, and the loop refines every
+closer at its end in one batched bisection, :func:`_refine_closers`: the
+closers' books are rows of one ``BookRows`` state, and each step records
+one probe round on every closer still bisecting and runs one batched
+closing test.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,6 +53,10 @@ __all__ = [
 
 _NEG = -SENTINEL_UNITS  # solver-internal only; masked entries never leak
 
+# The longest block of clock ticks a lone member records ahead of one
+# closing test.
+_BLOCK_MAX = 32
+
 CLOSED = "closed"
 MAX_PRICE_HIT = "max-price-hit"
 
@@ -66,10 +75,24 @@ class AuctionConfig:
     log_rounds: bool = True
 
     def __post_init__(self):
+        for name in ("start", "eps", "max_price"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.eps <= 0:
             raise ValueError("price increment must be positive")
         if self.max_price <= self.start:
             raise ValueError("max price must exceed the start price")
+        # The refine bisection ends only when a tolerance at least the
+        # float spacing of the clock prices is met.
+        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
+            raise ValueError("refine_tol must be positive and finite")
+        spacing = math.ulp(2 * max(abs(self.start), abs(self.max_price)))
+        if self.refine_tol < spacing:
+            raise ValueError(f"refine_tol {self.refine_tol} is below the "
+                             f"float spacing {spacing} of the clock prices")
+        if isinstance(self.money_scale, bool) or not isinstance(
+                self.money_scale, numbers.Integral) or self.money_scale <= 0:
+            raise ValueError("money_scale must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -206,6 +229,11 @@ def _apply_round(book: BidBook, strategy, price: float):
     return k, ks, amounts
 
 
+def _record(book: BidBook, emission, price: float) -> None:
+    """Record an emission that ``_apply_round`` made at ``price`` again."""
+    book.record_round_indexed(price, *emission, clamp=True)
+
+
 def _log_round(log, round_no, price, emissions, closed, r_star):
     for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
         log.append((round_no, price, bidder, "headline", k, None,
@@ -244,12 +272,21 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     the ticks it was on the clock.
 
     Emissions are pure functions of the price, so the opponent's book at
-    a tick is the same for every member: it is recorded once per tick,
-    and one batched closing test covers every member on the clock.  A
-    member that closes leaves the clock; when it refines, it keeps its
-    own pre-tick book and the opponent's, and all closers refine together
-    once the clock stops.  While no member is on the clock, the clock
-    jumps to the next start tick.
+    a tick is the same for every member: it is recorded once per tick.
+    While two or more members are on the clock, one batched closing test
+    per tick covers them all.  While one member is, the clock runs in
+    blocks (:func:`_lone_block`): both books are recorded ahead for up
+    to ``_BLOCK_MAX`` ticks, which never reach the next member's start
+    tick, and one closing test covers the block.  A block's length
+    starts at 1 and doubles while the member stays alone, so a close
+    soon after a join wastes few ticks.  Within a tick the bidders
+    record in seat order, members in member order, so the error that
+    surfaces is the first one a tick-by-tick loop meets.
+
+    A member that closes leaves the clock; when it refines, it keeps its
+    own pre-tick book and the opponent's, and all closers refine
+    together once the clock stops.  While no member is on the clock,
+    the clock jumps to the next start tick.
     """
     outcomes = [None] * len(strategies)
     logs = [[] for _ in strategies]
@@ -257,38 +294,60 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     pending = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
     active: list = []
     t = opp_book = None
+    block = 1
     while pending or active:
         if not active:
             t = starts[pending[-1]]
             opp_book = opp_snaps[t].copy()
-        while pending and starts[pending[-1]] == t:
-            active.append(pending.pop())
+        if pending and starts[pending[-1]] == t:
+            block = 1
+            while pending and starts[pending[-1]] == t:
+                active.append(pending.pop())
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
             for i in active:
                 outcomes[i] = _max_price_outcome(config, logs[i])
             active = []
             continue
+        if len(active) == 1:
+            i = active[0]
+            size = min(block, starts[pending[-1]] - t) if pending else block
+            block = min(2 * block, _BLOCK_MAX)
+            ticks, close = _lone_block(strategies[i], books[i], opponent,
+                                       opp_book, seat, t, size, config,
+                                       logs[i])
+            t += ticks
+            if close is None:
+                continue
+            active = []
+            tick, own_base, opp_base, (own_emit, opp_emit) = close
+            price = config.start + tick * config.eps
+            own_hi, opp_hi = own_base.copy(), opp_base.copy()
+            _record(own_hi, own_emit, price)
+            _record(opp_hi, opp_emit, price)
+            if config.refine and tick > 0:
+                closers.append(_Closer(i, tick, own_base, opp_base, own_hi,
+                                       opp_hi))
+            else:
+                pair = (own_hi, opp_hi) if seat == 0 else (opp_hi, own_hi)
+                outcomes[i] = _build_outcome(price, pair, solve_closing(*pair),
+                                             config, logs[i])
+            continue
+        block = 1
         opp_base = opp_book.copy()
-        opp_emitted = _apply_round(opp_book, opponent, price)
+        if seat == 1:
+            opp_emitted = _apply_round(opp_book, opponent, price)
         bases, emitted = [], []
         for i in active:
             bases.append(books[i].copy())
             emitted.append(_apply_round(books[i], strategies[i], price))
-        # The closing test is seat-symmetric: members go on side 1.  A
-        # lone member's book enters unstacked, as 1-D arrays, which the
-        # closing test handles faster than one-row stacks or views.
-        if len(active) == 1:
-            own = books[active[0]]
-            pair_rev, single_rev, done = _closing_rows(
-                own.values, own.has_bid, opp_book.values, opp_book.has_bid)
-            best_pair, best_single, closed = \
-                [pair_rev.tolist()], [single_rev.tolist()], [done.tolist()]
-        else:
-            best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
-                np.array([books[i].values for i in active]),
-                np.array([books[i].has_bid for i in active]),
-                opp_book.values, opp_book.has_bid))
+        if seat == 0:
+            opp_emitted = _apply_round(opp_book, opponent, price)
+        # The closing test is seat-symmetric: members go on side 1.
+        best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
+            np.array([books[i].values for i in active]),
+            np.array([books[i].has_bid for i in active]),
+            opp_book.values, opp_book.has_bid))
         if config.log_rounds:
             for i, emit, done, pair_rev, single_rev in zip(
                     active, emitted, closed, best_pair, best_single):
@@ -324,6 +383,77 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
                                                 config, logs[c.member],
                                                 fallback)
     return outcomes
+
+
+def _lone_block(strategy, book, opponent, opp_book, seat: int, t: int,
+                size: int, config: AuctionConfig, log) -> tuple:
+    """Up to ``size`` clock ticks of one member from tick ``t``, one closing test.
+
+    Both books are recorded in place tick by tick; each tick's values
+    and masks are kept as rows, and one closing test runs over the rows.
+    Ticks past the maximum price are not recorded.  Returns ``(ticks,
+    None)`` when none of the ``ticks`` recorded ticks closes, and
+    ``(ticks, (tick, own_base, opp_base, emissions))`` for the first
+    tick that closes: the two books before that tick's round, rebuilt
+    from copies taken at the block's start by recording the block's
+    earlier rounds again, and the tick's two emissions.  The log gets
+    the rows of the ticks up to the close.  An exception that a round
+    raises surfaces only when no earlier tick of the block closes, as it
+    would in a tick-by-tick loop; the books are then undefined.
+    """
+    own_start, opp_start = book.copy(), opp_book.copy()
+    width = config.grid.n + 1
+    own_values = np.empty((size, width), dtype=np.int64)
+    own_mask = np.empty((size, width), dtype=bool)
+    opp_values = np.empty((size, width), dtype=np.int64)
+    opp_mask = np.empty((size, width), dtype=bool)
+    prices, emitted = [], []
+    error = None
+    for j in range(size):
+        price = config.start + (t + j) * config.eps
+        if price > config.max_price + 1e-12:
+            break
+        try:
+            if seat == 0:
+                own_emit = _apply_round(book, strategy, price)
+                opp_emit = _apply_round(opp_book, opponent, price)
+            else:
+                opp_emit = _apply_round(opp_book, opponent, price)
+                own_emit = _apply_round(book, strategy, price)
+        except Exception as exc:  # raised below unless an earlier tick closes
+            error = exc
+            break
+        own_values[j] = book.values
+        own_mask[j] = book.has_bid
+        opp_values[j] = opp_book.values
+        opp_mask[j] = opp_book.has_bid
+        prices.append(price)
+        emitted.append((own_emit, opp_emit))
+    ticks = len(prices)
+    first = None
+    if ticks:
+        best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
+            own_values[:ticks], own_mask[:ticks], opp_values[:ticks],
+            opp_mask[:ticks]))
+        if True in closed:
+            first = closed.index(True)
+            ticks = first + 1
+        if config.log_rounds:
+            for j in range(ticks):
+                r_star = max(best_pair[j], best_single[j])
+                own_emit, opp_emit = emitted[j]
+                _log_round(log, t + j, prices[j],
+                           (own_emit, opp_emit) if seat == 0
+                           else (opp_emit, own_emit),
+                           closed[j], r_star if r_star >= 0 else None)
+    if first is None:
+        if error is not None:
+            raise error
+        return ticks, None
+    for price, (own_emit, opp_emit) in zip(prices[:first], emitted):
+        _record(own_start, own_emit, price)
+        _record(opp_start, opp_emit, price)
+    return ticks, (t + first, own_start, opp_start, emitted[first])
 
 
 class _Closer(NamedTuple):

@@ -6,7 +6,9 @@ drops, and applies the same rounds to ``NaiveBook``, which keeps its
 bids, kinds and drop segments in dicts and checks every rule with plain
 loops.  After each step the two must agree on values, masks, kinds,
 activity caps and the last price and headline; a rejected round must
-raise the same error type in both and leave both unchanged.  The run is
+raise the same error type in both and leave both unchanged.  Bid
+indices come in any order and as sorted distinct lists, so both folds of
+the additional bids run, and the test checks that they did.  The run is
 derandomized, so the suite sees the same examples every time.
 """
 
@@ -18,7 +20,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
                                  invariant, precondition, rule)
 
 from cmra import (ActivityCapViolation, BidBook, CapExceeded,
-                  NonMonotoneHeadline, OverLinearPrice, QuantityGrid)
+                  NonMonotoneHeadline, OverLinearPrice, QuantityGrid, bidbook)
 from cmra.bidbook import BidError, KIND_ADDITIONAL, KIND_HEADLINE
 
 
@@ -120,8 +122,11 @@ class BidBookMachine(RuleBasedStateMachine):
         quantity = st.integers(0, self.grid.cap_index)
         if capped:
             quantity = st.one_of(quantity, st.sampled_from(capped))
+        quantities = st.lists(quantity, max_size=4)
         bids = []
-        for k in data.draw(st.lists(quantity, max_size=4)):
+        # Sorted distinct indices, as the profiles emit, next to any order.
+        for k in data.draw(st.one_of(
+                quantities, quantities.map(lambda ks: sorted(set(ks))))):
             lin = price * k / n
             near = [lin * f for f in (0.0, 0.5, 0.9, 0.999, 1.0, 1.001)]
             cap = self.naive.cap_at(k)
@@ -212,4 +217,21 @@ class BidBookMachine(RuleBasedStateMachine):
 BidBookMachine.TestCase.settings = settings(
     max_examples=60, stateful_step_count=25, deadline=None, database=None,
     derandomize=True, suppress_health_check=[HealthCheck.too_slow])
-TestBidBookAgainstNaive = BidBookMachine.TestCase
+
+
+class TestBidBookAgainstNaive(BidBookMachine.TestCase):
+    def runTest(self):
+        """The state machine; both additional-bid folds must have run."""
+        seen = {"_fold_distinct": 0, "_fold_any": 0}
+        folds = {name: getattr(bidbook, name) for name in seen}
+        for name, fold in folds.items():
+            def counted(*args, fold=fold, name=name):
+                seen[name] += 1
+                return fold(*args)
+            setattr(bidbook, name, counted)
+        try:
+            super().runTest()
+        finally:
+            for name, fold in folds.items():
+                setattr(bidbook, name, fold)
+        assert min(seen.values()) > 0, seen

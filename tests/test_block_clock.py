@@ -1,0 +1,319 @@
+"""The block clock of a lone lockstep member, against the tick-by-tick loop.
+
+While one member is on the clock, ``mechanism._run_lockstep`` records
+both books ahead for a block of ticks and runs one closing test over the
+block (``mechanism._lone_block``).  These tests compare whole outcomes,
+round logs included, with ``tests/reference_engine.py::reference_run_cmra``,
+spy on the blocks to check that closes fell on the first and on the last
+tick of a block and that the maximum price cut a block short, and pin
+what happens when a strategy makes an illegal emission before, at or
+after its close.
+"""
+
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from reference_engine import reference_run_cmra
+from test_refine import FAMILIES
+
+from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
+                  mechanism, run_cmra)
+from cmra.bidbook import BidError
+from cmra.equilibrium import DropPolicy, SingleBidDeviation
+from cmra.mechanism import _apply_round, _run_lockstep
+from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """Every lone block as ``(first tick, length, ticks recorded, close
+    tick or None)``, in call order."""
+    seen = []
+    real = mechanism._lone_block
+
+    def spy(*args):
+        ticks, close = real(*args)
+        t, size = args[5], args[6]
+        seen.append((t, size, ticks, None if close is None else close[0]))
+        return ticks, close
+    monkeypatch.setattr(mechanism, "_lone_block", spy)
+    return seen
+
+
+def assert_same_outcome(got, want, context=None, rounds_from=0):
+    for f in fields(AuctionOutcome):
+        expected = getattr(want, f.name)
+        if f.name == "rounds":
+            expected = [row for row in expected if row[0] >= rounds_from]
+        assert getattr(got, f.name) == expected, (context, f.name)
+
+
+def random_strategy(seed, make, model, config):
+    """The profile's strategy, or a drop or single-bid deviation of it,
+    the same for the same seed."""
+    rng = np.random.default_rng(seed)
+    base = make(model, config.grid)
+    draw = rng.random()
+    price = float(rng.uniform(config.start, config.max_price))
+    if draw < 0.25:
+        return DropPolicy(base, price,
+                          int(rng.integers(0, config.grid.cap_index)))
+    if draw < 0.5:
+        k = int(rng.integers(1, config.grid.cap_index + 1))
+        return SingleBidDeviation(
+            base, k, float(rng.uniform(0, 1.2 * price * k / config.grid.n)),
+            price)
+    return base
+
+
+def lone_run(member, opponent, seat, config):
+    """A one-member lockstep run from the start price in ``seat``."""
+    fresh = [BidBook(config.grid, config.money_scale) for _ in range(2)]
+    out, = _run_lockstep([member], [0], fresh[:1], opponent, {0: fresh[1]},
+                         seat, config)
+    return out
+
+
+class TestBlockClock:
+    def test_matches_reference_loop(self, blocks):
+        rng = np.random.default_rng(83)
+        seen = {"refined": 0, "unrefined": 0, "start": 0, "seat 1": 0,
+                "drop": 0, "single-bid": 0, "close on first": 0,
+                "close on last": 0, "max price in block": 0, "tick 0": 0,
+                "long blocks": 0}
+        profiles = set()
+        for i in range(160):
+            profile = list(STRATEGY_TAGS)[i % 4]
+            family = ("power", "quadratic")[(i // 4) % 2]
+            model, (lo, hi), cap, top = FAMILIES[family]
+            make = STRATEGY_TAGS[profile]
+            grid = QuantityGrid(int(rng.choice([12, 20, 40])), cap)
+            config = AuctionConfig(
+                grid=grid, eps=float(rng.choice([5e-3, 2e-2, 6e-2])),
+                max_price=top, refine=bool(rng.random() < 0.6),
+                start=float(rng.choice([0.0, rng.uniform(0, 0.6)])),
+                log_rounds=True)
+            th1, th2 = (float(th) for th in rng.uniform(lo, hi, 2))
+
+            def pair(drawn=config):
+                # Fresh strategies each run; the same deviation each time.
+                return (random_strategy(i, make, model(th1), drawn),
+                        make(model(th2), grid))
+            if rng.random() < 0.3:
+                # Stop the clock short of the close, often inside a block.
+                close = reference_run_cmra(*pair(), config).final_price
+                if close > config.start + 1e-9:
+                    config = replace(config, max_price=float(
+                        rng.uniform(config.start, close)))
+            seat = int(rng.integers(0, 2))
+            member, opponent = pair()
+            want = reference_run_cmra(
+                *((member, opponent) if seat == 0 else (opponent, member)),
+                config)
+            del blocks[:]
+            member, opponent = pair()
+            got = (run_cmra(member, opponent, None, config) if seat == 0
+                   else lone_run(member, opponent, 1, config))
+            assert_same_outcome(got, want, (i, profile, family, config, seat))
+            kind = type(member).__name__
+            profiles.add(profile)
+            seen["drop"] += kind == "DropPolicy"
+            seen["single-bid"] += kind == "SingleBidDeviation"
+            seen["refined" if config.refine else "unrefined"] += want.closed
+            seen["start"] += config.start > 0 and want.closed
+            seen["seat 1"] += seat == 1
+            seen["tick 0"] += want.closed and want.rounds[-1][0] == 0
+            seen["long blocks"] += any(size == mechanism._BLOCK_MAX
+                                       for _, size, _, _ in blocks)
+            t, size, ticks, close = blocks[-1]
+            if close is not None and size > 1:
+                seen["close on first"] += close == t
+                seen["close on last"] += close == t + size - 1
+            seen["max price in block"] += close is None and ticks < size
+            # The blocks tile the clock from the start tick.
+            assert blocks[0][0] == 0
+            for (t0, _, n0, _), (t1, _, _, _) in zip(blocks, blocks[1:]):
+                assert t1 == t0 + n0
+        assert profiles == set(STRATEGY_TAGS)
+        assert min(seen.values()) > 0, seen
+
+    def test_members_join_a_lone_member(self, blocks):
+        """Blocks stop short of the next start tick, where members join
+        with their books and the opponent's snapshot."""
+        rng = np.random.default_rng(89)
+        joined = 0
+        for i in range(12):
+            profile = list(STRATEGY_TAGS)[i % 4]
+            family = ("power", "quadratic")[i % 2]
+            model, (lo, hi), cap, top = FAMILIES[family]
+            make = STRATEGY_TAGS[profile]
+            grid = QuantityGrid(20, cap)
+            config = AuctionConfig(grid=grid, eps=1e-2, max_price=top,
+                                   refine=bool(i % 3), log_rounds=True)
+            opp_theta = float(rng.uniform(lo, hi))
+            thetas = [float(th) for th in rng.uniform(lo, hi, 4)]
+            seat = i % 2
+
+            def bidders(th):
+                pair = (make(model(th), grid), make(model(opp_theta), grid))
+                return pair if seat == 0 else pair[::-1]
+            wants = [reference_run_cmra(*bidders(th), config)
+                     for th in thetas]
+            # Each member joins at a tick before its own close.
+            close_ticks = [w.rounds[-1][0] for w in wants]
+            starts = [0] + [int(rng.integers(0, max(c, 1)))
+                            for c in close_ticks[1:]]
+            members = [make(model(th), grid) for th in thetas]
+            opponent = make(model(opp_theta), grid)
+            books, snaps = [], {}
+            opp_book = BidBook(grid, config.money_scale)
+            for t in range(max(starts) + 1):
+                snaps[t] = opp_book.copy()
+                _apply_round(opp_book, opponent, config.start + t * config.eps)
+            for member, start in zip(members, starts):
+                book = BidBook(grid, config.money_scale)
+                for t in range(start):
+                    _apply_round(book, member, config.start + t * config.eps)
+                books.append(book)
+            del blocks[:]
+            got = _run_lockstep(members, starts, books, opponent, snaps, seat,
+                                config)
+            for out, want, start in zip(got, wants, starts):
+                assert_same_outcome(out, want, (i, profile), start)
+            for t, size, ticks, _ in blocks:
+                later = [s for s in starts if s > t]
+                if later:
+                    assert t + size <= min(later)
+                    joined += t + size == min(later)
+        assert joined > 0
+
+
+class _Faulty(ProxyStrategy):
+    """A strategy's emissions, made illegal from ``bad_price`` on.
+
+    ``rise`` keeps the headline below the cap before ``bad_price`` and
+    lifts it to the cap there; ``bid-cap`` adds a bid above the quantity
+    cap; ``negative`` adds a bid with a negative amount.  The clamp of
+    the engine repairs none of these.
+    """
+
+    def __init__(self, base, bad_price, fault):
+        super().__init__(base.model, base.grid)
+        self.base, self.bad_price, self.fault = base, bad_price, fault
+
+    def headline_index(self, p):
+        k = self.base.headline_index(p)
+        if self.fault == "rise":
+            cap = self.grid.cap_index
+            return cap if p >= self.bad_price else min(k, cap - 1)
+        return k
+
+    def additional_bid_arrays(self, p):
+        ks, amounts = self.base.additional_bid_arrays(p)
+        if p < self.bad_price or self.fault == "rise":
+            return ks, amounts
+        k, amount = ((self.grid.cap_index + 1, 0.0) if self.fault == "bid-cap"
+                     else (1, -0.5))
+        return np.append(ks, k), np.append(amounts, amount)
+
+
+def faulty_auction(profile="clock-truthful", n=20):
+    model, (lo, hi), cap, top = FAMILIES["power"]
+    make = STRATEGY_TAGS[profile]
+    grid = QuantityGrid(n, cap)
+    config = AuctionConfig(grid=grid, eps=1e-2, max_price=top)
+    models = (model(0.7), model(0.4))
+    close = reference_run_cmra(make(models[0], grid), make(models[1], grid),
+                               replace(config, refine=False))
+    return make, models, config, close.rounds[-1][0]
+
+
+def run_both(members, opponent, seat, config):
+    """The engine's and the reference's outcome or ``BidError``."""
+    got = want = None
+    bidders = (members[0](), opponent())
+    try:
+        want = reference_run_cmra(
+            *(bidders if seat == 0 else bidders[::-1]), config)
+    except BidError as exc:
+        want = exc
+    try:
+        fresh = [BidBook(config.grid, config.money_scale)
+                 for _ in range(len(members) + 1)]
+        got = _run_lockstep([m() for m in members], [0] * len(members),
+                            fresh[1:], opponent(), {0: fresh[0]}, seat,
+                            config)[0]
+    except BidError as exc:
+        got = exc
+    return got, want
+
+
+class TestIllegalEmissions:
+    @pytest.mark.parametrize("fault", ["rise", "bid-cap", "negative"])
+    @pytest.mark.parametrize("seat", [0, 1])
+    def test_error_before_at_and_after_close(self, fault, seat, blocks):
+        make, models, config, close = faulty_auction()
+        grid = config.grid
+        seen = {"raised": 0, "after close": 0, "inside closing block": 0}
+        # Ticks past the close fall inside the closing block or after it.
+        for bad in (1, close // 2, close - 1, close, close + 1, close + 2,
+                    close + 7, close + 40):
+            bad_price = config.start + (bad - 0.5) * config.eps
+            for refine in (True, False):
+                del blocks[:]
+                got, want = run_both(
+                    [lambda: _Faulty(make(models[0], grid), bad_price, fault)],
+                    lambda: make(models[1], grid), seat,
+                    replace(config, refine=refine))
+                if isinstance(want, BidError):
+                    assert type(got) is type(want)
+                    assert str(got) == str(want)
+                    seen["raised"] += 1
+                    continue
+                assert_same_outcome(got, want)
+                seen["after close"] += 1
+                # The closing block recorded the faulty tick and dropped
+                # its error.
+                t, size, _, closed_at = blocks[-1]
+                seen["inside closing block"] += closed_at < bad < t + size
+        assert min(seen.values()) > 0, seen
+
+    def test_both_bidders_fault_in_one_tick(self):
+        """The reference records bidder 1 first; so does the engine."""
+        make, models, config, close = faulty_auction()
+        grid = config.grid
+        bad_price = config.start + (close - 2.5) * config.eps
+        for seat in (0, 1):
+            faults = ("negative", "bid-cap") if seat == 0 \
+                else ("bid-cap", "negative")
+            got, want = run_both(
+                [lambda: _Faulty(make(models[0], grid), bad_price, faults[0])],
+                lambda: _Faulty(make(models[1], grid), bad_price, faults[1]),
+                seat, config)
+            assert isinstance(want, BidError)
+            assert type(got) is type(want) and str(got) == str(want)
+            assert "non-negative" in str(got)
+
+    def test_lockstep_raises_earliest_fault(self):
+        make, models, config, close = faulty_auction()
+        grid = config.grid
+        ticks = {"late": close - 2, "early": close - 9, "middle": close - 5}
+        faults = {"late": "rise", "early": "negative", "middle": "bid-cap"}
+
+        def member(name):
+            return lambda: _Faulty(make(models[0], grid), config.start + (
+                ticks[name] - 0.5) * config.eps, faults[name])
+
+        def opponent():
+            return make(models[1], grid)
+        for order in (["late", "early", "middle"], ["early", "late"],
+                      ["middle", "late", "early"]):
+            for seat in (0, 1):
+                _, early = run_both([member("early")], opponent, seat,
+                                    config)
+                assert isinstance(early, BidError)
+                got, _ = run_both([member(name) for name in order], opponent,
+                                  seat, config)
+                assert type(got) is type(early) and str(got) == str(early)

@@ -1,5 +1,6 @@
 """Closing solver, auction engines, and revenue-curve behavior."""
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
@@ -178,6 +179,46 @@ class TestRunCmra:
                 assert q <= 0.75 + 1e-12
                 if kind != "none":
                     assert pay <= out.final_price * q + 1e-6
+
+
+class TestConfigValidation:
+    """Values that would hang the engine or fail deep inside it."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("refine_tol", 0.0, "refine_tol"), ("refine_tol", -1e-7, "refine_tol"),
+        ("refine_tol", float("nan"), "refine_tol"),
+        ("refine_tol", float("inf"), "refine_tol"),
+        ("start", float("nan"), "start"), ("start", float("-inf"), "start"),
+        ("eps", float("nan"), "eps"), ("eps", float("inf"), "eps"),
+        ("max_price", float("nan"), "max_price"),
+        ("max_price", float("inf"), "max_price"),
+        ("money_scale", 0, "money_scale"), ("money_scale", -5, "money_scale"),
+        ("money_scale", 1e6, "money_scale"),
+        ("money_scale", True, "money_scale")])
+    def test_rejected(self, field, value, message):
+        *_, config = lots_env()
+        with pytest.raises(ValueError, match=message):
+            replace(config, **{field: value})
+
+    def test_accepted(self):
+        *_, config = lots_env()
+        for changes in ({"refine_tol": 1e-12}, {"money_scale": 1},
+                        {"money_scale": np.int64(10 ** 9)},
+                        {"start": -0.5, "refine": False}):
+            assert replace(config, **changes) is not None
+
+    def test_tolerance_at_the_float_spacing(self):
+        """Below the spacing of the clock prices the bisection never ends;
+        at it, both engines' bisections do."""
+        env, grid, config = lots_env()
+        spacing = math.ulp(2 * config.max_price)
+        with pytest.raises(ValueError, match="float spacing"):
+            replace(config, refine_tol=spacing / 2)
+        config = replace(config, refine_tol=spacing)
+        for run in (run_cmra, run_clock):
+            out = run(cmra_truthful(env.models[0], grid),
+                      cmra_truthful(env.models[1], grid), env, config)
+            assert out.closed
 
 
 class TestOneClockLoop:

@@ -1,7 +1,9 @@
 """The batched closing-price refine and its row record, against references.
 
 ``BookRows.record`` is checked row by row against
-``BidBook.record_round_indexed(clamp=True)``, and
+``BidBook.record_round_indexed(clamp=True)``, on bid indices in any
+order and sorted distinct, so both folds of the additional bids run for
+both; and
 ``mechanism._refine_closers`` closer by closer against the scalar
 bisection kept in ``tests/reference_engine.py``.
 """
@@ -14,7 +16,7 @@ import pytest
 from reference_engine import _refine_close, reference_run_cmra
 
 from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
-                  ValuationModel, run_cmra)
+                  ValuationModel, bidbook, run_cmra)
 from cmra.bidbook import (BidError, BookRows, CapExceeded,
                           NonMonotoneHeadline)
 from cmra.equilibrium import DropPolicy, SingleBidDeviation
@@ -49,9 +51,15 @@ def random_emission(rng, grid, price, last_headline, seen):
         seen["no bids"] += 1
         return k, np.empty(0, dtype=np.int64), np.empty(0)
     size = int(rng.integers(1, 6))
-    ks = rng.integers(0, grid.cap_index + 1, size).astype(np.int64)
-    if size > 1 and rng.random() < 0.4:
-        ks[1] = ks[0]
+    if rng.random() < 0.4:
+        # Sorted distinct indices, as the profiles' emissions are.
+        ks = np.sort(rng.choice(grid.cap_index + 1, min(size, grid.cap_index),
+                                replace=False)).astype(np.int64)
+        size = len(ks)
+    else:
+        ks = rng.integers(0, grid.cap_index + 1, size).astype(np.int64)
+        if size > 1 and rng.random() < 0.4:
+            ks[1] = ks[0]
     seen["duplicates"] += len(set(ks.tolist())) < size
     amounts = rng.uniform(0, 1.3, size) * price * np.maximum(ks, 1) / grid.n
     if rng.random() < 0.2:
@@ -59,11 +67,25 @@ def random_emission(rng, grid, price, last_headline, seen):
     return k, ks, amounts
 
 
+def count_folds(monkeypatch, seen, caller):
+    """Count the additional-bid folds by branch and by ``caller[0]``."""
+    for name, branch in (("_fold_distinct", "distinct fold"),
+                         ("_fold_any", "full fold")):
+        def counted(*args, fold=getattr(bidbook, name), branch=branch):
+            seen[caller[0], branch] += 1
+            return fold(*args)
+        monkeypatch.setattr(bidbook, name, counted)
+
+
 class TestBookRows:
-    def test_record_matches_bidbook(self):
+    def test_record_matches_bidbook(self, monkeypatch):
         rng = np.random.default_rng(61)
         seen = {"segment": 0, "no bids": 0, "duplicates": 0, "clamped": 0,
                 "fresh": 0}
+        caller = ["BidBook"]
+        seen.update({(who, branch): 0 for who in ("BidBook", "BookRows")
+                     for branch in ("distinct fold", "full fold")})
+        count_folds(monkeypatch, seen, caller)
         for _ in range(150):
             grid = QuantityGrid(int(rng.integers(4, 30)),
                                 float(rng.choice([0.75, 0.6, 0.9])))
@@ -86,7 +108,9 @@ class TestBookRows:
                     prices.append(price)
                     emissions.append(random_emission(
                         rng, grid, price, book.last_headline, seen))
+                caller[0] = "BookRows"
                 rows.record(prices, emissions)
+                caller[0] = "BidBook"
                 for r, (book, price, (k, ks, amounts)) in enumerate(
                         zip(books, prices, emissions)):
                     book.record_round_indexed(price, k, ks, amounts,

@@ -165,6 +165,15 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "pow-test_outcome.json").exists()
 
+    def test_run_rejects_zero_refine_tol(self, tmp_path, capsys):
+        """A zero tolerance would never end the refine bisection."""
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(pow_scenario(refine_tol=0)))
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+        assert "refine_tol must be positive and finite" in \
+            capsys.readouterr().err
+        assert not list(tmp_path.glob("pow-test_*"))
+
     def test_missing_scenario(self, tmp_path, capsys):
         assert main(["run", "no-such-scenario", "--out", str(tmp_path)]) == 2
         assert "error" in capsys.readouterr().err
