@@ -34,6 +34,13 @@ from .verify import CLAIMS, run_claim
 __all__ = ["main"]
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def _outdir(args) -> str:
     return args.out or os.environ.get("CMRA_OUTPUT_DIR", ".")
 
@@ -123,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a named verification claim",
                            allow_abbrev=False)
     p_ver.add_argument("claim", choices=sorted(CLAIMS))
-    p_ver.add_argument("--theta-grid", type=int, default=None,
+    p_ver.add_argument("--theta-grid", type=_positive_int, default=None,
                        help="type-grid points per bidder of a deviation "
                             "search (expost-battery, strategy-matrix)")
     p_ver.add_argument("--grid-n", type=int, default=None,

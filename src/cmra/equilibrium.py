@@ -62,6 +62,7 @@ check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -196,6 +197,13 @@ class DeviationFamily:
     n_drop_prices: int = 20
     bid_quantities: tuple | None = None      # grid indices, default 1..cap
     drop_quantities: tuple | None = None     # grid indices, default 0..cap-1
+
+    def __post_init__(self):
+        for name in ("n_amounts", "n_submit_prices", "n_drop_prices"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(
+                    value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1")
 
 
 @dataclass
@@ -600,6 +608,15 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     family = family or DeviationFamily()
     make = STRATEGY_TAGS[profile]
     grid = config.grid
+    if theta_grid < 1:
+        raise ValueError("theta_grid must be at least 1")
+    for name, legal in (("bid_quantities", range(1, grid.cap_index + 1)),
+                        ("drop_quantities", range(grid.cap_index))):
+        bad = [k for k in getattr(family, name) or () if k not in legal]
+        if bad:
+            raise ValueError(f"{name} {bad} outside {legal.start}.."
+                             f"{legal.stop - 1}, the grid indices up to "
+                             f"the cap")
     scale = config.money_scale
     lo, hi = env.distribution.support
     thetas = [lo + (hi - lo) * i / (theta_grid - 1) for i in range(theta_grid)] \

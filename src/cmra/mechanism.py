@@ -15,13 +15,13 @@ legitimate prices), which makes recorded values converge to their
 continuous-clock suprema.
 
 There is one clock loop, :func:`_run_lockstep`, which runs any number
-of strategies in one seat against one opponent.  While several members
-are on the clock, one batched closing test per tick covers them all;
-while one is, the loop records both books ahead for a block of up to
-``_BLOCK_MAX`` ticks and runs one closing test over the block.
-:func:`run_cmra` is its one-member call from the start price; the
-deviation search enters it with many members, each at its own resume
-tick.  A member that closes leaves the clock, and the loop refines every
+of strategies in one seat against one opponent, and one block clock,
+:func:`_block`: it records every book on the clock ahead for a block of
+ticks and runs one batched closing test over the block.  A block is one
+tick long while several members are on the clock and up to
+``_BLOCK_MAX`` ticks while one is.  :func:`run_cmra` is the loop's
+one-member call from the start price; the deviation search enters it
+with many members, each at its own resume tick.  A member that closes leaves the clock, and the loop refines every
 closer at its end in one batched bisection, :func:`_refine_closers`: the
 closers' books are rows of one ``BookRows`` state, and each step records
 one probe round on every closer still bisecting and runs one batched
@@ -54,7 +54,7 @@ __all__ = [
 _NEG = -SENTINEL_UNITS  # solver-internal only; masked entries never leak
 
 # The longest block of clock ticks a lone member records ahead of one
-# closing test.
+# closing test; several members on the clock record one tick per block.
 _BLOCK_MAX = 32
 
 CLOSED = "closed"
@@ -229,11 +229,6 @@ def _apply_round(book: BidBook, strategy, price: float):
     return k, ks, amounts
 
 
-def _record(book: BidBook, emission, price: float) -> None:
-    """Record an emission that ``_apply_round`` made at ``price`` again."""
-    book.record_round_indexed(price, *emission, clamp=True)
-
-
 def _log_round(log, round_no, price, emissions, closed, r_star):
     for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
         log.append((round_no, price, bidder, "headline", k, None,
@@ -273,15 +268,13 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
 
     Emissions are pure functions of the price, so the opponent's book at
     a tick is the same for every member: it is recorded once per tick.
-    While two or more members are on the clock, one batched closing test
-    per tick covers them all.  While one member is, the clock runs in
-    blocks (:func:`_lone_block`): both books are recorded ahead for up
-    to ``_BLOCK_MAX`` ticks, which never reach the next member's start
-    tick, and one closing test covers the block.  A block's length
-    starts at 1 and doubles while the member stays alone, so a close
-    soon after a join wastes few ticks.  Within a tick the bidders
-    record in seat order, members in member order, so the error that
-    surfaces is the first one a tick-by-tick loop meets.
+    The clock runs in blocks (:func:`_block`): every book on the clock
+    is recorded ahead for up to ``size`` ticks, which never reach the
+    next member's start tick, and one closing test covers the block.
+    While two or more members are on the clock a block is one tick
+    long.  While one is, its length starts at 1 and doubles up to
+    ``_BLOCK_MAX`` while the member stays alone, so a close soon after a
+    join wastes few ticks.
 
     A member that closes leaves the clock; when it refines, it keeps its
     own pre-tick book and the opponent's, and all closers refine
@@ -303,78 +296,31 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
             block = 1
             while pending and starts[pending[-1]] == t:
                 active.append(pending.pop())
-        price = config.start + t * config.eps
-        if price > config.max_price + 1e-12:
+        if config.start + t * config.eps > config.max_price + 1e-12:
             for i in active:
                 outcomes[i] = _max_price_outcome(config, logs[i])
             active = []
             continue
-        if len(active) == 1:
-            i = active[0]
+        if len(active) > 1:
+            size = block = 1
+        else:
             size = min(block, starts[pending[-1]] - t) if pending else block
             block = min(2 * block, _BLOCK_MAX)
-            ticks, close = _lone_block(strategies[i], books[i], opponent,
-                                       opp_book, seat, t, size, config,
-                                       logs[i])
-            t += ticks
-            if close is None:
-                continue
-            active = []
-            tick, own_base, opp_base, (own_emit, opp_emit) = close
-            price = config.start + tick * config.eps
-            own_hi, opp_hi = own_base.copy(), opp_base.copy()
-            _record(own_hi, own_emit, price)
-            _record(opp_hi, opp_emit, price)
-            if config.refine and tick > 0:
-                closers.append(_Closer(i, tick, own_base, opp_base, own_hi,
-                                       opp_hi))
-            else:
-                pair = (own_hi, opp_hi) if seat == 0 else (opp_hi, own_hi)
-                outcomes[i] = _build_outcome(price, pair, solve_closing(*pair),
-                                             config, logs[i])
+        ticks, closed, opp_book = _block(active, strategies, books, opponent,
+                                         opp_book, seat, t, size, config, logs)
+        t += ticks
+        if not closed:
             continue
-        block = 1
-        opp_base = opp_book.copy()
-        if seat == 1:
-            opp_emitted = _apply_round(opp_book, opponent, price)
-        bases, emitted = [], []
-        for i in active:
-            bases.append(books[i].copy())
-            emitted.append(_apply_round(books[i], strategies[i], price))
-        if seat == 0:
-            opp_emitted = _apply_round(opp_book, opponent, price)
-        # The closing test is seat-symmetric: members go on side 1.
-        best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
-            np.array([books[i].values for i in active]),
-            np.array([books[i].has_bid for i in active]),
-            opp_book.values, opp_book.has_bid))
-        if config.log_rounds:
-            for i, emit, done, pair_rev, single_rev in zip(
-                    active, emitted, closed, best_pair, best_single):
-                r_star = max(pair_rev, single_rev)
-                emissions = (emit, opp_emitted) if seat == 0 \
-                    else (opp_emitted, emit)
-                _log_round(logs[i], t, price, emissions, done,
-                           r_star if r_star >= 0 else None)
-        if any(closed):
-            still = []
-            opp_hi = None
-            for i, own_base, done in zip(active, bases, closed):
-                if not done:
-                    still.append(i)
-                    continue
-                if config.refine and t > 0:
-                    if opp_hi is None:
-                        opp_hi = opp_book.copy()
-                    closers.append(_Closer(i, t, own_base, opp_base,
-                                           books[i], opp_hi))
-                    continue
-                pair = (books[i], opp_book) if seat == 0 \
-                    else (opp_book, books[i])
-                outcomes[i] = _build_outcome(price, pair, solve_closing(*pair),
-                                             config, logs[i])
-            active = still
-        t += 1
+        gone = {c.member for c in closed}
+        active = [i for i in active if i not in gone]
+        for c in closed:
+            if config.refine and c.tick > 0:
+                closers.append(c)
+                continue
+            pair = (c.own_hi, c.opp_hi) if seat == 0 else (c.opp_hi, c.own_hi)
+            outcomes[c.member] = _build_outcome(
+                config.start + c.tick * config.eps, pair, solve_closing(*pair),
+                config, logs[c.member])
     if closers:
         for c, (close_price, pair, result, fallback) in zip(
                 closers, _refine_closers(closers, strategies, opponent, seat,
@@ -385,85 +331,114 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     return outcomes
 
 
-def _lone_block(strategy, book, opponent, opp_book, seat: int, t: int,
-                size: int, config: AuctionConfig, log) -> tuple:
-    """Up to ``size`` clock ticks of one member from tick ``t``, one closing test.
+def _block(active, strategies, books, opponent, opp_book, seat: int, t: int,
+           size: int, config: AuctionConfig, logs) -> tuple:
+    """Up to ``size`` clock ticks of the active members from tick ``t``.
 
-    Both books are recorded in place tick by tick; each tick's values
-    and masks are kept as rows, and one closing test runs over the rows.
-    Ticks past the maximum price are not recorded.  Returns ``(ticks,
-    None)`` when none of the ``ticks`` recorded ticks closes, and
-    ``(ticks, (tick, own_base, opp_base, emissions))`` for the first
-    tick that closes: the two books before that tick's round, rebuilt
-    from copies taken at the block's start by recording the block's
-    earlier rounds again, and the tick's two emissions.  The log gets
-    the rows of the ticks up to the close.  An exception that a round
-    raises surfaces only when no earlier tick of the block closes, as it
-    would in a tick-by-tick loop; the books are then undefined.
+    Every book is recorded in place tick by tick, in seat order with the
+    members in member order, so the error that surfaces is the first one
+    a tick-by-tick loop meets.  The values and masks of the K ticks are
+    kept as ``(K, B, n+1)`` member rows against ``(K, 1, n+1)`` opponent
+    rows for one closing test.  Ticks past the maximum price are not
+    recorded.  The block ends at the first tick where some member
+    closes, and each member's log gets the rows up to it.
+
+    Returns ``(ticks, closers, opp_book)``: the ticks the clock
+    advanced, a :class:`_Closer` per member that closed at the last of
+    them, and the opponent's book after it.  Books are copied once, at
+    the block's start; a book recorded past the close, and a closer's
+    book before its closing tick, are rebuilt from the copy by recording
+    the block's rounds again, so the block is exact for any length and
+    number of members.  An exception that a round raises surfaces only
+    when no tick of the block closes, as in a tick-by-tick loop.
     """
-    own_start, opp_start = book.copy(), opp_book.copy()
-    width = config.grid.n + 1
-    own_values = np.empty((size, width), dtype=np.int64)
-    own_mask = np.empty((size, width), dtype=bool)
-    opp_values = np.empty((size, width), dtype=np.int64)
-    opp_mask = np.empty((size, width), dtype=bool)
+    width = len(active)
+    opp = width if seat == 0 else 0  # members start at ``seat``
+    shape = (size, width, config.grid.n + 1)
+    own_values, own_mask = np.empty(shape, np.int64), np.empty(shape, bool)
+    shape = (size, 1, config.grid.n + 1)
+    opp_values, opp_mask = np.empty(shape, np.int64), np.empty(shape, bool)
+    # Each book with its strategy and its rows, in seat order.
+    slots = [(books[i], strategies[i], own_values, own_mask, r)
+             for r, i in enumerate(active)]
+    slots.insert(opp, (opp_book, opponent, opp_values, opp_mask, 0))
+    starts = [slot[0].copy() for slot in slots]
     prices, emitted = [], []
     error = None
     for j in range(size):
         price = config.start + (t + j) * config.eps
         if price > config.max_price + 1e-12:
             break
+        emits = []
         try:
-            if seat == 0:
-                own_emit = _apply_round(book, strategy, price)
-                opp_emit = _apply_round(opp_book, opponent, price)
-            else:
-                opp_emit = _apply_round(opp_book, opponent, price)
-                own_emit = _apply_round(book, strategy, price)
+            for book, bidder, values, mask, r in slots:
+                emits.append(_apply_round(book, bidder, price))
+                values[j, r] = book.values
+                mask[j, r] = book.has_bid
         except Exception as exc:  # raised below unless an earlier tick closes
             error = exc
             break
-        own_values[j] = book.values
-        own_mask[j] = book.has_bid
-        opp_values[j] = opp_book.values
-        opp_mask[j] = opp_book.has_bid
         prices.append(price)
-        emitted.append((own_emit, opp_emit))
+        emitted.append(emits)
     ticks = len(prices)
-    first = None
-    if ticks:
-        best_pair, best_single, closed = (x.tolist() for x in _closing_rows(
-            own_values[:ticks], own_mask[:ticks], opp_values[:ticks],
-            opp_mask[:ticks]))
-        if True in closed:
-            first = closed.index(True)
-            ticks = first + 1
-        if config.log_rounds:
-            for j in range(ticks):
-                r_star = max(best_pair[j], best_single[j])
-                own_emit, opp_emit = emitted[j]
-                _log_round(log, t + j, prices[j],
-                           (own_emit, opp_emit) if seat == 0
-                           else (opp_emit, own_emit),
-                           closed[j], r_star if r_star >= 0 else None)
+    best_pair, best_single, closed = _closing_rows(
+        own_values[:ticks], own_mask[:ticks],
+        opp_values[:ticks], opp_mask[:ticks])
+    closed = closed.ravel().tolist()  # member r at tick j: [j * width + r]
+    first = closed.index(True) // width if True in closed else None
+    if first is not None:
+        ticks = first + 1
+    if config.log_rounds:
+        best_pair, best_single = best_pair.tolist(), best_single.tolist()
+        for j in range(ticks):
+            emits = emitted[j]
+            for r, i in enumerate(active):
+                r_star = max(best_pair[j][r], best_single[j][r])
+                _log_round(logs[i], t + j, prices[j],
+                           (emits[r], emits[opp]) if seat == 0
+                           else (emits[0], emits[r + 1]),
+                           closed[j * width + r],
+                           r_star if r_star >= 0 else None)
     if first is None:
         if error is not None:
             raise error
-        return ticks, None
-    for price, (own_emit, opp_emit) in zip(prices[:first], emitted):
-        _record(own_start, own_emit, price)
-        _record(opp_start, opp_emit, price)
-    return ticks, (t + first, own_start, opp_start, emitted[first])
+        return ticks, [], opp_book
+    fresh = first == len(prices) - 1 and error is None
+
+    def rebuilt(pos):
+        # The book before the closing tick's round and after it.
+        base = starts[pos]
+        for price, emits in zip(prices[:first], emitted):
+            base.record_round_indexed(price, *emits[pos], clamp=True)
+        if fresh:
+            return base, slots[pos][0]
+        hi = base.copy()
+        hi.record_round_indexed(prices[first], *emitted[first][pos],
+                                clamp=True)
+        return base, hi
+    opp_base, opp_hi = rebuilt(opp)
+    flags = closed[first * width:ticks * width]
+    if not all(flags):  # the opponent's book stays on the clock
+        opp_book, opp_hi = opp_hi, opp_hi.copy()
+    closers = []
+    for r, (i, done) in enumerate(zip(active, flags)):
+        if done:
+            own_base, own_hi = rebuilt(seat + r)
+            closers.append(_Closer(i, t + first, own_base, opp_base, own_hi,
+                                   opp_hi))
+        elif not fresh:
+            books[i] = rebuilt(seat + r)[1]
+    return ticks, closers, opp_book
 
 
 class _Closer(NamedTuple):
-    """What a member that closed at clock tick ``tick > 0`` refines from."""
+    """A member that closed at clock tick ``tick``, with its books."""
 
     member: int
     tick: int
     own_base: BidBook   # its book before the tick's round
     opp_base: BidBook   # the opponent's book before the tick's round
-    own_hi: BidBook     # both books after the round, for the fallback
+    own_hi: BidBook     # both books after the round
     opp_hi: BidBook
 
 

@@ -82,6 +82,8 @@ class Scenario:
         if mode not in ("single", "sweep", "verify", "audit"):
             raise ScenarioError(f"unknown mode {mode!r}")
         options = dict(data.get(mode, {}))
+        if mode == "sweep" and int(options.get("theta_grid", 5)) < 1:
+            raise ScenarioError("sweep theta_grid must be at least 1")
         if mode in ("verify", "audit"):
             env = strategies = config = None
             if mode == "verify" and "claim" not in options:

@@ -1,9 +1,10 @@
 """Plain implementations kept as references for the engine and writers.
 
 ``cmra.mechanism.run_cmra`` runs through the lockstep clock loop that
-also replays the deviation search's families; a lone member's clock runs
-in blocks of ticks with one closing test per block, and every closer of
-one loop refines in one batched bisection.  ``reference_run_cmra`` is the
+also replays the deviation search's families.  Its one block clock runs
+blocks of ticks with one closing test per block, one tick long while
+several members are on the clock, and every closer of one loop refines
+in one batched bisection.  ``reference_run_cmra`` is the
 plain loop it replaced: two books, one full closing solve per tick, and
 one bisection per auction on two ``BidBook`` copies per probe.
 

@@ -1,15 +1,18 @@
-"""The block clock of a lone lockstep member, against the tick-by-tick loop.
+"""The block clock of the lockstep loop, against the tick-by-tick loop.
 
-While one member is on the clock, ``mechanism._run_lockstep`` records
-both books ahead for a block of ticks and runs one closing test over the
-block (``mechanism._lone_block``).  These tests compare whole outcomes,
-round logs included, with ``tests/reference_engine.py::reference_run_cmra``,
-spy on the blocks to check that closes fell on the first and on the last
-tick of a block and that the maximum price cut a block short, and pin
-what happens when a strategy makes an illegal emission before, at or
-after its close.
+``mechanism._run_lockstep`` runs its clock in blocks
+(``mechanism._block``): every book on the clock is recorded ahead for a
+block of ticks and one closing test runs over the block.  A block is one
+tick long while several members are on the clock.  These tests compare
+whole outcomes, round logs included, with
+``tests/reference_engine.py::reference_run_cmra``, spy on the blocks to
+check that closes fell on the first and on the last tick of a block,
+that the maximum price cut a block short and that members closed
+together, and pin what happens when a strategy makes an illegal
+emission before, at or after its close.
 """
 
+import itertools
 from dataclasses import fields, replace
 
 import numpy as np
@@ -26,19 +29,31 @@ from cmra.mechanism import _apply_round, _run_lockstep
 from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
 
 
+class BlockLog(list):
+    """Every lone-member block as ``(first tick, length, ticks recorded,
+    close tick or None)``, in call order.  ``joint`` holds, per block of
+    several members, ``(members, length, ticks recorded, closers)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.joint = []
+
+
 @pytest.fixture
 def blocks(monkeypatch):
-    """Every lone block as ``(first tick, length, ticks recorded, close
-    tick or None)``, in call order."""
-    seen = []
-    real = mechanism._lone_block
+    seen = BlockLog()
+    real = mechanism._block
 
-    def spy(*args):
-        ticks, close = real(*args)
+    def spy(active, *args):
+        ticks, closers, opp_book = real(active, *args)
         t, size = args[5], args[6]
-        seen.append((t, size, ticks, None if close is None else close[0]))
-        return ticks, close
-    monkeypatch.setattr(mechanism, "_lone_block", spy)
+        if len(active) == 1:
+            seen.append((t, size, ticks,
+                         closers[0].tick if closers else None))
+        else:
+            seen.joint.append((len(active), size, ticks, len(closers)))
+        return ticks, closers, opp_book
+    monkeypatch.setattr(mechanism, "_block", spy)
     return seen
 
 
@@ -188,6 +203,75 @@ class TestBlockClock:
                     assert t + size <= min(later)
                     joined += t + size == min(later)
         assert joined > 0
+        assert blocks.joint
+        assert all(size == 1 for _, size, _, _ in blocks.joint)
+
+    def test_members_close_together(self, blocks):
+        """Several members on the clock run blocks of one tick, and members
+        that close at one tick each keep their own outcome and log."""
+        rng = np.random.default_rng(97)
+        seen = {"refined": 0, "unrefined": 0, "seat 0": 0, "seat 1": 0}
+        for i in range(24):
+            del blocks.joint[:]
+            config, seat = run_several_members(rng, i, refine=bool(i % 2))
+            assert all(size == 1 for _, size, _, _ in blocks.joint)
+            together = sum(closers >= 2 for *_, closers in blocks.joint)
+            seen["refined" if config.refine else "unrefined"] += together
+            seen[f"seat {seat}"] += together
+        assert min(seen.values()) > 0, seen
+
+    def test_long_blocks_of_several_members(self, monkeypatch):
+        """A block of several members over many ticks is exact too: the
+        members that do not close at its close go on with the books of a
+        tick-by-tick loop."""
+        real = mechanism._block
+        size = 7
+        rewound = 0
+
+        def wide(active, *args):
+            nonlocal rewound
+            args = list(args)
+            args[6] = size
+            ticks, closers, opp_book = real(active, *args)
+            rewound += 0 < len(closers) < len(active) and ticks < size
+            return ticks, closers, opp_book
+        monkeypatch.setattr(mechanism, "_block", wide)
+        rng = np.random.default_rng(101)
+        for i in range(16):
+            run_several_members(rng, i, refine=bool(i % 2))
+        assert rewound > 0
+
+
+def run_several_members(rng, i, refine, count=6):
+    """``count`` members of two types from tick 0 in one lockstep run, each
+    checked against its own reference run; returns the config and seat."""
+    profile = list(STRATEGY_TAGS)[i % 4]
+    family = ("power", "quadratic")[(i // 4) % 2]
+    model, (lo, hi), cap, top = FAMILIES[family]
+    make = STRATEGY_TAGS[profile]
+    config = AuctionConfig(grid=QuantityGrid(20, cap), eps=2e-2,
+                           max_price=top, refine=refine, log_rounds=True)
+    # Members of one type that have not deviated by then close together.
+    thetas = [float(th) for th in rng.uniform(lo, hi, 2)]
+    opp_theta = float(rng.uniform(lo, hi))
+    seat = int(rng.integers(0, 2))
+
+    def members():
+        return [random_strategy(100 * i + k, make, model(thetas[k % 2]),
+                                config) for k in range(count)]
+
+    def opponent():
+        return make(model(opp_theta), config.grid)
+    wants = [reference_run_cmra(
+        *((m, opponent()) if seat == 0 else (opponent(), m)), config)
+        for m in members()]
+    fresh = [BidBook(config.grid, config.money_scale)
+             for _ in range(count + 1)]
+    got = _run_lockstep(members(), [0] * count, fresh[1:], opponent(),
+                        {0: fresh[0]}, seat, config)
+    for k, (out, want) in enumerate(zip(got, wants)):
+        assert_same_outcome(out, want, (i, profile, family, seat, k))
+    return config, seat
 
 
 class _Faulty(ProxyStrategy):
@@ -279,6 +363,31 @@ class TestIllegalEmissions:
                 t, size, _, closed_at = blocks[-1]
                 seen["inside closing block"] += closed_at < bad < t + size
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("profile", ["cmra-truthful", "constant"])
+    def test_fault_on_the_tick_after_close(self, profile, blocks):
+        """A fault on the tick after the close, inside the closing block,
+        can leave the books with part of that tick's round; the closer's
+        books after its closing tick are rebuilt rather than taken."""
+        seen = 0
+        for n in (12, 20, 40):
+            make, models, config, close = faulty_auction(profile, n)
+            grid = config.grid
+            bad_price = config.start + (close + 0.5) * config.eps
+            for seat, fault, refine in itertools.product(
+                    (0, 1), ("rise", "bid-cap", "negative"), (True, False)):
+                del blocks[:]
+                got, want = run_both(
+                    [lambda: _Faulty(make(models[0], grid), bad_price, fault)],
+                    lambda: make(models[1], grid), seat,
+                    replace(config, refine=refine))
+                if isinstance(want, BidError):
+                    assert type(got) is type(want) and str(got) == str(want)
+                    continue
+                assert_same_outcome(got, want, (n, seat, fault, refine))
+                t, size, _, closed_at = blocks[-1]
+                seen += closed_at == close and close + 1 < t + size
+        assert seen > 0
 
     def test_both_bidders_fault_in_one_tick(self):
         """The reference records bidder 1 first; so does the engine."""

@@ -255,6 +255,52 @@ class TestExPostSearch:
         assert mixed.payments[0] == pytest.approx(0.7, abs=5e-3)
 
 
+class TestSearchArguments:
+    """A search whose grids are empty, negative or off the quantity grid
+    is refused rather than run on a different grid."""
+
+    @pytest.mark.parametrize("theta_grid", [0, -3])
+    def test_type_grid_must_be_positive(self, theta_grid):
+        with pytest.raises(ValueError, match="theta_grid"):
+            check_expost("constant", quad_env(), small_config(0.9, 1.5),
+                         theta_grid=theta_grid,
+                         family=DeviationFamily(n_amounts=2,
+                                                n_submit_prices=2,
+                                                n_drop_prices=2))
+
+    @pytest.mark.parametrize("name", ["n_amounts", "n_submit_prices",
+                                      "n_drop_prices"])
+    @pytest.mark.parametrize("value", [0, -2, 2.5, True, None])
+    def test_family_counts_must_be_integers_of_at_least_one(self, name,
+                                                            value):
+        with pytest.raises(ValueError, match=name):
+            DeviationFamily(**{name: value})
+
+    @pytest.mark.parametrize("value", [1, np.int64(3)])
+    def test_family_counts_of_one_or_more_are_legal(self, value):
+        fam = DeviationFamily(n_amounts=value, n_submit_prices=value,
+                              n_drop_prices=value)
+        assert fam.n_amounts == value
+
+    @pytest.mark.parametrize("kw", [
+        {"bid_quantities": (25,)}, {"bid_quantities": (3, 0)},
+        {"bid_quantities": (19,)}, {"drop_quantities": (18,)},
+        {"drop_quantities": (-1, 4)}])
+    def test_quantities_must_lie_on_the_grid_up_to_the_cap(self, kw):
+        # Cap 0.9 on a grid of 20: bids on 1..18, drops to 0..17.
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            check_expost("constant", quad_env(), small_config(0.9, 1.5),
+                         theta_grid=2, family=DeviationFamily(**kw))
+
+    def test_quantities_up_to_the_cap_are_searched(self):
+        fam = DeviationFamily(n_amounts=2, n_submit_prices=2,
+                              n_drop_prices=2, bid_quantities=(1, 18),
+                              drop_quantities=(0, 17))
+        res = check_expost("constant", quad_env(), small_config(0.9, 1.5),
+                           theta_grid=2, family=fam)
+        assert res.members > 0
+
+
 class TestBaselines:
     """The search's profile baselines against runs from price 0."""
 

@@ -65,6 +65,14 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("theta_grid", [0, -3])
+    def test_sweep_type_grid_must_be_positive(self, theta_grid):
+        data = pow_scenario()
+        data["mode"] = "sweep"
+        data["sweep"] = {"theta_grid": theta_grid}
+        with pytest.raises(ScenarioError, match="theta_grid"):
+            Scenario.from_dict(data)
+
 
 class TestRunScenario:
     def test_single_run_artifacts(self, tmp_path):
@@ -246,6 +254,16 @@ class TestCli:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
         assert "--grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    def test_verify_rejects_a_type_grid_that_is_not_positive(
+            self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setattr(cli, "run_claim", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "expost-battery", "--theta-grid", value,
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--theta-grid" in capsys.readouterr().err
 
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMRA_OUTPUT_DIR", str(tmp_path))
