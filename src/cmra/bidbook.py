@@ -272,10 +272,10 @@ class BidBook:
 class BookRows:
     """Bid books stacked as rows: ``BidBook``'s arrays with shape ``(R, n+1)``.
 
-    The engine's batched refine holds every closer's two books here and
-    records one round on many rows in one :meth:`record` call, with the
-    rules, integer rounding and errors of
-    ``BidBook.record_round_indexed(clamp=True)``.
+    The engine's clock loop holds every book on the clock here, and its
+    batched refine every closer's two books; each records one round on
+    many rows in one :meth:`record` call, with the rules, integer
+    rounding and errors of ``BidBook.record_round_indexed(clamp=True)``.
     """
 
     __slots__ = ("grid", "scale", "values", "has_bid", "kinds", "seg_lo",
@@ -350,56 +350,65 @@ class BookRows:
         An emission is ``(headline_k, ks, amounts)``.  Checks, the
         headline bid and drop segments are scalar work per row, as in
         ``BidBook``; the additional bids of all rows are admitted and
-        folded into the running maxima at once.  A ``BidError`` leaves
+        folded into the running maxima at once.  The ``BidError`` raised
+        is the one a row-by-row record would raise first, and it leaves
         the rows undefined: callers drop them.
         """
         grid, scale = self.grid, self.scale
-        n, width, cap = grid.n, grid.n + 1, grid.cap_index
-        values, has_bid, kinds = self.values, self.has_bid, self.kinds
-        seg_lo, seg_base = self.seg_lo, self.seg_base
+        n, cap = grid.n, grid.cap_index
+        values, has_bid = self.values, self.has_bid
         last_price, last_headline = self.last_price, self.last_headline
-        bid_rows, bid_prices, bid_ks, bid_amounts = [], [], [], []
-        for r, (price, (k, ks, amounts)) in enumerate(zip(prices, emissions)):
-            last = last_price[r]
-            if last is not None and price <= last:
-                raise BidError(
-                    f"clock price {price} does not exceed previous {last}")
-            if k > cap:
-                raise CapExceeded("headline demand exceeds the quantity cap")
-            hi = last_headline[r]
-            if hi is not None:
-                if k > hi:
-                    raise NonMonotoneHeadline(f"headline rose from {hi} to {k}")
-                for j in range(k + 1, hi):
-                    seg_lo[r, j] = k
-                    seg_base[r, j] = money_units(price * (j - k) / n, scale)
-            units = money_units(price * k / n, scale)
-            if not has_bid[r, k] or units > values[r, k]:
-                values[r, k] = units
-                has_bid[r, k] = True
-                kinds[r, k] = KIND_HEADLINE
-            if len(ks):
-                bid_rows.append(r)
-                bid_prices.append(price)
-                bid_ks.append(ks)
-                bid_amounts.append(amounts)
-            last_price[r] = price
-            last_headline[r] = k
-        if not bid_rows:
-            return
-        if len(bid_rows) == 1:
-            ks, amounts = bid_ks[0], bid_amounts[0]
-            price = bid_prices[0]
-            base = bid_rows[0] * width
-        else:
-            counts = [len(x) for x in bid_ks]
-            ks, amounts = np.concatenate(bid_ks), np.concatenate(bid_amounts)
-            price = np.repeat(bid_prices, counts)
-            base = np.repeat(np.asarray(bid_rows) * width, counts)
-        _admit_and_fold(values.reshape(-1), has_bid.reshape(-1),
-                        kinds.reshape(-1), seg_lo.reshape(-1),
-                        seg_base.reshape(-1), base, base + ks, ks, amounts,
-                        price, grid, scale, True)
+        bids = []  # (row, price, ks, amounts) of the rows with bids
+        try:
+            for r, (price, (k, ks, amounts)) in enumerate(zip(prices,
+                                                              emissions)):
+                last = last_price[r]
+                if last is not None and price <= last:
+                    raise BidError(
+                        f"clock price {price} does not exceed previous {last}")
+                if k > cap:
+                    raise CapExceeded("headline demand exceeds the quantity cap")
+                hi = last_headline[r]
+                if hi is not None and k != hi:
+                    if k > hi:
+                        raise NonMonotoneHeadline(
+                            f"headline rose from {hi} to {k}")
+                    for j in range(k + 1, hi):
+                        self.seg_lo[r, j] = k
+                        self.seg_base[r, j] = money_units(
+                            price * (j - k) / n, scale)
+                units = money_units(price * k / n, scale)
+                if not has_bid[r, k] or units > values[r, k]:
+                    values[r, k] = units
+                    has_bid[r, k] = True
+                    self.kinds[r, k] = KIND_HEADLINE
+                if len(ks):
+                    bids.append((r, price, ks, amounts))
+                last_price[r] = price
+                last_headline[r] = k
+            if not bids:
+                return
+            if len(bids) == 1:
+                (r, price, ks, amounts), = bids
+                base = r * (n + 1)
+            else:
+                rows, row_prices, row_ks, row_amounts = zip(*bids)
+                counts = [len(x) for x in row_ks]
+                ks = np.concatenate(row_ks)
+                amounts = np.concatenate(row_amounts)
+                price = np.repeat(row_prices, counts)
+                base = np.repeat(np.asarray(rows) * (n + 1), counts)
+            _admit_and_fold(values.reshape(-1), has_bid.reshape(-1),
+                            self.kinds.reshape(-1), self.seg_lo.reshape(-1),
+                            self.seg_base.reshape(-1), base, base + ks, ks,
+                            amounts, price, grid, scale, True)
+        except BidError:
+            # The first fault in row order wins, as in a row-by-row
+            # record: bids of an earlier row fault before a later row's
+            # headline, and the fold checks all rows' bids at once.
+            for _, _, ks, amounts in bids:
+                _check_bids(ks, amounts, cap)
+            raise
 
 
 def _admit_and_fold(values, has_bid, kinds, seg_lo, seg_base, base, flat, ks,
@@ -416,10 +425,7 @@ def _admit_and_fold(values, has_bid, kinds, seg_lo, seg_base, base, flat, ks,
     it raises.  Every check runs before any array changes.
     """
     n = grid.n
-    if ks.max() > grid.cap_index:
-        raise CapExceeded("additional bid above the quantity cap")
-    if amounts.min() < 0:
-        raise BidError("bid amounts must be non-negative")
+    _check_bids(ks, amounts, grid.cap_index)
     lo = seg_lo[flat]
     capped = lo.max() >= 0
     if capped:
@@ -455,6 +461,14 @@ def _admit_and_fold(values, has_bid, kinds, seg_lo, seg_base, base, flat, ks,
     values[at] = raised
     has_bid[at] = True
     kinds[at] = KIND_ADDITIONAL
+
+
+def _check_bids(ks, amounts, cap: int) -> None:
+    """The checks of additional bids that no clamp repairs."""
+    if ks.max() > cap:
+        raise CapExceeded("additional bid above the quantity cap")
+    if amounts.min() < 0:
+        raise BidError("bid amounts must be non-negative")
 
 
 def _fold_distinct(values, has_bid, flat, units):

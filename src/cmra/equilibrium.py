@@ -195,8 +195,9 @@ class DeviationFamily:
     n_amounts: int = 50
     n_submit_prices: int = 20
     n_drop_prices: int = 20
-    bid_quantities: tuple | None = None      # grid indices, default 1..cap
-    drop_quantities: tuple | None = None     # grid indices, default 0..cap-1
+    # Grid indices searched; None searches the default, () searches none.
+    bid_quantities: tuple | None = None      # default 1..cap
+    drop_quantities: tuple | None = None     # default 0..cap-1
 
     def __post_init__(self):
         for name in ("n_amounts", "n_submit_prices", "n_drop_prices"):
@@ -291,7 +292,7 @@ def _replay_cell(seat, deviations, dev_base, opp, dev_lad, opp_lad, prices,
             limit = t0 if limit is None else min(limit, t0)
         starts.append(_resume_tick(dev_lad, limit))
     return _run_lockstep([dev.build(dev_base) for dev in deviations], starts,
-                         [dev_lad.snaps[t].copy() for t in starts], opp,
+                         [dev_lad.snaps[t] for t in starts], opp,
                          opp_lad.snaps, seat, config)
 
 
@@ -405,7 +406,8 @@ class _PairScreen:
         per-tick amount thresholds, and the surplus bound is vectorized.
         """
         n = self.grid.n
-        quants = family.bid_quantities or range(1, self.grid.cap_index + 1)
+        quants = (family.bid_quantities if family.bid_quantities is not None
+                  else range(1, self.grid.cap_index + 1))
         k, th = (a.ravel() for a in np.meshgrid(
             np.asarray(quants, dtype=np.int64),
             np.asarray(t_hats, dtype=np.int64), indexing="ij"))
@@ -657,7 +659,7 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
             closed = _closing_rows(lad1.values, lad1.mask,
                                    lad2.values, lad2.mask)[2]
             t = _resume_tick(lad1, _first_true(closed))
-            out, = _run_lockstep([strat[th1]], [t], [lad1.snaps[t].copy()],
+            out, = _run_lockstep([strat[th1]], [t], [lad1.snaps[t]],
                                  strat[th2], lad2.snaps, 0, run_cfg)
             baselines[key] = out.surplus((models[th1], models[th2]))
         return baselines[key]

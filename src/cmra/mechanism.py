@@ -15,14 +15,16 @@ legitimate prices), which makes recorded values converge to their
 continuous-clock suprema.
 
 There is one clock loop, :func:`_run_lockstep`, which runs any number
-of strategies in one seat against one opponent, and one block clock,
-:func:`_block`: it records every book on the clock ahead for a block of
-ticks and runs one batched closing test over the block.  A block is one
-tick long while several members are on the clock and up to
-``_BLOCK_MAX`` ticks while one is.  :func:`run_cmra` is the loop's
-one-member call from the start price; the deviation search enters it
-with many members, each at its own resume tick.  A member that closes leaves the clock, and the loop refines every
-closer at its end in one batched bisection, :func:`_refine_closers`: the
+of strategies in one seat against one opponent.  The books on the clock
+are rows of one ``BookRows`` state, the opponent's included, and one
+block clock, :func:`_block`, records them ahead for a block of ticks,
+one ``BookRows.record`` call per tick, and runs one batched closing test
+over the block.  A block is one tick long while several members are on
+the clock and up to ``_BLOCK_MAX`` ticks while one is.  :func:`run_cmra`
+is the loop's one-member call from the start price; the deviation
+search enters it with many members, each at its own resume tick.  A
+member that closes leaves the clock, and the loop refines every closer
+at its end in one batched bisection, :func:`_refine_closers`: the
 closers' books are rows of one ``BookRows`` state, and each step records
 one probe round on every closer still bisecting and runs one batched
 closing test.
@@ -259,22 +261,24 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
 
     Member ``i`` plays ``strategies[i]`` in seat ``seat`` (0 or 1) and
     joins the clock at tick ``starts[i]`` with ``books[i]`` holding its
-    rounds at every earlier tick (advanced in place); none of those
-    ticks closed.  ``opp_snaps`` maps every start tick to the opponent's
-    book before that tick's round.  Returns each member's outcome, in
-    member order, equal to that of its own clock loop resumed at its
-    start tick; with ``config.log_rounds`` each keeps the round log of
-    the ticks it was on the clock.
+    rounds at every earlier tick; none of those ticks closed.
+    ``opp_snaps`` maps every start tick to the opponent's book before
+    that tick's round.  Neither is changed.  Returns each member's
+    outcome, in member order, equal to that of its own clock loop
+    resumed at its start tick; with ``config.log_rounds`` each keeps the
+    round log of the ticks it was on the clock.
 
-    Emissions are pure functions of the price, so the opponent's book at
-    a tick is the same for every member: it is recorded once per tick.
-    The clock runs in blocks (:func:`_block`): every book on the clock
-    is recorded ahead for up to ``size`` ticks, which never reach the
-    next member's start tick, and one closing test covers the block.
-    While two or more members are on the clock a block is one tick
-    long.  While one is, its length starts at 1 and doubles up to
-    ``_BLOCK_MAX`` while the member stays alone, so a close soon after a
-    join wastes few ticks.
+    Every book on the clock is a row of one ``BookRows`` state in seat
+    order: members' rows from ``seat`` in joining order, the opponent's
+    last in seat 0 and first in seat 1.  Emissions are pure functions of
+    the price, so the opponent's book at a tick is the same for every
+    member: its row is recorded once per tick.  The clock runs in blocks
+    (:func:`_block`): the state is recorded ahead for up to ``size``
+    ticks, which never reach the next member's start tick, and one
+    closing test covers the block.  While two or more members are on the
+    clock a block is one tick long.  While one is, its length starts at 1
+    and doubles up to ``_BLOCK_MAX`` while the member stays alone, so a
+    close soon after a join wastes few ticks.
 
     A member that closes leaves the clock; when it refines, it keeps its
     own pre-tick book and the opponent's, and all closers refine
@@ -286,16 +290,19 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     closers: list = []
     pending = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
     active: list = []
-    t = opp_book = None
+    t = state = None
     block = 1
     while pending or active:
         if not active:
             t = starts[pending[-1]]
-            opp_book = opp_snaps[t].copy()
         if pending and starts[pending[-1]] == t:
             block = 1
+            rows = ([state.book(r) for r in range(len(active) + 1)]
+                    if active else [opp_snaps[t]])
             while pending and starts[pending[-1]] == t:
                 active.append(pending.pop())
+                rows.insert(seat + len(active) - 1, books[active[-1]])
+            state = BookRows.stack(rows)
         if config.start + t * config.eps > config.max_price + 1e-12:
             for i in active:
                 outcomes[i] = _max_price_outcome(config, logs[i])
@@ -306,8 +313,8 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
         else:
             size = min(block, starts[pending[-1]] - t) if pending else block
             block = min(2 * block, _BLOCK_MAX)
-        ticks, closed, opp_book = _block(active, strategies, books, opponent,
-                                         opp_book, seat, t, size, config, logs)
+        ticks, closed, state = _block(active, strategies, state, opponent,
+                                      seat, t, size, config, logs)
         t += ticks
         if not closed:
             continue
@@ -331,53 +338,56 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
     return outcomes
 
 
-def _block(active, strategies, books, opponent, opp_book, seat: int, t: int,
+def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
            size: int, config: AuctionConfig, logs) -> tuple:
     """Up to ``size`` clock ticks of the active members from tick ``t``.
 
-    Every book is recorded in place tick by tick, in seat order with the
-    members in member order, so the error that surfaces is the first one
-    a tick-by-tick loop meets.  The values and masks of the K ticks are
+    ``state`` holds the books on the clock as rows in seat order.  Each
+    tick makes every row's emission, then records them in one
+    ``BookRows.record`` call, whose ``BidError`` is the first one a
+    tick-by-tick loop meets.  The values and masks of the K ticks are
     kept as ``(K, B, n+1)`` member rows against ``(K, 1, n+1)`` opponent
     rows for one closing test.  Ticks past the maximum price are not
     recorded.  The block ends at the first tick where some member
     closes, and each member's log gets the rows up to it.
 
-    Returns ``(ticks, closers, opp_book)``: the ticks the clock
-    advanced, a :class:`_Closer` per member that closed at the last of
-    them, and the opponent's book after it.  Books are copied once, at
-    the block's start; a book recorded past the close, and a closer's
-    book before its closing tick, are rebuilt from the copy by recording
-    the block's rounds again, so the block is exact for any length and
-    number of members.  An exception that a round raises surfaces only
-    when no tick of the block closes, as in a tick-by-tick loop.
+    Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
+    :class:`_Closer` per member that closed at the last of them, and the
+    state after it without the closers' rows (None when every member
+    closed).  The state is copied once, at the block's start; rows
+    recorded past the close, and the closers' rows before their closing
+    tick, are rebuilt from the copy by recording the block's rounds
+    again, so the block is exact for any length and number of members.
+    An exception that a round raises surfaces only when no tick of the
+    block closes, as in a tick-by-tick loop.
     """
     width = len(active)
-    opp = width if seat == 0 else 0  # members start at ``seat``
+    opp = width if seat == 0 else 0  # members' rows start at ``seat``
+    bidders = [strategies[i] for i in active]
+    bidders.insert(opp, opponent)
     shape = (size, width, config.grid.n + 1)
     own_values, own_mask = np.empty(shape, np.int64), np.empty(shape, bool)
     shape = (size, 1, config.grid.n + 1)
     opp_values, opp_mask = np.empty(shape, np.int64), np.empty(shape, bool)
-    # Each book with its strategy and its rows, in seat order.
-    slots = [(books[i], strategies[i], own_values, own_mask, r)
-             for r, i in enumerate(active)]
-    slots.insert(opp, (opp_book, opponent, opp_values, opp_mask, 0))
-    starts = [slot[0].copy() for slot in slots]
+    base = state.copy()
+    # The members' rows and the opponent's, as views of the state.
+    own_rows = state.values[seat:seat + width]
+    own_bids = state.has_bid[seat:seat + width]
+    opp_row, opp_bids = state.values[opp:opp + 1], state.has_bid[opp:opp + 1]
     prices, emitted = [], []
     error = None
     for j in range(size):
         price = config.start + (t + j) * config.eps
         if price > config.max_price + 1e-12:
             break
-        emits = []
         try:
-            for book, bidder, values, mask, r in slots:
-                emits.append(_apply_round(book, bidder, price))
-                values[j, r] = book.values
-                mask[j, r] = book.has_bid
+            emits = [_emit(bidder, price) for bidder in bidders]
+            state.record([price] * len(bidders), emits)
         except Exception as exc:  # raised below unless an earlier tick closes
             error = exc
             break
+        own_values[j], own_mask[j] = own_rows, own_bids
+        opp_values[j], opp_mask[j] = opp_row, opp_bids
         prices.append(price)
         emitted.append(emits)
     ticks = len(prices)
@@ -402,37 +412,38 @@ def _block(active, strategies, books, opponent, opp_book, seat: int, t: int,
     if first is None:
         if error is not None:
             raise error
-        return ticks, [], opp_book
-    fresh = first == len(prices) - 1 and error is None
-
-    def rebuilt(pos):
-        # The book before the closing tick's round and after it.
-        base = starts[pos]
-        for price, emits in zip(prices[:first], emitted):
-            base.record_round_indexed(price, *emits[pos], clamp=True)
-        if fresh:
-            return base, slots[pos][0]
+        return ticks, [], state
+    # The rows before the closing tick's round and after it; the live
+    # rows are the latter when the close is the last recorded tick and
+    # no round raised.
+    for price, emits in zip(prices[:first], emitted):
+        base.record([price] * len(bidders), emits)
+    if first == len(prices) - 1 and error is None:
+        hi = state
+    else:
         hi = base.copy()
-        hi.record_round_indexed(prices[first], *emitted[first][pos],
-                                clamp=True)
-        return base, hi
-    opp_base, opp_hi = rebuilt(opp)
+        hi.record([prices[first]] * len(bidders), emitted[first])
     flags = closed[first * width:ticks * width]
-    if not all(flags):  # the opponent's book stays on the clock
-        opp_book, opp_hi = opp_hi, opp_hi.copy()
-    closers = []
-    for r, (i, done) in enumerate(zip(active, flags)):
-        if done:
-            own_base, own_hi = rebuilt(seat + r)
-            closers.append(_Closer(i, t + first, own_base, opp_base, own_hi,
-                                   opp_hi))
-        elif not fresh:
-            books[i] = rebuilt(seat + r)[1]
-    return ticks, closers, opp_book
+    flags.insert(opp, False)  # per row of the state
+    done = [r for r, flag in enumerate(flags) if flag]
+    members = [active[r - seat] for r in done]
+    state = None
+    if len(done) < width:
+        # Rows stay on the clock: the closers keep copies of their rows
+        # and the opponent's, which nothing records on again.
+        state = hi.take([r for r, flag in enumerate(flags) if not flag])
+        base, hi = base.take(done + [opp]), hi.take(done + [opp])
+        done, opp = range(len(done)), len(done)
+    closers = [_Closer(i, t + first, base.book(r), base.book(opp),
+                       hi.book(r), hi.book(opp))
+               for i, r in zip(members, done)]
+    return ticks, closers, state
 
 
 class _Closer(NamedTuple):
-    """A member that closed at clock tick ``tick``, with its books."""
+    """A member that closed at clock tick ``tick``, with its books: in
+    the clock loop, views (``BookRows.book``) of rows that nothing
+    records on again."""
 
     member: int
     tick: int

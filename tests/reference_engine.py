@@ -1,12 +1,14 @@
 """Plain implementations kept as references for the engine and writers.
 
 ``cmra.mechanism.run_cmra`` runs through the lockstep clock loop that
-also replays the deviation search's families.  Its one block clock runs
-blocks of ticks with one closing test per block, one tick long while
-several members are on the clock, and every closer of one loop refines
-in one batched bisection.  ``reference_run_cmra`` is the
-plain loop it replaced: two books, one full closing solve per tick, and
-one bisection per auction on two ``BidBook`` copies per probe.
+also replays the deviation search's families.  The books on its clock
+are rows of one ``BookRows`` state, recorded with one row record per
+tick; its one block clock runs blocks of ticks with one closing test per
+block, one tick long while several members are on the clock, and every
+closer of one loop refines in one batched bisection.
+``reference_run_cmra`` is the plain loop it replaced: two ``BidBook``
+books, one full closing solve per tick, and one bisection per auction on
+two ``BidBook`` copies per probe.
 
 ``cmra.scenarios.write_round_log`` formats its CSV lines directly.
 ``reference_write_round_log`` is the ``csv.writer`` version it replaced.

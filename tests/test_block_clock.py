@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from reference_engine import reference_run_cmra
-from test_refine import FAMILIES
+from test_refine import _BOOK_FIELDS, FAMILIES
 
 from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
                   mechanism, run_cmra)
@@ -44,15 +44,15 @@ def blocks(monkeypatch):
     seen = BlockLog()
     real = mechanism._block
 
-    def spy(active, *args):
-        ticks, closers, opp_book = real(active, *args)
-        t, size = args[5], args[6]
+    def spy(active, strategies, state, opponent, seat, t, size, *rest):
+        ticks, closers, state = real(active, strategies, state, opponent,
+                                     seat, t, size, *rest)
         if len(active) == 1:
             seen.append((t, size, ticks,
                          closers[0].tick if closers else None))
         else:
             seen.joint.append((len(active), size, ticks, len(closers)))
-        return ticks, closers, opp_book
+        return ticks, closers, state
     monkeypatch.setattr(mechanism, "_block", spy)
     return seen
 
@@ -228,18 +228,92 @@ class TestBlockClock:
         size = 7
         rewound = 0
 
-        def wide(active, *args):
+        def wide(active, strategies, state, opponent, seat, t, _, *rest):
             nonlocal rewound
-            args = list(args)
-            args[6] = size
-            ticks, closers, opp_book = real(active, *args)
+            ticks, closers, state = real(active, strategies, state, opponent,
+                                         seat, t, size, *rest)
             rewound += 0 < len(closers) < len(active) and ticks < size
-            return ticks, closers, opp_book
+            return ticks, closers, state
         monkeypatch.setattr(mechanism, "_block", wide)
         rng = np.random.default_rng(101)
         for i in range(16):
             run_several_members(rng, i, refine=bool(i % 2))
         assert rewound > 0
+
+
+    def test_rows_join_and_leave(self, blocks):
+        """Members join while several others are on the clock, and closers
+        leave on the tick that another member joins; the opponent's row
+        is last in seat 0 and first in seat 1.  The books and snapshots
+        handed in are left as they were."""
+        rng = np.random.default_rng(107)
+        seen = {(event, seat): 0 for seat in (0, 1)
+                for event in ("join while several", "leave as one joins")}
+        for i in range(16):
+            profile = list(STRATEGY_TAGS)[i % 4]
+            family = ("power", "quadratic")[(i // 4) % 2]
+            seat = (i + i // 4) % 2
+            model, (lo, hi), cap, top = FAMILIES[family]
+            make = STRATEGY_TAGS[profile]
+            grid = QuantityGrid(20, cap)
+            config = AuctionConfig(grid=grid, eps=2e-2, max_price=top,
+                                   refine=bool(i % 3), log_rounds=True)
+            thetas = [float(th) for th in rng.uniform(lo, hi, 6)]
+            opp_theta = float(rng.uniform(lo, hi))
+
+            def members():
+                return [random_strategy(1000 * i + k, make, model(th), config)
+                        for k, th in enumerate(thetas)]
+
+            def opponent():
+                return make(model(opp_theta), grid)
+            wants = [reference_run_cmra(
+                *((m, opponent()) if seat == 0 else (opponent(), m)), config)
+                for m in members()]
+            # A member joins at or before its own last tick: at a random
+            # tick, or at the last tick of a member that ends earlier.
+            ends = [w.rounds[-1][0] for w in wants]
+            order = sorted(range(len(thetas)), key=ends.__getitem__)
+            starts = [0] * len(thetas)
+            for pos, k in enumerate(order[1:], start=1):
+                starts[k] = (ends[order[int(rng.integers(0, pos))]]
+                             if rng.random() < 0.5
+                             else int(rng.integers(0, ends[k] + 1)))
+            bidders, opp = members(), opponent()
+            opp_book, snaps = BidBook(grid, config.money_scale), {}
+            for t in range(max(starts) + 1):
+                snaps[t] = opp_book.copy()
+                _apply_round(opp_book, opp, config.start + t * config.eps)
+            books = []
+            for member, start in zip(bidders, starts):
+                book = BidBook(grid, config.money_scale)
+                for t in range(start):
+                    _apply_round(book, member, config.start + t * config.eps)
+                books.append(book)
+            kept = [b.copy() for b in books + list(snaps.values())]
+            got = _run_lockstep(bidders, starts, books, opp, snaps, seat,
+                                config)
+            for k, (out, want) in enumerate(zip(got, wants)):
+                assert_same_outcome(out, want, (i, profile, seat, k),
+                                    starts[k])
+            for book, copy in zip(books + list(snaps.values()), kept):
+                assert_same_book(book, copy)
+            for j, start in enumerate(starts):
+                # Members on the clock when member j joins, and those
+                # that close on that tick.
+                on = [k for k in range(len(starts))
+                      if starts[k] < start <= ends[k] and wants[k].closed]
+                seen["join while several", seat] += len(on) >= 2
+                seen["leave as one joins", seat] += any(
+                    ends[k] == start for k in on)
+        assert min(seen.values()) > 0, seen
+
+
+def assert_same_book(book, want):
+    for name, _ in _BOOK_FIELDS:
+        assert np.array_equal(getattr(book, name), getattr(want, name)), name
+    assert (book.last_price, book.last_headline) == \
+        (want.last_price, want.last_headline)
 
 
 def run_several_members(rng, i, refine, count=6):

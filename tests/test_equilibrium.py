@@ -301,6 +301,17 @@ class TestSearchArguments:
         assert res.members > 0
 
 
+    @pytest.mark.parametrize("kw, members", [
+        ({}, 182), ({"bid_quantities": ()}, 74), ({"drop_quantities": ()}, 110),
+        ({"bid_quantities": (), "drop_quantities": ()}, 2)])
+    def test_an_empty_quantity_tuple_searches_none(self, kw, members):
+        fam = DeviationFamily(n_amounts=2, n_submit_prices=2,
+                              n_drop_prices=2, **kw)
+        res = check_expost("constant", quad_env(), small_config(0.9, 1.5),
+                           theta_grid=1, family=fam)
+        assert res.members == members
+
+
 class TestBaselines:
     """The search's profile baselines against runs from price 0."""
 
@@ -479,7 +490,8 @@ def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
     """Reference single-bid screen: one (level x tick) scan per quantity
     and submission tick, one Python step per level."""
     n = screen.grid.n
-    quants = family.bid_quantities or range(1, screen.grid.cap_index + 1)
+    quants = (family.bid_quantities if family.bid_quantities is not None
+              else range(1, screen.grid.cap_index + 1))
     for k_hat in quants:
         hk = screen.hd[:, k_hat]
         qcol = screen.po[:, n - k_hat]

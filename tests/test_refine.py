@@ -135,7 +135,15 @@ class TestBookRows:
     @pytest.mark.parametrize("case, error", [
         ("price", BidError), ("headline cap", CapExceeded),
         ("headline rise", NonMonotoneHeadline), ("bid cap", CapExceeded),
-        ("negative", BidError)])
+        ("negative", BidError),
+        # Faults on rows 0 and 1: row 0's first check wins, also when
+        # row 1's check comes earlier in a row's order.
+        ("negative, headline rise", BidError),
+        ("headline rise, negative", NonMonotoneHeadline),
+        ("bid cap, price", CapExceeded), ("price, bid cap", BidError),
+        ("negative, bid cap", BidError), ("bid cap, negative", CapExceeded),
+        ("negative, headline cap", BidError),
+        ("headline cap, negative", CapExceeded)])
     def test_errors_match(self, case, error):
         grid = QuantityGrid(8, 0.75)
         ok = (grid.cap_index - 1, np.array([1, 2]), np.array([0.01, 0.02]))
@@ -145,15 +153,23 @@ class TestBookRows:
                "bid cap": (2.0, (ok[0], np.array([1, grid.cap_index + 1]),
                                  ok[2])),
                "negative": (2.0, (ok[0], ok[1], np.array([0.01, -0.5])))
-               }[case]
+               }
+        faults = case.split(", ")
+        at = [1] if len(faults) == 1 else range(len(faults))
+        round_ = [(2.0, ok)] * 3
+        for r, fault in zip(at, faults):
+            round_[r] = bad[fault]
         books = [BidBook(grid) for _ in range(3)]
         for book in books:
             book.record_round_indexed(1.0, *ok, clamp=True)
         rows = BookRows.stack(books)
         with pytest.raises(error) as want:
-            books[1].record_round_indexed(bad[0], *bad[1], clamp=True)
+            for book, (price, emission) in zip(books, round_):
+                book.record_round_indexed(price, *emission, clamp=True)
         with pytest.raises(error) as got:
-            rows.record([2.0, bad[0], 2.0], [ok, bad[1], ok])
+            rows.record([price for price, _ in round_],
+                        [emission for _, emission in round_])
+        assert type(want.value) is error
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
