@@ -21,6 +21,7 @@ from .mechanism import (
     AuctionConfig, AuctionOutcome, ClosingResult, closing_from_arrays,
     revenue_curve, run_clock, run_cmra, solve_closing,
 )
+from .roundlog import RoundLog
 from .strategies import (
     STRATEGY_TAGS, ProxyStrategy, clock_truthful, cmra_truthful,
     constant_strategy, rdr_strategy,

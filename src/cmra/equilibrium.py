@@ -150,6 +150,8 @@ class SingleBidDeviation(ProxyStrategy):
         self.submit_price = submit_price
         self._ks = np.array([quantity_k], dtype=np.int64)
         self._amts = np.array([amount], dtype=float)
+        self._ks.setflags(write=False)   # round logs keep references
+        self._amts.setflags(write=False)
 
     def headline_index(self, p: float) -> int:
         return self._base.headline_index(p)

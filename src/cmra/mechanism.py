@@ -41,6 +41,8 @@ import numpy as np
 
 from .bidbook import (MICRO, SENTINEL_UNITS, BidBook, BookRows, QuantityGrid,
                       money_units)
+from .roundlog import RoundLog
+from .strategies import _EMPTY_AMTS, _EMPTY_KS
 
 __all__ = [
     "AuctionConfig",
@@ -122,7 +124,7 @@ class AuctionOutcome:
     termination: str
     excess_supply: float
     r_star_units: int | None
-    rounds: list = field(default_factory=list, repr=False)
+    rounds: RoundLog = field(default_factory=RoundLog, repr=False)
     # Set when a refined close fell back to the clock tick's books,
     # which only a strategy whose closing is not monotone in price does.
     refine_fallback: bool = False
@@ -232,13 +234,9 @@ def _apply_round(book: BidBook, strategy, price: float):
 
 
 def _log_round(log, round_no, price, emissions, closed, r_star):
-    for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
-        log.append((round_no, price, bidder, "headline", k, None,
-                    closed, r_star))
-        if len(ks):
-            log.extend([(round_no, price, bidder, "additional", kk, aa,
-                         closed, r_star)
-                        for kk, aa in zip(ks.tolist(), amounts.tolist())])
+    """Log one tick: its record holds the emissions themselves (see
+    :mod:`cmra.roundlog`)."""
+    log.append((round_no, price, emissions, closed, r_star))
 
 
 def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome:
@@ -349,7 +347,7 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     kept as ``(K, B, n+1)`` member rows against ``(K, 1, n+1)`` opponent
     rows for one closing test.  Ticks past the maximum price are not
     recorded.  The block ends at the first tick where some member
-    closes, and each member's log gets the rows up to it.
+    closes, and each member's log gets a tick record per tick up to it.
 
     Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
     :class:`_Closer` per member that closed at the last of them, and the
@@ -534,7 +532,7 @@ def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
         final_price=config.max_price, indices=None, quantities=None,
         payments=(0.0, 0.0), payment_units=(0, 0), kinds=("none", "none"),
         revenue=0.0, revenue_units=0, termination=MAX_PRICE_HIT,
-        excess_supply=1.0, r_star_units=None, rounds=log)
+        excess_supply=1.0, r_star_units=None, rounds=RoundLog(log))
 
 
 def _build_outcome(price, books, result: ClosingResult, config, log,
@@ -561,7 +559,7 @@ def _build_outcome(price, books, result: ClosingResult, config, log,
         kinds=tuple(kinds), revenue=revenue_units / scale,
         revenue_units=revenue_units, termination=CLOSED,
         excess_supply=1.0 - quantities[0] - quantities[1],
-        r_star_units=result.r_star, rounds=log,
+        r_star_units=result.r_star, rounds=RoundLog(log),
         refine_fallback=refine_fallback)
 
 
@@ -590,8 +588,9 @@ def run_clock(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcom
             return _max_price_outcome(config, log)
         k1, k2 = demands(price)
         if config.log_rounds:
-            log.append((t, price, 1, "headline", k1, None, k1 + k2 <= n, None))
-            log.append((t, price, 2, "headline", k2, None, k1 + k2 <= n, None))
+            _log_round(log, t, price, ((k1, _EMPTY_KS, _EMPTY_AMTS),
+                                       (k2, _EMPTY_KS, _EMPTY_AMTS)),
+                       k1 + k2 <= n, None)
         if k1 + k2 <= n:
             if config.refine and prev_price is not None:
                 lo, hi = prev_price, price
@@ -626,7 +625,7 @@ def _clock_outcome(price, indices, config, log) -> AuctionOutcome:
         payment_units=payment_units, kinds=kinds,
         revenue=revenue_units / scale, revenue_units=revenue_units,
         termination=CLOSED, excess_supply=1.0 - sum(quantities),
-        r_star_units=revenue_units, rounds=log)
+        r_star_units=revenue_units, rounds=RoundLog(log))
 
 
 def revenue_curve(book1: BidBook, book2: BidBook):

@@ -27,6 +27,7 @@ from .audit import AuctionAuditRecord, audit_linear_prices
 from .bidbook import BidBook, MICRO, QuantityGrid
 from .mechanism import (AuctionConfig, _apply_round, revenue_curve, run_clock,
                         run_cmra)
+from .roundlog import RoundLog
 from .strategies import STRATEGY_TAGS
 from .valuation import MarketEnv, TypeDistribution, ValuationModel
 from .verify import run_claim
@@ -166,51 +167,64 @@ def _fmt(v) -> str:
 
 _ROUND_LOG_HEADER = ("round,clock_price,bidder,kind,quantity,amount,"
                      "closed_flag,r_star\r\n")
-_ROUND_LOG_KINDS = frozenset(("headline", "additional"))
-_ROUND_LOG_CHUNK = 256  # rows per write
+_ROUND_LOG_CHUNK = 256  # lines per write, at least
 
 
 def write_round_log(path, rounds, grid: QuantityGrid) -> None:
     """Round log CSV: one row per submission plus the round's closing state.
 
-    ``rounds`` holds the engine's ``(round, price, bidder, kind, k,
-    amount, closed, r_star)`` tuples.  A line is ``round,clock_price,
-    bidder,kind,quantity,amount,closed_flag,r_star`` ended by ``\\r\\n``,
-    the bytes ``csv.writer`` gives for it: floats are written as
-    ``repr``, ``None`` as an empty field, the quantity as the grid share
-    ``k/n`` and the closed flag as 0 or 1.  Only the two known kinds
-    are written, so no field needs quoting; an unknown ``kind`` or an
-    off-grid ``k`` raises ``ValueError``.
+    ``rounds`` is an ``AuctionOutcome.rounds`` log or an iterable of its
+    tick records (see :mod:`cmra.roundlog`); each tick gives a line per
+    row of :class:`~cmra.roundlog.RoundLog`.  A line is ``round,
+    clock_price,bidder,kind,quantity,amount,closed_flag,r_star`` ended
+    by ``\\r\\n``, the bytes ``csv.writer`` gives for it: floats are
+    written as ``repr``, ``None`` as an empty field, the quantity as the
+    grid share ``k/n`` and the closed flag as 0 or 1.  ``kind`` is
+    ``headline`` or ``additional``, so no field needs quoting.  A
+    malformed tick record or an off-grid ``k`` raises ``ValueError``.
 
-    Lines are formatted directly and written a chunk of rows at a time,
-    so the text never holds more than one chunk.  The engine's rows of
-    one round share their price, flag and R* objects, so those fields
-    are formatted once per round.
+    A tick's price, flag and R* text is formatted once, and an
+    emission's additional bids in one pass over its arrays.  Lines are
+    written as soon as a chunk of them is ready, so the text never holds
+    more than a chunk and one tick.
     """
-    shares = [repr(grid.share(k)) for k in range(grid.n + 1)]
-    last_rnd = last_price = last_closed = last_r_star = object()
+    ticks = rounds.ticks if isinstance(rounds, RoundLog) else rounds
+    # Keyed by grid index: any other key, negative or not an integer,
+    # is off the grid.
+    shares = {k: repr(grid.share(k)) for k in range(grid.n + 1)}
     with open(path, "w", newline="") as fh:
         fh.write(_ROUND_LOG_HEADER)
         chunk = []
-        for rnd, price, bidder, kind, k, amount, closed, r_star in rounds:
-            if price is not last_price or rnd is not last_rnd:
-                last_rnd, last_price = rnd, price
+        for tick in ticks:
+            try:
+                rnd, price, ((k1, ks1, a1), (k2, ks2, a2)), closed, r_star \
+                    = tick
                 lead = f"{rnd},{_fmt(price)},"
-            if closed is not last_closed or r_star is not last_r_star:
-                last_closed, last_r_star = closed, r_star
                 tail = f",{int(bool(closed))},{_fmt(r_star)}\r\n"
-            if kind not in _ROUND_LOG_KINDS:
-                raise ValueError(f"round-log kind {kind!r} is not "
-                                 "'headline' or 'additional'")
-            if not 0 <= k < len(shares):
-                raise ValueError(f"round-log quantity index {k} is off the "
-                                 f"1/{grid.n} grid")
-            chunk.append(
-                f"{lead}{bidder},{kind},{shares[k]},{_fmt(amount)}{tail}")
-            if len(chunk) == _ROUND_LOG_CHUNK:
+                chunk.append(f"{lead}1,headline,{shares[k1]},{tail}")
+                if len(ks1):
+                    chunk += _bid_lines(f"{lead}1,additional,", ks1, a1,
+                                        tail, shares)
+                chunk.append(f"{lead}2,headline,{shares[k2]},{tail}")
+                if len(ks2):
+                    chunk += _bid_lines(f"{lead}2,additional,", ks2, a2,
+                                        tail, shares)
+            except KeyError as exc:
+                raise ValueError(f"round-log quantity index {exc.args[0]!r} "
+                                 f"is off the 1/{grid.n} grid") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(
+                    f"malformed round-log tick record {tick!r}") from exc
+            if len(chunk) >= _ROUND_LOG_CHUNK:
                 fh.write("".join(chunk))
                 chunk.clear()
         fh.write("".join(chunk))
+
+
+def _bid_lines(head, ks, amounts, tail, shares) -> list:
+    """The lines of one emission's additional bids."""
+    return [f"{head}{shares[k]},{a!r}{tail}"
+            for k, a in zip(ks.tolist(), amounts.tolist(), strict=True)]
 
 
 def _write_json(path, payload: dict) -> None:

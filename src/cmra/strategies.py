@@ -38,8 +38,12 @@ __all__ = [
     "STRATEGY_TAGS",
 ]
 
+# Emitted arrays that are shared or memoized are read-only: round logs
+# keep references to them.
 _EMPTY_KS = np.empty(0, dtype=np.int64)
 _EMPTY_AMTS = np.empty(0, dtype=float)
+_EMPTY_KS.setflags(write=False)
+_EMPTY_AMTS.setflags(write=False)
 
 
 class ProxyStrategy:
@@ -103,6 +107,8 @@ class CmraTruthful(ClockTruthful):
         # tiny slack only guards float noise at the domain edge.
         amounts = np.minimum(self._values[mask] - v, p * self._shares[mask])
         result = (self._ks[mask], np.maximum(amounts, 0.0))
+        for array in result:
+            array.setflags(write=False)
         self._a_memo[p] = result
         return result
 

@@ -10,15 +10,23 @@ closer of one loop refines in one batched bisection.
 books, one full closing solve per tick, and one bisection per auction on
 two ``BidBook`` copies per probe.
 
-``cmra.scenarios.write_round_log`` formats its CSV lines directly.
-``reference_write_round_log`` is the ``csv.writer`` version it replaced.
+``cmra.mechanism`` logs one tick record per clock tick, and
+``AuctionOutcome.rounds`` expands them into rows on access.
+``reference_log_round`` is the row logger it replaced: one tuple per
+headline and per additional bid, which ``reference_run_cmra`` keeps as
+its outcome's plain list of rows.
+
+``cmra.scenarios.write_round_log`` formats its CSV lines directly from
+tick records.  ``reference_write_round_log`` is the ``csv.writer``
+version it replaced, one line per row tuple.
 """
 
 import csv
+from dataclasses import replace
 
 from cmra.bidbook import BidBook
 from cmra.mechanism import (_apply_round, _build_outcome, _closing_rows,
-                            _log_round, _max_price_outcome, solve_closing)
+                            _max_price_outcome, solve_closing)
 from cmra.scenarios import _fmt
 
 
@@ -33,19 +41,33 @@ def reference_run_cmra(strategy1, strategy2, config):
     while True:
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
-            return _max_price_outcome(config, log)
+            return replace(_max_price_outcome(config, []), rounds=log)
         base = (books[0].copy(), books[1].copy())
         emissions = [_apply_round(b, s, price) for b, s in zip(books, strategies)]
         result = solve_closing(books[0], books[1])
         if config.log_rounds:
-            _log_round(log, t, price, emissions, result.closed, result.r_star)
+            reference_log_round(log, t, price, emissions, result.closed,
+                                result.r_star)
         if result.closed:
             if config.refine and prev_price is not None:
                 price, books, result = _refine_close(
                     base, strategies, prev_price, price, books, config)
-            return _build_outcome(price, books, result, config, log)
+            return replace(_build_outcome(price, books, result, config, []),
+                           rounds=log)
         prev_price = price
         t += 1
+
+
+def reference_log_round(log, round_no, price, emissions, closed, r_star):
+    """One tick's rows: ``(round, price, bidder, kind, k, amount, closed,
+    r_star)`` per headline and per additional bid, bidder by bidder."""
+    for bidder, (k, ks, amounts) in enumerate(emissions, start=1):
+        log.append((round_no, price, bidder, "headline", k, None,
+                    closed, r_star))
+        if len(ks):
+            log.extend([(round_no, price, bidder, "additional", kk, aa,
+                         closed, r_star)
+                        for kk, aa in zip(ks.tolist(), amounts.tolist())])
 
 
 def _refine_close(base_books, strategies, lo, hi, hi_books, config):

@@ -18,7 +18,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from reference_engine import reference_run_cmra
+from reference_engine import reference_log_round, reference_run_cmra
 from test_refine import _BOOK_FIELDS, FAMILIES
 
 from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
@@ -26,6 +26,7 @@ from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
 from cmra.bidbook import BidError
 from cmra.equilibrium import DropPolicy, SingleBidDeviation
 from cmra.mechanism import _apply_round, _run_lockstep
+from cmra.roundlog import RoundLog
 from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
 
 
@@ -213,7 +214,8 @@ class TestBlockClock:
         seen = {"refined": 0, "unrefined": 0, "seat 0": 0, "seat 1": 0}
         for i in range(24):
             del blocks.joint[:]
-            config, seat = run_several_members(rng, i, refine=bool(i % 2))
+            config, seat, _, _ = run_several_members(rng, i,
+                                                     refine=bool(i % 2))
             assert all(size == 1 for _, size, _, _ in blocks.joint)
             together = sum(closers >= 2 for *_, closers in blocks.joint)
             seen["refined" if config.refine else "unrefined"] += together
@@ -239,6 +241,38 @@ class TestBlockClock:
         for i in range(16):
             run_several_members(rng, i, refine=bool(i % 2))
         assert rewound > 0
+
+    def test_tick_records_expand_to_reference_rows(self):
+        """In lockstep runs of several members, drop and single-bid
+        deviators among them, each member's log holds one tick record per
+        tick it was on the clock, with its own emission in its seat, and
+        each record reads as the rows ``reference_log_round`` logs for
+        that tick."""
+        rng = np.random.default_rng(109)
+        kinds, bids = set(), 0
+        for i in range(16):
+            config, seat, bidders, got = run_several_members(
+                rng, i, refine=bool(i % 2))
+            for member, out in zip(bidders, got):
+                kinds.add(type(member).__name__)
+                ticks = out.rounds.ticks
+                assert [tick[0] for tick in ticks] == list(range(len(ticks)))
+                for rnd, price, emissions, closed, r_star in ticks:
+                    k, ks, amounts = emissions[seat]
+                    assert k == member.headline_index(price)
+                    want = member.additional_bid_arrays(price)
+                    assert np.array_equal(ks, want[0])
+                    assert np.array_equal(amounts, want[1])
+                    rows = []
+                    reference_log_round(rows, rnd, price, emissions, closed,
+                                        r_star)
+                    assert list(RoundLog([(rnd, price, emissions, closed,
+                                           r_star)])) == rows
+                    bids += len(rows) - 2
+        assert kinds == {"DropPolicy", "SingleBidDeviation", "CmraTruthful",
+                         "ClockTruthful", "ConstantBidding",
+                         "RisklessDemandReduction"}
+        assert bids > 0
 
 
     def test_rows_join_and_leave(self, blocks):
@@ -318,7 +352,8 @@ def assert_same_book(book, want):
 
 def run_several_members(rng, i, refine, count=6):
     """``count`` members of two types from tick 0 in one lockstep run, each
-    checked against its own reference run; returns the config and seat."""
+    checked against its own reference run; returns the config, the seat,
+    the members and their outcomes."""
     profile = list(STRATEGY_TAGS)[i % 4]
     family = ("power", "quadratic")[(i // 4) % 2]
     model, (lo, hi), cap, top = FAMILIES[family]
@@ -341,11 +376,12 @@ def run_several_members(rng, i, refine, count=6):
         for m in members()]
     fresh = [BidBook(config.grid, config.money_scale)
              for _ in range(count + 1)]
-    got = _run_lockstep(members(), [0] * count, fresh[1:], opponent(),
+    bidders = members()
+    got = _run_lockstep(bidders, [0] * count, fresh[1:], opponent(),
                         {0: fresh[0]}, seat, config)
     for k, (out, want) in enumerate(zip(got, wants)):
         assert_same_outcome(out, want, (i, profile, family, seat, k))
-    return config, seat
+    return config, seat, bidders, got
 
 
 class _Faulty(ProxyStrategy):
