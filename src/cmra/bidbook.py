@@ -396,7 +396,8 @@ class BookRows:
                 counts = [len(x) for x in row_ks]
                 ks = np.concatenate(row_ks)
                 amounts = np.concatenate(row_amounts)
-                price = np.repeat(row_prices, counts)
+                price = (row_prices[0] if len(set(row_prices)) == 1
+                         else np.repeat(row_prices, counts))
                 base = np.repeat(np.asarray(rows) * (n + 1), counts)
             _admit_and_fold(values.reshape(-1), has_bid.reshape(-1),
                             self.kinds.reshape(-1), self.seg_lo.reshape(-1),

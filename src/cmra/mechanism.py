@@ -226,11 +226,10 @@ def _emit(strategy, price: float):
 
 
 def _apply_round(book: BidBook, strategy, price: float):
-    """One bidder's round: headline plus additional bids, clamped to legality."""
-    k = strategy.headline_index(price)
-    ks, amounts = strategy.additional_bid_arrays(price)
-    book.record_round_indexed(price, k, ks, amounts, clamp=True)
-    return k, ks, amounts
+    """One bidder's round: its emission, recorded clamped to legality."""
+    emission = _emit(strategy, price)
+    book.record_round_indexed(price, *emission, clamp=True)
+    return emission
 
 
 def _log_round(log, round_no, price, emissions, closed, r_star):

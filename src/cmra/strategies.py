@@ -38,12 +38,15 @@ __all__ = [
     "STRATEGY_TAGS",
 ]
 
-# Emitted arrays that are shared or memoized are read-only: round logs
-# keep references to them.
-_EMPTY_KS = np.empty(0, dtype=np.int64)
-_EMPTY_AMTS = np.empty(0, dtype=float)
-_EMPTY_KS.setflags(write=False)
-_EMPTY_AMTS.setflags(write=False)
+# Emitted arrays are read-only: round logs keep references to them.
+def _read_only(ks, amounts) -> tuple:
+    result = (np.asarray(ks, dtype=np.int64), np.asarray(amounts, dtype=float))
+    for array in result:
+        array.setflags(write=False)
+    return result
+
+
+_EMPTY_KS, _EMPTY_AMTS = _read_only([], [])
 
 
 class ProxyStrategy:
@@ -79,11 +82,13 @@ class ClockTruthful(ProxyStrategy):
         self._h_memo: dict = {}
 
     def headline_index(self, p: float) -> int:
-        k = self._h_memo.get(p)
-        if k is None:
-            k = self._snap(self.model.truthful_demand(p))
-            self._h_memo[p] = k
-        return k
+        if p not in self._h_memo:
+            self._solve(p)
+        return self._h_memo[p]
+
+    def _solve(self, p: float) -> None:
+        """Fill the price-keyed memos at p from one demand solve."""
+        self._h_memo[p] = self._snap(self.model.truthful_demand(p))
 
 
 class CmraTruthful(ClockTruthful):
@@ -98,19 +103,19 @@ class CmraTruthful(ClockTruthful):
         self._a_memo: dict = {}
 
     def additional_bid_arrays(self, p: float):
-        hit = self._a_memo.get(p)
-        if hit is not None:
-            return hit
-        v = self.model.indirect_surplus(p)
+        if p not in self._a_memo:
+            self._solve(p)
+        return self._a_memo[p]
+
+    def _solve(self, p: float) -> None:
+        h = self.model.truthful_demand(p)
+        v = self.model.value(h) - p * h  # indirect_surplus(p)
         mask = self._values >= v - 1e-12
         # Indifference amounts, kept under the linear price rule; the
         # tiny slack only guards float noise at the domain edge.
         amounts = np.minimum(self._values[mask] - v, p * self._shares[mask])
-        result = (self._ks[mask], np.maximum(amounts, 0.0))
-        for array in result:
-            array.setflags(write=False)
-        self._a_memo[p] = result
-        return result
+        self._h_memo[p] = self._snap(h)
+        self._a_memo[p] = _read_only(self._ks[mask], np.maximum(amounts, 0.0))
 
 
 class ConstantBidding(ProxyStrategy):
@@ -120,16 +125,15 @@ class ConstantBidding(ProxyStrategy):
         super().__init__(model, grid)
         self._exit_price = model.value(model.cap) / model.cap
         self._final_price = model.final_price()
-        self._residual_k = grid.index(1.0 - model.cap)
+        # The bids before the final price and from it on.
+        self._early = (_EMPTY_KS, _EMPTY_AMTS)
+        self._late = _read_only([grid.index(1.0 - model.cap)], [0.0])
 
     def headline_index(self, p: float) -> int:
         return self.grid.cap_index if p <= self._exit_price else 0
 
     def additional_bid_arrays(self, p: float):
-        if p >= self._final_price - 1e-15:
-            return (np.array([self._residual_k], dtype=np.int64),
-                    np.array([0.0]))
-        return _EMPTY_KS, _EMPTY_AMTS
+        return self._late if p >= self._final_price - 1e-15 else self._early
 
 
 class RisklessDemandReduction(ConstantBidding):
@@ -137,12 +141,10 @@ class RisklessDemandReduction(ConstantBidding):
 
     def __init__(self, model, grid):
         super().__init__(model, grid)
-        self._half_k = grid.n // 2
-
-    def additional_bid_arrays(self, p: float):
-        ks, amounts = super().additional_bid_arrays(p)
-        return (np.concatenate(([self._half_k], ks)),
-                np.concatenate(([0.0], amounts)))
+        # A zero bid on half the supply ahead of the constant strategy's.
+        self._early, self._late = (
+            _read_only([grid.n // 2, *ks], [0.0, *amounts])
+            for ks, amounts in (self._early, self._late))
 
 
 def clock_truthful(model: ValuationModel, grid: QuantityGrid) -> ProxyStrategy:

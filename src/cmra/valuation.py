@@ -192,8 +192,46 @@ class ValuationModel:
             return 0.0
         if self.family == "power" and self.value(lam) == 0.0:
             return 0.0
-        return _bisect(lambda x: self.marginal(x) - p, 0.0 if self.family != "power"
-                       else 1e-300, lam)
+        return self._root(p, 1e-300 if self.family == "power" else 0.0, lam)
+
+    def _root(self, p: float, lo: float, hi: float) -> float:
+        """``_bisect(lambda x: self.marginal(x) - p, lo, hi)``, u(x) - p written
+        out per family in ``marginal``'s float operations and order: no call,
+        range check or family test per step; a zero midpoint ends it as lo."""
+        flo, fhi = self.marginal(lo) - p, self.marginal(hi) - p
+        if flo == 0.0 or fhi == 0.0 or flo * fhi > 0.0:  # _bisect's exits
+            return _bisect(lambda x: self.marginal(x) - p, lo, hi)
+        t, tol, fm = self.theta, _BISECT_TOL, flo
+        if self.family == "quadratic-decreasing":
+            s = 2.0 * self.coeffs[0]
+            while fm != 0.0 and hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fm = t - s * mid - p
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+        elif self.family == "power":
+            (a,) = self.coeffs
+            ta, e, norm = t * a, a - 1.0, self._power_norm()
+            while fm != 0.0 and hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fm = ta * mid ** e / norm - p
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+        else:
+            c1, c2, c3 = self.coeffs
+            d2, d3 = 2.0 * c2, 3.0 * c3
+            while fm != 0.0 and hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                fm = t * (c1 + d2 * mid + d3 * mid * mid) - p
+                if flo * fm < 0.0:
+                    hi = mid
+                else:
+                    lo, flo = mid, fm
+        return lo if fm == 0.0 else 0.5 * (lo + hi)
 
     def indirect_surplus(self, p: float) -> float:
         """V(p) = max over x in [0, cap] of U(x) - p*x."""

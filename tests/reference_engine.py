@@ -19,15 +19,29 @@ its outcome's plain list of rows.
 ``cmra.scenarios.write_round_log`` formats its CSV lines directly from
 tick records.  ``reference_write_round_log`` is the ``csv.writer``
 version it replaced, one line per row tuple.
+
+``cmra.valuation.ValuationModel.truthful_demand`` finds an interior
+demand with a bisection that writes u(x) - p out per family.
+``reference_truthful_demand`` is the solve it replaced: ``_bisect`` on
+``marginal(x) - p``, one lambda and one ``marginal`` call per step.
+
+``cmra.strategies.CmraTruthful`` fills its headline and bid memos at a
+price from one demand solve.  ``ReferenceCmraTruthful`` is the strategy
+it replaced: the headline from ``truthful_demand``, the bids from
+``indirect_surplus``, which solves the demand again.
 """
 
 import csv
 from dataclasses import replace
 
+import numpy as np
+
 from cmra.bidbook import BidBook
 from cmra.mechanism import (_apply_round, _build_outcome, _closing_rows,
                             _max_price_outcome, solve_closing)
 from cmra.scenarios import _fmt
+from cmra.strategies import ClockTruthful
+from cmra.valuation import NON_DECREASING, _bisect
 
 
 def reference_run_cmra(strategy1, strategy2, config):
@@ -98,6 +112,41 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
     if not final_result.closed:
         return hi, hi_books, solve_closing(*hi_books)
     return hi, final_books, final_result
+
+
+def reference_truthful_demand(m, p):
+    """Truthful demand of model ``m`` at price ``p``, one ``marginal``
+    call per bisection step."""
+    if p < 0:
+        raise ValueError("price must be non-negative")
+    lam = m.cap
+    if m.regime == NON_DECREASING:
+        return lam if m.value(lam) - p * lam > 0.0 else 0.0
+    if m.marginal(lam) >= p:
+        return lam
+    if m.marginal(0.0) <= p and m.family != "power":
+        return 0.0
+    if m.family == "power" and m.value(lam) == 0.0:
+        return 0.0
+    return _bisect(lambda x: m.marginal(x) - p, 0.0 if m.family != "power"
+                   else 1e-300, lam)
+
+
+class ReferenceCmraTruthful(ClockTruthful):
+    """Truthful headline demands plus surplus-indifferent additional bids,
+    each method solving the demand itself."""
+
+    def __init__(self, model, grid):
+        super().__init__(model, grid)
+        self._ks = np.arange(grid.cap_index + 1, dtype=np.int64)
+        self._shares = self._ks / grid.n
+        self._values = np.array([model.value(x) for x in self._shares])
+
+    def additional_bid_arrays(self, p):
+        v = self.model.indirect_surplus(p)
+        mask = self._values >= v - 1e-12
+        amounts = np.minimum(self._values[mask] - v, p * self._shares[mask])
+        return self._ks[mask], np.maximum(amounts, 0.0)
 
 
 def reference_write_round_log(path, rounds, grid):

@@ -1,13 +1,16 @@
 """Proxy-strategy emissions: headline paths, indifference bids, legality."""
 
+import random
+
 import numpy as np
 import pytest
 
 from cmra import (AuctionConfig, BidBook, MarketEnv, QuantityGrid,
                   ValuationModel, run_cmra)
 from cmra.bidbook import KIND_ADDITIONAL
-from cmra.strategies import (clock_truthful, cmra_truthful, constant_strategy,
-                             rdr_strategy)
+from cmra.strategies import (STRATEGY_TAGS, clock_truthful, cmra_truthful,
+                             constant_strategy, rdr_strategy)
+from reference_engine import ReferenceCmraTruthful
 
 
 def lots_setup():
@@ -109,6 +112,76 @@ class TestCmraTruthful:
             ks, amounts = s.additional_bid_arrays(p)
             assert np.all(amounts <= p * ks / grid.n + 1e-12)
             assert np.all(amounts >= 0.0)
+
+
+class TestCmraTruthfulSolves:
+    """One demand solve per distinct price, whichever method asks first."""
+
+    MODELS = (ValuationModel.quadratic(1.25, 0.5, cap=0.9),
+              ValuationModel.power(0.6, 0.75, 0.8),
+              ValuationModel.power(2.0, 0.75, 0.7),
+              ValuationModel.polynomial((1.5, -0.4, -0.05), cap=0.75))
+
+    @staticmethod
+    def _queries(rng, eps):
+        """(method, price) queries in mixed orders over clock ticks: bids
+        before the headline, repeats, and off-grid refine probes."""
+        out = []
+        for t in range(60):
+            p, probe = t * eps, (t + 0.5) * eps
+            order = ["h", "a"] if rng.random() < 0.5 else ["a", "h"]
+            out += [(m, p) for m in order]
+            if rng.random() < 0.3:
+                out.append((rng.choice("ha"), p))       # a repeat
+            if rng.random() < 0.3:
+                out.append((rng.choice("ha"), probe))   # one method only
+            if t > 2 and rng.random() < 0.3:
+                out.append((rng.choice("ha"), (t - 2) * eps))  # back
+        return out
+
+    def test_one_solve_per_distinct_price(self, monkeypatch):
+        rng = random.Random(7)
+        solve = ValuationModel.truthful_demand
+        solved = []
+
+        def counted(model, p):
+            solved.append(p)
+            return solve(model, p)
+
+        for m in self.MODELS:
+            grid = QuantityGrid(20, m.cap)
+            queries = self._queries(rng, 1.5 * m.marginal(0.5 * m.cap) / 60)
+            s = cmra_truthful(m, grid)
+            solved.clear()
+            monkeypatch.setattr(ValuationModel, "truthful_demand", counted)
+            got = [s.headline_index(p) if kind == "h"
+                   else s.additional_bid_arrays(p) for kind, p in queries]
+            monkeypatch.undo()
+            assert sorted(solved) == sorted({p for _, p in queries})
+            ref = ReferenceCmraTruthful(m, grid)
+            for (kind, p), emitted in zip(queries, got):
+                if kind == "h":
+                    assert emitted == ref.headline_index(p)
+                else:
+                    ks, amounts = ref.additional_bid_arrays(p)
+                    assert np.array_equal(emitted[0], ks)
+                    assert np.array_equal(emitted[1], amounts)
+                    assert emitted[1].dtype == amounts.dtype
+
+
+class TestReadOnlyEmissions:
+    def test_every_emission_is_read_only(self):
+        # Round logs keep references to the emitted arrays.
+        for m in (ValuationModel.quadratic(1.25, 0.5, cap=0.9),
+                  ValuationModel.power(2.0, 0.75, 0.7)):
+            grid = QuantityGrid(20, m.cap)
+            for make in STRATEGY_TAGS.values():
+                s = make(m, grid)
+                for p in np.linspace(0.0, 2.0 * m.final_price(), 41):
+                    for array in s.additional_bid_arrays(float(p)):
+                        assert not array.flags.writeable
+                        with pytest.raises(ValueError):
+                            array[...] = 0
 
 
 class TestConstantStrategy:

@@ -1,10 +1,14 @@
 """Closed-form valuation quantities against independent numeric oracles."""
 
+import random
+
 import numpy as np
 import pytest
 
 from cmra import (AssumptionViolation, MarketEnv, ValuationModel,
                   efficient_allocation, vcg_outcome)
+from cmra.valuation import _bisect
+from reference_engine import reference_truthful_demand
 
 
 def lots_model():
@@ -101,6 +105,65 @@ class TestTruthfulDemand:
         for p in (0.3, 0.5, 0.8):
             x_star, _ = grid_argmax_surplus(m1, p)
             assert m1.truthful_demand(p) == pytest.approx(x_star, abs=1e-5)
+
+
+def _random_decreasing_models(rng, count):
+    """Seeded decreasing-regime models of every family."""
+    for _ in range(count):
+        cap = rng.uniform(0.55, 0.95)
+        yield ValuationModel.quadratic(rng.uniform(1.0, 2.0),
+                                       rng.uniform(0.05, 0.5), cap=cap)
+        yield ValuationModel.power(rng.uniform(0.1, 0.95), cap=cap,
+                                   theta=rng.uniform(0.05, 2.0))
+        yield ValuationModel.polynomial(
+            (rng.uniform(1.0, 2.0), rng.uniform(-0.5, -0.05),
+             rng.uniform(-0.1, 0.0)), theta=rng.uniform(0.2, 2.0), cap=cap)
+
+
+class TestDemandKernel:
+    """The per-family bisection against the ``_bisect`` solve it
+    replaced: identical floats, not merely close ones."""
+
+    def test_matches_reference_bisection(self):
+        rng = random.Random(20261019)
+        families = set()
+        for m in _random_decreasing_models(rng, 40):
+            families.add(m.family)
+            lo = 1e-300 if m.family == "power" else 0.0
+            u_lo, u_cap = m.marginal(lo), m.marginal(m.cap)
+            mid = 0.5 * (lo + m.cap)
+            # Early exits at u(cap) and at u(0) (u(1e-300) for the power
+            # family, whose u(0) is infinite), a first midpoint that is
+            # the root exactly, and random interior and outside prices.
+            prices = [0.0, u_cap, u_lo, m.marginal(mid)]
+            prices += [rng.uniform(u_cap, min(u_lo, 4.0)) for _ in range(60)]
+            prices += [rng.uniform(0.0, u_cap) for _ in range(5)]
+            if m.family != "power":
+                prices.append(rng.uniform(u_lo, u_lo + 1.0))
+            for p in prices:
+                assert m.truthful_demand(p) == reference_truthful_demand(m, p)
+            assert m.truthful_demand(m.marginal(mid)) == mid
+            # The kernel's own early exits: a root at either end.
+            for p in (u_lo, u_cap, m.marginal(mid)):
+                assert m._root(p, lo, m.cap) == _bisect(
+                    lambda x: m.marginal(x) - p, lo, m.cap)
+            assert m._root(u_lo, lo, m.cap) == lo
+            assert m._root(u_cap, lo, m.cap) == m.cap
+        assert families == {"quadratic-decreasing", "power",
+                            "custom-polynomial"}
+
+    def test_unbracketed_root_raises(self):
+        # alpha near 1 keeps u(1e-300) finite: a price above it leaves
+        # no sign change on [1e-300, cap].
+        m = ValuationModel.power(0.999, cap=0.75, theta=1.0)
+        p = 1.5 * m.marginal(1e-300)
+        with pytest.raises(AssumptionViolation, match="not bracketed"):
+            reference_truthful_demand(m, p)
+        with pytest.raises(AssumptionViolation, match="not bracketed"):
+            m.truthful_demand(p)
+        q = ValuationModel.quadratic(1.25, 0.5, cap=0.9)
+        with pytest.raises(AssumptionViolation, match="not bracketed"):
+            q._root(2.0, 0.0, 0.9)
 
 
 class TestFinalPrice:
