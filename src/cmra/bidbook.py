@@ -221,8 +221,8 @@ class BidBook:
             raise BidError(
                 f"clock price {clock_price} does not exceed previous {self.last_price}"
             )
-        if headline_k > self.grid.cap_index:
-            raise CapExceeded("headline demand exceeds the quantity cap")
+        if not 0 <= headline_k <= self.grid.cap_index:
+            _headline_fault(headline_k)
         if self.last_headline is not None and headline_k > self.last_headline:
             raise NonMonotoneHeadline(
                 f"headline rose from {self.last_headline} to {headline_k}"
@@ -366,8 +366,8 @@ class BookRows:
                 if last is not None and price <= last:
                     raise BidError(
                         f"clock price {price} does not exceed previous {last}")
-                if k > cap:
-                    raise CapExceeded("headline demand exceeds the quantity cap")
+                if not 0 <= k <= cap:
+                    _headline_fault(k)
                 hi = last_headline[r]
                 if hi is not None and k != hi:
                     if k > hi:
@@ -464,9 +464,23 @@ def _admit_and_fold(values, has_bid, kinds, seg_lo, seg_base, base, flat, ks,
     kinds[at] = KIND_ADDITIONAL
 
 
+def _headline_fault(k) -> None:
+    """Raise for a headline index off the grid's indices 0..cap."""
+    if k < 0:
+        raise BidError(f"headline demand on negative grid index {k}")
+    raise CapExceeded("headline demand exceeds the quantity cap")
+
+
 def _check_bids(ks, amounts, cap: int) -> None:
-    """The checks of additional bids that no clamp repairs."""
-    if ks.max() > cap:
+    """The checks of additional bids that no clamp repairs.
+
+    One reduction tests both ends of the index range: a negative index
+    read as unsigned is above any cap.
+    """
+    if np.asarray(ks, dtype=np.int64).view(np.uint64).max() > cap:
+        if ks.min() < 0:
+            raise BidError(f"additional bid on negative grid index "
+                           f"{ks.min()}")
         raise CapExceeded("additional bid above the quantity cap")
     if amounts.min() < 0:
         raise BidError("bid amounts must be non-negative")

@@ -28,9 +28,10 @@ bid of the last tick whose headline is still at least y: its pair
 revenue is a prefix maximum over k < y, the y entry and a suffix
 maximum over k > y.  A single bid of amount a closes its book at tick t
 exactly when a is at most one per-tick threshold or at least another,
-so each bid's first closing tick is a bisection on the thresholds'
-running extrema from its submission tick.  Both screens are checked
-against per-member loop versions on random ladders.
+so the first closing ticks of all bids are found at once, by binary
+lifting over sparse tables of the thresholds' extrema on windows of
+2**l ticks.  Both screens are checked against per-member loop versions
+on random ladders.
 
 A replay does not restart the clock at price 0.  Proxy emissions are
 pure functions of the price, and before its divergence tick (the drop
@@ -471,31 +472,34 @@ class _PairScreen:
         non-negative, so that book closes at tick t exactly when
         ``a <= a_lo[t]`` (the headline-only pairs close and beat the bid
         as a single acceptance) or ``a >= a_hi[t, k]`` (the bid's pair
-        with its best partner beats every single acceptance).  Each test
-        stays true from the first tick on that the running maximum of
-        ``a_lo`` or minimum of ``a_hi`` from the submission tick passes
-        ``a``, so the first close is found by bisection.
+        with its best partner beats every single acceptance).
+        All bids are searched at once by binary lifting on sparse
+        tables: ``lo[l, t]`` is the maximum of ``a_lo`` and ``hi[l, t]``
+        the minimum of ``a_hi`` over ticks ``t .. t + 2**l - 1``.  From
+        the top level down, each bid's cursor skips a window that ends
+        by the last tick and holds no close; where it stops is the
+        first close, or ``len(prices)``.  Padding past the last window
+        holds no skip, and every compare is on integers.
         """
-        t_n = len(self.prices)
-        a_lo = np.where(self.closed, self.hh, -1)
+        t_n, w = len(self.prices), self.grid.n + 1
+        levels = t_n.bit_length()   # 2**(levels - 1) <= t_n < 2**levels
+        lo = np.full((levels, t_n + 1), _BIG)
+        hi = np.full((levels, t_n + 1, w), _NEG)
+        lo[0, :t_n] = np.where(self.closed, self.hh, -1)
         need = self.s[:, None] - self.po_rev
-        a_hi = np.where(self.po_has_rev, np.where(self.hd >= need, 0, need),
-                        _BIG)
-        tc = np.full(a.size, t_n)
-        for t in np.unique(t_hat).tolist():
-            rows = np.nonzero(t_hat == t)[0]
-            kk, aa = k[rows], a[rows]
-            lo_run = np.maximum.accumulate(a_lo[t:])
-            hi_run = np.minimum.accumulate(a_hi[t:], axis=0)
-            lo = np.zeros(rows.size, dtype=np.int64)
-            hi = np.full(rows.size, t_n - t)
-            while (open_ := lo < hi).any():
-                mid = (lo + hi) // 2
-                at = np.minimum(mid, t_n - t - 1)
-                shut = (lo_run[at] >= aa) | (hi_run[at, kk] <= aa)
-                hi = np.where(open_ & shut, mid, hi)
-                lo = np.where(open_ & ~shut, mid + 1, lo)
-            tc[rows] = t + lo
+        hi[0, :t_n] = np.where(self.po_has_rev,
+                               np.where(self.hd >= need, 0, need), _BIG)
+        for l in range(1, levels):
+            h, end = 1 << (l - 1), t_n - (1 << l) + 1
+            np.maximum(lo[l - 1, :end], lo[l - 1, h:h + end], out=lo[l, :end])
+            np.minimum(hi[l - 1, :end], hi[l - 1, h:h + end], out=hi[l, :end])
+        # Cursors as ticks and as flat (tick, quantity) indices of hi.
+        hi = hi.reshape(levels, -1)
+        tc, at = t_hat.copy(), t_hat * w + k
+        for l in range(levels - 1, -1, -1):
+            skip = (lo[l].take(tc) < a) & (hi[l].take(at) > a)
+            tc += skip * (1 << l)
+            at += skip * ((1 << l) * w)
         return tc
 
     def screen_drops(self, family: DeviationFamily, drop_ticks, baseline,
@@ -509,6 +513,12 @@ class _PairScreen:
         revenue is then a prefix maximum over k < y, the y entry and a
         suffix maximum over k > y, with no per-policy book.  Before td the
         book is the headline-only one, which first closes at ``t0``.
+
+        A drop to y binds only where the headline at td is above y, so
+        the last tick whose headline is still at least y is the same
+        for every such td, and the y entry and everything below it
+        form (tick, y) tables built once.  Each drop tick adds only its
+        frozen book above y.
         """
         n = self.grid.n
         t_n = len(self.prices)
@@ -518,43 +528,55 @@ class _PairScreen:
         tq = np.asarray(drop_ticks, dtype=np.int64)
         out.members += ys.size * tq.size
         gains = np.full((ys.size, tq.size), -np.inf)
-        pre_hd = _before(self.hd, _NEG)
-        pre_pair = _before(self.pair_hh, _NEG)
+        # Drops after the close leave headline-only outcomes, and a drop
+        # binds, before or at the close, exactly when the headline at td
+        # is above y; otherwise it is headline-only play.
+        live = [(j, td) for j, td in enumerate(tq.tolist())
+                if (self.t0 is None or td <= self.t0)
+                and (self.kpath[td] > ys).any()]
+        if not live:
+            return
         pre_w = _before(self.pair_w, -np.inf)
-        for j, td in enumerate(tq.tolist()):
-            if self.t0 is not None and self.t0 < td:
-                continue  # closes before the drop: headline-only outcome
-            # A drop binds, before or at the close, exactly when the
-            # headline at td is above y; otherwise it is headline-only play.
+        # Tables are quantity-major, (y, tick), so a drop tick takes rows.
+        # The last tick whose headline is still >= y, and the y entry's
+        # linear-price bid at every tick.
+        last = np.searchsorted(-self.kpath, -ys, side="right") - 1
+        at = np.minimum(last[:, None], np.arange(t_n))
+        v_y = np.floor(self.prices[at] * ys[:, None] / n * self.scale + 0.5) \
+            .astype(np.int64)
+        po_rev, po_has = self.po_rev.T, self.po_has_rev.T
+        pair_y = np.where(po_has[ys], v_y + po_rev[ys], _NEG)
+        # Best pair revenue and best single acceptance on k <= y.
+        hh_y = np.maximum(_before(self.pair_hh, _NEG)[:, ys].T, pair_y)
+        s_y = np.maximum(np.maximum(_before(self.hd, _NEG)[:, ys].T, v_y),
+                         self.max_o)
+        for j, td in live:
             cols = np.nonzero(self.kpath[td] > ys)[0]
-            if not cols.size:
-                continue
             y = ys[cols]
-            # The book of tick td - 1, empty when td = 0.
-            frozen = self.md[td - 1] & (td > 0)
-            f_vals = self.dev_vals[td - 1]
-            po_rev, po_has = self.po_rev[td:], self.po_has_rev[td:]
-            post_pair = _after(np.where(frozen & po_has, f_vals + po_rev, _NEG),
-                               _NEG)[:, y]
-            post_hd = _after(np.where(frozen, f_vals, _NEG), _NEG)[y]
-            # The last tick from td on whose headline is still >= y.
-            last = td - 1 + np.searchsorted(-self.kpath[td:], -y, side="right")
-            s_y = np.minimum(np.arange(td, t_n)[:, None], last[None, :])
-            v_y = np.floor(self.prices[s_y] * y / n * self.scale + 0.5) \
-                .astype(np.int64)
-            pair_y = np.where(po_has[:, y], v_y + po_rev[:, y], _NEG)
-            hh_d = np.maximum(np.maximum(pre_pair[td:, y], pair_y), post_pair)
-            max_d = np.maximum(np.maximum(pre_hd[td:, y], v_y), post_hd)
-            s_d = np.maximum(max_d, self.max_o[td:, None])
+            # The bids of tick td - 1's book (none when td = 0) stay
+            # frozen above y; those above y are f_k[above:].
+            f_k = np.nonzero(self.md[td - 1])[0] if td else ys[:0]
+            f_vals = self.dev_vals[td - 1, f_k]
+            above = np.searchsorted(f_k, y, side="right")
+            # Best frozen pair and bid from each frozen bid up, at every
+            # tick from td; the last row holds none.
+            pair_f = np.full((f_k.size + 1, t_n - td), _NEG)
+            pair_f[:-1] = np.where(po_has[f_k, td:],
+                                   f_vals[:, None] + po_rev[f_k, td:], _NEG)
+            post_pair = _suffix_max(pair_f, 0)[above]
+            post_hd = _suffix_max(np.append(f_vals, _NEG), 0)[above]
+            hh_d = np.maximum(hh_y[cols, td:], post_pair)
+            s_d = np.maximum(s_y[cols, td:], post_hd[:, None])
             closed = (hh_d > _NEG // 2) & (hh_d >= s_d)
-            hit = closed.any(axis=0)
-            cols, y = cols[hit], y[hit]
-            tc = td + np.argmax(closed[:, hit], axis=0)
+            hit = closed.any(axis=1)
+            cols, y, above = cols[hit], y[hit], above[hit]
+            tc = td + np.argmax(closed[hit], axis=1)
             # Surplus ceiling, only at the close tick.
-            w_rows = np.where(frozen & self.po_has_rev[tc],
-                              self.u_dev + self.po_rev[tc] / self.scale, -np.inf)
-            pick = np.arange(y.size)
-            w_post = _after(w_rows, -np.inf)[pick, y]
+            at_f = (tc[:, None], f_k)
+            w_f = np.full((y.size, f_k.size + 1), -np.inf)
+            w_f[:, :-1] = np.where(self.po_has_rev[at_f], self.u_dev[f_k]
+                                   + self.po_rev[at_f] / self.scale, -np.inf)
+            w_post = _suffix_max(w_f, 1)[np.arange(y.size), above]
             w_y = np.where(self.po_has_rev[tc, y],
                            self.u_dev[y] + self.po_rev[tc, y] / self.scale,
                            -np.inf)
@@ -573,9 +595,9 @@ def _before(a, fill):
     return out
 
 
-def _after(a, fill):
-    """Exclusive suffix maximum along the last axis: max of a[..., k+1:]."""
-    return _before(a[..., ::-1], fill)[..., ::-1]
+def _suffix_max(a, axis):
+    """Inclusive suffix maximum along ``axis``: max of a[k:] there."""
+    return np.flip(np.maximum.accumulate(np.flip(a, axis), axis), axis)
 
 
 class _Candidates:

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .bidbook import QuantityGrid
-from .valuation import ValuationModel
+from .valuation import AssumptionViolation, ValuationModel
 
 __all__ = [
     "ProxyStrategy",
@@ -100,6 +100,10 @@ class CmraTruthful(ClockTruthful):
         self._ks = ks
         self._shares = ks / grid.n
         self._values = np.array([model.value(x) for x in self._shares])
+        # The emitted quantities, where U(x) >= V(p), are then a suffix.
+        if (np.diff(self._values) < 0).any():
+            raise AssumptionViolation(
+                "cmra-truthful needs a value non-decreasing on the grid")
         self._a_memo: dict = {}
 
     def additional_bid_arrays(self, p: float):
@@ -110,12 +114,12 @@ class CmraTruthful(ClockTruthful):
     def _solve(self, p: float) -> None:
         h = self.model.truthful_demand(p)
         v = self.model.value(h) - p * h  # indirect_surplus(p)
-        mask = self._values >= v - 1e-12
+        i = int(np.searchsorted(self._values, v - 1e-12))
         # Indifference amounts, kept under the linear price rule; the
         # tiny slack only guards float noise at the domain edge.
-        amounts = np.minimum(self._values[mask] - v, p * self._shares[mask])
+        amounts = np.minimum(self._values[i:] - v, p * self._shares[i:])
         self._h_memo[p] = self._snap(h)
-        self._a_memo[p] = _read_only(self._ks[mask], np.maximum(amounts, 0.0))
+        self._a_memo[p] = _read_only(self._ks[i:], np.maximum(amounts, 0.0))
 
 
 class ConstantBidding(ProxyStrategy):

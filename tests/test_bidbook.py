@@ -96,6 +96,22 @@ class TestRecordRound:
         with pytest.raises(BidError):
             book.record_round(10.0, 0.75, [(0.5, -1.0)])
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("headline_k, ks", [
+        (-1, []), (-3, []), (3, [-2]), (3, [1, -1]), (3, [-1, 9])])
+    def test_negative_index_rejected(self, headline_k, ks, clamp):
+        # A negative index would wrap around to the top of the grid.
+        book = BidBook(QuantityGrid(20, 0.75))
+        book.record_round_indexed(0.25, 10, np.array([2]), np.array([0.01]))
+        before = book.copy()
+        with pytest.raises(BidError, match="negative grid index") as err:
+            book.record_round_indexed(0.5, headline_k, np.array(ks, dtype=int),
+                                      np.full(len(ks), 0.01), clamp=clamp)
+        assert type(err.value) is BidError
+        for name in ("values", "has_bid", "kinds", "_seg_lo", "_seg_base"):
+            assert (getattr(book, name) == getattr(before, name)).all()
+        assert (book.last_price, book.last_headline) == (0.25, 10)
+
 
 class TestActivityCap:
     def test_cap_after_drop(self):

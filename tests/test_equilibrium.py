@@ -204,6 +204,52 @@ class TestExPostSearch:
             base = _baseline("constant", env, cfg, th_d, th_o, seat)
             assert surplus - base <= 1e-4 + 1e-12
 
+    @pytest.mark.parametrize("profile, env, cap, max_price", [
+        ("constant", pow_env(), 0.75, 1.6),
+        ("cmra-truthful", pow_env(), 0.75, 1.6),
+        ("cmra-truthful", quad_env(), 0.9, 1.5),
+        ("clock-truthful", quad_env(), 0.9, 1.5)])
+    def test_every_member_within_its_own_bound(self, profile, env, cap,
+                                               max_price):
+        # Exhaustive soundness of the screen on a tiny family: every
+        # member it lists, screened with no cutoff, replays through the
+        # engine to a gain no larger than its own bound.
+        cfg = AuctionConfig(grid=QuantityGrid(10, cap), eps=2e-2,
+                            max_price=max_price, log_rounds=False)
+        fam = DeviationFamily(n_amounts=6, n_submit_prices=4, n_drop_prices=4)
+        grid, scale = cfg.grid, cfg.money_scale
+        t_n = int((cfg.max_price - cfg.start) / cfg.eps) + 1
+        prices = cfg.start + cfg.eps * np.arange(t_n)
+        ticks = sorted({int(round(i)) for i in np.linspace(0, t_n - 1, 4)})
+        make = STRATEGY_TAGS[profile]
+        replayed = {"headline-only": 0, "single-bid": 0, "drop": 0}
+        for seat in (0, 1):
+            for th_d in env.distribution.support:
+                for th_o in env.distribution.support:
+                    md = env.models[seat].with_theta(th_d)
+                    mo = env.models[1 - seat].with_theta(th_o)
+                    dev_lad = _Ladder(HeadlineOnly(make(md, grid)), prices,
+                                      grid, scale, cap_ticks=ticks)
+                    opp_lad = _Ladder(make(mo, grid), prices, grid, scale)
+                    u_dev = np.array([md.value(grid.share(k))
+                                      for k in range(grid.n + 1)])
+                    screen = _PairScreen(dev_lad, opp_lad, prices, grid,
+                                         scale, u_dev)
+                    base = _baseline(profile, env, cfg, th_d, th_o, seat)
+                    cands = _Candidates()
+                    if screen.t0 is not None:
+                        cands.add(float(screen.hh_opt[screen.t0]) - base,
+                                  Deviation("headline-only"))
+                    screen.screen_single_bids(fam, ticks, base, -np.inf, cands)
+                    screen.screen_drops(fam, ticks, base, -np.inf, cands)
+                    for bound, dev in cands.items:
+                        _, surplus = replay_deviation(profile, env, seat, dev,
+                                                      cfg, (th_d, th_o))
+                        assert surplus - base <= bound + 1e-12, \
+                            (seat, th_d, th_o, dev)
+                        replayed[dev.kind] += 1
+        assert min(replayed.values()) > 0, replayed
+
     def test_search_dominates_random_members_decreasing(self):
         # In the refuted decreasing regime the search's best replayed
         # gain per type pair must dominate any family member's engine
@@ -484,6 +530,51 @@ class TestScreenEquivalence:
         assert min(seen["no t0"], seen["t0"], seen["cap 0"],
                    seen["drop at 0"]) > 0, seen
         assert min(seen["single"], seen["drop"]) > 100, seen
+
+    @pytest.mark.parametrize("t_n", [1, 2, 3, 31, 32, 33])
+    def test_single_bid_closes_match_a_scan(self, t_n):
+        # Synthetic thresholds at ladder lengths around powers of two:
+        # each bid's first close against a tick-by-tick scan.
+        rng = np.random.default_rng(t_n)
+        n = 6
+        a_lo = np.where(rng.random(t_n) < 0.3, rng.integers(0, 40, t_n), -1)
+        a_hi = np.where(rng.random((t_n, n + 1)) < 0.3,
+                        rng.integers(0, 60, (t_n, n + 1)), 2 ** 53)
+        a_lo[-1] = 20              # amounts up to 20 close by the last tick
+        a_hi[:, 0] = 2 ** 53       # on quantity 0 an amount of 50 never does
+        screen = _PairScreen.__new__(_PairScreen)
+        screen.prices = np.arange(t_n) * 0.01
+        screen.grid = QuantityGrid(n, 0.5)
+        # a_lo = where(closed, hh, -1); a_hi = where(has, need, BIG) with
+        # need = s - po_rev above the headline-only bid hd.
+        screen.closed, screen.hh = a_lo >= 0, a_lo
+        screen.po_has_rev = a_hi < 2 ** 53
+        screen.s = np.zeros(t_n, dtype=np.int64)
+        screen.po_rev = -a_hi
+        screen.hd = np.full((t_n, n + 1), -1)
+        m = 400
+        k = rng.integers(0, n + 1, m)
+        t_hat = rng.integers(0, t_n, m)
+        t_hat[:20] = t_n - 1                      # submitted at the last tick
+        a = rng.integers(0, 70, m)
+        # Amounts equal to a threshold at or after the submission tick.
+        at = rng.integers(t_hat, t_n)
+        a[20:120] = np.maximum(a_lo[at], 0)[20:120]
+        a[120:220] = np.minimum(a_hi[at, k], 69)[120:220]
+        k[220:260], a[220:260], t_hat[220:240] = 0, 50, 0
+        got = screen._single_bid_closes(k, t_hat, a)
+        want = np.full(m, t_n)
+        for i in range(m):
+            for t in range(t_hat[i], t_n):
+                if a_lo[t] >= a[i] or a_hi[t, k[i]] <= a[i]:
+                    want[i] = t
+                    break
+        assert got.tolist() == want.tolist()
+        never = want == t_n
+        assert never.any() and (~never).any()
+        on_edge = (a_lo[np.minimum(want, t_n - 1)] == a) | (
+            a_hi[np.minimum(want, t_n - 1), k] == a)
+        assert (on_edge & ~never).any()
 
 
 def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):

@@ -143,7 +143,16 @@ class TestBookRows:
         ("bid cap, price", CapExceeded), ("price, bid cap", BidError),
         ("negative, bid cap", BidError), ("bid cap, negative", CapExceeded),
         ("negative, headline cap", BidError),
-        ("headline cap, negative", CapExceeded)])
+        ("headline cap, negative", CapExceeded),
+        # Negative grid indices, which would wrap around to the top.
+        ("headline below 0", BidError), ("bid below 0", BidError),
+        ("bid below 0, headline cap", BidError),
+        ("headline cap, bid below 0", CapExceeded),
+        ("headline below 0, bid cap", BidError),
+        ("bid cap, headline below 0", CapExceeded),
+        ("bid below 0, negative", BidError),
+        ("negative, bid below 0", BidError),
+        ("headline rise, headline below 0", NonMonotoneHeadline)])
     def test_errors_match(self, case, error):
         grid = QuantityGrid(8, 0.75)
         ok = (grid.cap_index - 1, np.array([1, 2]), np.array([0.01, 0.02]))
@@ -152,7 +161,9 @@ class TestBookRows:
                "headline rise": (2.0, (grid.cap_index,) + ok[1:]),
                "bid cap": (2.0, (ok[0], np.array([1, grid.cap_index + 1]),
                                  ok[2])),
-               "negative": (2.0, (ok[0], ok[1], np.array([0.01, -0.5])))
+               "negative": (2.0, (ok[0], ok[1], np.array([0.01, -0.5]))),
+               "headline below 0": (2.0, (-1,) + ok[1:]),
+               "bid below 0": (2.0, (ok[0], np.array([1, -1]), ok[2])),
                }
         faults = case.split(", ")
         at = [1] if len(faults) == 1 else range(len(faults))
@@ -172,6 +183,21 @@ class TestBookRows:
         assert type(want.value) is error
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
+
+    def test_negative_index_at_price_zero(self):
+        # Row 1's bid on index -1 would land on row 0's top index.
+        grid = QuantityGrid(8, 0.75)
+        rows = BookRows.stack([BidBook(grid) for _ in range(2)])
+        book = BidBook(grid)
+        emissions = [(grid.cap_index, np.array([1]), np.array([0.0])),
+                     (grid.cap_index, np.array([-1]), np.array([0.0]))]
+        with pytest.raises(BidError) as want:
+            book.record_round_indexed(0.0, *emissions[1], clamp=True)
+        with pytest.raises(BidError) as got:
+            rows.record([0.0, 0.0], emissions)
+        assert type(got.value) is type(want.value) is BidError
+        assert str(got.value) == str(want.value)
+        assert not rows.has_bid[:, grid.n].any()
 
 
 FAMILIES = {

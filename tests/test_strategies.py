@@ -1,12 +1,13 @@
 """Proxy-strategy emissions: headline paths, indifference bids, legality."""
 
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from cmra import (AuctionConfig, BidBook, MarketEnv, QuantityGrid,
-                  ValuationModel, run_cmra)
+from cmra import (AssumptionViolation, AuctionConfig, BidBook, MarketEnv,
+                  QuantityGrid, ValuationModel, run_cmra)
 from cmra.bidbook import KIND_ADDITIONAL
 from cmra.strategies import (STRATEGY_TAGS, clock_truthful, cmra_truthful,
                              constant_strategy, rdr_strategy)
@@ -167,6 +168,19 @@ class TestCmraTruthfulSolves:
                     assert np.array_equal(emitted[0], ks)
                     assert np.array_equal(emitted[1], amounts)
                     assert emitted[1].dtype == amounts.dtype
+
+
+class TestCmraTruthfulSuffix:
+    def test_value_falling_on_the_grid_is_refused(self):
+        # The emitted quantities are a suffix of the grid only while the
+        # value is non-decreasing on it.
+        grid = QuantityGrid(20, 0.75)
+        m = ValuationModel.power(2.0, 0.75, 0.9)
+        falling = SimpleNamespace(cap=m.cap, value=lambda x: -m.value(x))
+        with pytest.raises(AssumptionViolation, match="non-decreasing"):
+            cmra_truthful(falling, grid)
+        flat = SimpleNamespace(cap=m.cap, value=lambda x: min(m.value(x), 0.2))
+        cmra_truthful(flat, grid)   # equal neighbours are fine
 
 
 class TestReadOnlyEmissions:
