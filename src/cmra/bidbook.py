@@ -6,6 +6,10 @@ additional bids are capped by linear clock prices, headline demand is
 non-increasing (eligibility), and bids above the current headline are
 constrained by the relative activity cap created by past headline drops.
 
+Books are the rows of a ``BookRows`` state, and ``BookRows.record`` is
+the one implementation of these rules: it records a round on every row
+at once.  ``BidBook``, one bidder's book, is a handle on a one-row state.
+
 Money is held internally as integers in small fixed units (micro-units
 of the currency by default) so that ties in the closing rule are exact.
 An absent bid is an explicit BOTTOM marker (None / a False mask entry),
@@ -17,6 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -117,28 +123,25 @@ class AdditionalBid:
 
 
 class BidBook:
-    """Running per-grid-point maximum of one bidder's bids.
+    """One bidder's book: a handle on the one-row ``BookRows`` ``rows``.
 
-    The stored value at grid point k is the highest amount (in integer
-    money units) bid on k so far, via either a linearly priced headline
-    submission or an additional bid; unbid points carry no value.
+    Its arrays are views of the row, and ``BookRows.record`` records its
+    rounds, so a rejected round leaves the book as it was.
     """
 
     def __init__(self, grid: QuantityGrid, scale: int = MICRO):
-        self.grid = grid
-        self.scale = scale
-        n = grid.n
-        self.values = np.zeros(n + 1, dtype=np.int64)
-        self.has_bid = np.zeros(n + 1, dtype=bool)
-        self.kinds = np.zeros(n + 1, dtype=np.int8)
-        # Drop segments: the headline fell from hi to lo at some price;
-        # bids strictly inside are capped.  The headline is non-increasing,
-        # so segments never overlap and each grid point belongs to at most
-        # one; per-point arrays make the cap an O(1) lookup.
-        self._seg_lo = np.full(n + 1, -1, dtype=np.int64)
-        self._seg_base = np.zeros(n + 1, dtype=np.int64)
-        self.last_price: float | None = None
-        self.last_headline: int | None = None
+        self._bind(BookRows(grid, scale))
+
+    def _bind(self, rows: "BookRows") -> "BidBook":
+        self.rows = rows
+        self.grid, self.scale = rows.grid, rows.scale
+        self.values, self.has_bid = rows.values[0], rows.has_bid[0]
+        self.kinds = rows.kinds[0]
+        self._seg_lo, self._seg_base = rows.seg_lo[0], rows.seg_base[0]
+        return self
+
+    last_price = property(lambda self: self.rows.last_price[0])
+    last_headline = property(lambda self: self.rows.last_headline[0])
 
     # -- queries ------------------------------------------------------
 
@@ -160,16 +163,12 @@ class BidBook:
         q times the quantity increment.  Caps from distinct drops apply
         per segment.
         """
-        lo = int(self._seg_lo[k])
-        if lo < 0:
-            return math.inf
-        return int(self.values[lo]) + int(self._seg_base[k])
+        cap = int(self.activity_caps_array(SENTINEL_UNITS)[k])
+        return math.inf if cap == SENTINEL_UNITS else cap
 
     def activity_caps_array(self, unbounded: int) -> np.ndarray:
         """All per-point caps at once, with ``unbounded`` where no cap binds."""
-        lo = np.maximum(self._seg_lo, 0)
-        caps = self.values[lo] + self._seg_base
-        return np.where(self._seg_lo >= 0, caps, unbounded)
+        return self.rows.activity_caps_array(unbounded)[0]
 
     def activity_cap(self, x: float):
         return self.activity_cap_index(self.grid.index(x))
@@ -179,29 +178,15 @@ class BidBook:
         return self.values, self.has_bid
 
     def copy(self) -> "BidBook":
-        dup = BidBook.__new__(BidBook)
-        dup.grid = self.grid
-        dup.scale = self.scale
-        dup.values = self.values.copy()
-        dup.has_bid = self.has_bid.copy()
-        dup.kinds = self.kinds.copy()
-        dup._seg_lo = self._seg_lo.copy()
-        dup._seg_base = self._seg_base.copy()
-        dup.last_price = self.last_price
-        dup.last_headline = self.last_headline
-        return dup
+        return BidBook.__new__(BidBook)._bind(self.rows.copy())
 
     # -- updates ------------------------------------------------------
 
     def record_round(self, clock_price: float, headline_quantity: float,
                      additional_bids=()) -> "BidBook":
-        """Record one clock round: headline demand plus any additional bids.
-
-        The clock price must exceed the previous round's, the headline
-        must be a grid point weakly below both the cap and the previous
-        headline, and every additional bid must satisfy the linear-price
-        rule and the activity cap.  Returns self for chaining.
-        """
+        """Record one clock round, unclamped: headline demand as a grid
+        share plus additional bids as ``AdditionalBid`` or (share,
+        amount) pairs, under ``BookRows.record``'s rules.  Returns self."""
         k = self.grid.index(headline_quantity)
         ks, amounts = _normalize_bids(additional_bids, self.grid)
         self.record_round_indexed(clock_price, k, ks, amounts)
@@ -210,155 +195,113 @@ class BidBook:
     def record_round_indexed(self, clock_price: float, headline_k: int,
                              ks: np.ndarray, amounts: np.ndarray,
                              clamp: bool = False) -> None:
-        """Array fast path used by the auction engine; bids as grid indices.
+        """One round with bids as grid indices: ``BookRows.record`` on
+        the book's row, by default without the clamp."""
+        self.rows.record([clock_price], [(headline_k, ks, amounts)], clamp)
 
-        With ``clamp=True`` over-limit amounts are reduced to the legal
-        maximum instead of raising; the engine uses this because proxy
-        emissions saturate the relative cap and grid rounding can
-        overshoot it by a fraction of a money unit.
-        """
-        if self.last_price is not None and clock_price <= self.last_price:
-            raise BidError(
-                f"clock price {clock_price} does not exceed previous {self.last_price}"
-            )
-        if not 0 <= headline_k <= self.grid.cap_index:
-            _headline_fault(headline_k)
-        if self.last_headline is not None and headline_k > self.last_headline:
-            raise NonMonotoneHeadline(
-                f"headline rose from {self.last_headline} to {headline_k}"
-            )
 
-        lo, hi = headline_k, self.last_headline
-        dropped = hi is not None and lo < hi
-        if dropped:
-            n = self.grid.n
-            for k in range(lo + 1, hi):
-                self._seg_lo[k] = lo
-                self._seg_base[k] = money_units(
-                    clock_price * (k - lo) / n, self.scale)
-
-        # Headline bid at linear clock prices, recorded before additional
-        # bids so the activity cap sees this round's base value.  Saved
-        # state lets a rejected round roll back atomically.
-        saved = (bool(self.has_bid[headline_k]), int(self.values[headline_k]),
-                 int(self.kinds[headline_k]))
-        self._post(headline_k, money_units(
-            clock_price * headline_k / self.grid.n, self.scale), KIND_HEADLINE)
-
-        if len(ks):
-            try:
-                _admit_and_fold(self.values, self.has_bid, self.kinds,
-                                self._seg_lo, self._seg_base, 0, ks, ks,
-                                amounts, clock_price, self.grid, self.scale,
-                                clamp)
-            except BidError:
-                self.has_bid[headline_k], self.values[headline_k], \
-                    self.kinds[headline_k] = saved
-                if dropped:
-                    self._seg_lo[lo + 1: hi] = -1
-                    self._seg_base[lo + 1: hi] = 0
-                raise
-
-        self.last_price = clock_price
-        self.last_headline = headline_k
-
-    def _post(self, k: int, units: int, kind: int) -> None:
-        if not self.has_bid[k] or units > self.values[k]:
-            self.values[k] = units
-            self.has_bid[k] = True
-            self.kinds[k] = kind
+# The per-point arrays of a ``BookRows``, one row per book.
+_ARRAYS = ("values", "has_bid", "kinds", "seg_lo", "seg_base")
 
 
 class BookRows:
-    """Bid books stacked as rows: ``BidBook``'s arrays with shape ``(R, n+1)``.
+    """Bid books as rows: per-grid-point arrays of shape ``(R, n+1)``.
 
-    The engine's clock loop holds every book on the clock here, and its
-    batched refine every closer's two books; each records one round on
-    many rows in one :meth:`record` call, with the rules, integer
-    rounding and errors of ``BidBook.record_round_indexed(clamp=True)``.
+    ``values[r, k]`` is book r's highest amount (in money units) on grid
+    point k, by a linearly priced headline or an additional bid;
+    ``has_bid`` marks the points bid on and ``kinds`` how.  Where the
+    headline fell from hi to lo, the points strictly between hold
+    ``seg_lo`` = lo and, in ``seg_base``, the linear price of their
+    increment then: segments never overlap, so a cap is one lookup.
     """
 
-    __slots__ = ("grid", "scale", "values", "has_bid", "kinds", "seg_lo",
-                 "seg_base", "last_price", "last_headline")
+    __slots__ = ("grid", "scale", "last_price", "last_headline") + _ARRAYS
 
-    def __init__(self, grid, scale, values, has_bid, kinds, seg_lo, seg_base,
-                 last_price, last_headline):
-        self.grid = grid
-        self.scale = scale
-        self.values = values
-        self.has_bid = has_bid
-        self.kinds = kinds
-        self.seg_lo = seg_lo
-        self.seg_base = seg_base
-        self.last_price = last_price          # per row, None before a round
-        self.last_headline = last_headline    # per row, None before a round
+    def __init__(self, grid: QuantityGrid, scale: int = MICRO,
+                 count: int = 1):
+        """``count`` rows on which no round has been recorded."""
+        shape = (count, grid.n + 1)
+        self.grid, self.scale = grid, scale
+        self.values = np.zeros(shape, np.int64)
+        self.has_bid = np.zeros(shape, bool)
+        self.kinds = np.zeros(shape, np.int8)
+        self.seg_lo = np.full(shape, -1, np.int64)
+        self.seg_base = np.zeros(shape, np.int64)
+        self.last_price = [None] * count      # per row, None before a round
+        self.last_headline = [None] * count   # per row, None before a round
 
-    @classmethod
-    def stack(cls, books) -> "BookRows":
-        """Rows holding copies of ``books``, which share one grid and scale."""
-        return cls(books[0].grid, books[0].scale,
-                   np.array([b.values for b in books]),
-                   np.array([b.has_bid for b in books]),
-                   np.array([b.kinds for b in books]),
-                   np.array([b._seg_lo for b in books]),
-                   np.array([b._seg_base for b in books]),
-                   [b.last_price for b in books],
-                   [b.last_headline for b in books])
+    def _with(self, arrays, last_price, last_headline) -> "BookRows":
+        """A state on this one's grid holding ``arrays``, as ``_ARRAYS``."""
+        new = BookRows.__new__(BookRows)
+        new.grid, new.scale = self.grid, self.scale
+        new.values, new.has_bid, new.kinds, new.seg_lo, new.seg_base = arrays
+        new.last_price, new.last_headline = last_price, last_headline
+        return new
 
     def copy(self) -> "BookRows":
-        return BookRows(self.grid, self.scale, self.values.copy(),
-                        self.has_bid.copy(), self.kinds.copy(),
-                        self.seg_lo.copy(), self.seg_base.copy(),
-                        self.last_price.copy(), self.last_headline.copy())
+        return self._with((self.values.copy(), self.has_bid.copy(),
+                           self.kinds.copy(), self.seg_lo.copy(),
+                           self.seg_base.copy()),
+                          self.last_price.copy(), self.last_headline.copy())
 
     def take(self, rows) -> "BookRows":
         """Copies of the given rows, in that order."""
-        return BookRows(self.grid, self.scale, self.values[rows],
-                        self.has_bid[rows], self.kinds[rows],
-                        self.seg_lo[rows], self.seg_base[rows],
-                        [self.last_price[r] for r in rows],
-                        [self.last_headline[r] for r in rows])
+        return self._with([getattr(self, a).take(rows, axis=0)
+                           for a in _ARRAYS],
+                          [self.last_price[r] for r in rows],
+                          [self.last_headline[r] for r in rows])
 
     def put(self, rows, src: "BookRows", src_rows) -> None:
         """Overwrite ``rows`` with rows ``src_rows`` of ``src``."""
-        self.values[rows] = src.values[src_rows]
-        self.has_bid[rows] = src.has_bid[src_rows]
-        self.kinds[rows] = src.kinds[src_rows]
-        self.seg_lo[rows] = src.seg_lo[src_rows]
-        self.seg_base[rows] = src.seg_base[src_rows]
+        at = np.asarray(rows)
+        for a in _ARRAYS:
+            getattr(self, a)[at] = getattr(src, a).take(src_rows, axis=0)
         for r, s in zip(rows, src_rows):
             self.last_price[r] = src.last_price[s]
             self.last_headline[r] = src.last_headline[s]
 
-    def book(self, r: int) -> BidBook:
-        """A ``BidBook`` on row ``r``: it shares the row's arrays."""
-        book = BidBook.__new__(BidBook)
-        book.grid = self.grid
-        book.scale = self.scale
-        book.values = self.values[r]
-        book.has_bid = self.has_bid[r]
-        book.kinds = self.kinds[r]
-        book._seg_lo = self.seg_lo[r]
-        book._seg_base = self.seg_base[r]
-        book.last_price = self.last_price[r]
-        book.last_headline = self.last_headline[r]
-        return book
+    @staticmethod
+    def join(parts) -> "BookRows":
+        """Copies of the rows ``rows`` of each ``(state, rows)`` part, in
+        order; neighbouring parts of one state are taken together."""
+        groups = [(state, [r for _, rows in group for r in rows])
+                  for state, group in groupby(parts, key=itemgetter(0))]
+        return groups[0][0]._with(
+            [np.concatenate([getattr(state, a).take(rows, axis=0)
+                             for state, rows in groups]) for a in _ARRAYS],
+            [state.last_price[r] for state, rows in groups for r in rows],
+            [state.last_headline[r] for state, rows in groups for r in rows])
 
-    def record(self, prices, emissions) -> None:
-        """One clamped round per row: row ``r`` bids ``emissions[r]`` at ``prices[r]``.
+    def activity_caps_array(self, unbounded: int) -> np.ndarray:
+        """Every row's per-point caps, ``unbounded`` where no cap binds."""
+        lo = np.maximum(self.seg_lo, 0)
+        caps = np.take_along_axis(self.values, lo, axis=1) + self.seg_base
+        return np.where(self.seg_lo >= 0, caps, unbounded)
 
-        An emission is ``(headline_k, ks, amounts)``.  Checks, the
-        headline bid and drop segments are scalar work per row, as in
-        ``BidBook``; the additional bids of all rows are admitted and
-        folded into the running maxima at once.  The ``BidError`` raised
-        is the one a row-by-row record would raise first, and it leaves
-        the rows undefined: callers drop them.
+    def record(self, prices, emissions, clamp: bool = True) -> None:
+        """One round per row: row ``r`` bids ``emissions[r]`` at ``prices[r]``.
+
+        An emission ``(headline_k, ks, amounts)`` holds grid indices.  The
+        price must exceed the row's previous one and the headline lie in
+        0..cap, not above the previous one; it is bid at the linear clock
+        price, and a drop writes its segment, before the additional bids,
+        so their activity caps see this round's base value.  Additional
+        bids must lie within the linear price and the activity cap;
+        ``clamp`` reduces them to the legal maximum instead, as the engine
+        needs (grid rounding can overshoot a cap that proxies saturate).
+        All rows' additional bids are folded at once.
+
+        The ``BidError`` raised is the first one that recording the rows
+        one by one would raise.  A record on one row, or without the
+        clamp, restores its rows from a copy when it raises; a clamped
+        record on several rows, the engine's, leaves them undefined.
         """
         grid, scale = self.grid, self.scale
         n, cap = grid.n, grid.cap_index
-        values, has_bid = self.values, self.has_bid
+        values, has_bid, kinds = self.values, self.has_bid, self.kinds
         last_price, last_headline = self.last_price, self.last_headline
         bids = []  # (row, price, ks, amounts) of the rows with bids
+        saved = self.copy() if not clamp or len(last_price) == 1 else None
         try:
             for r, (price, (k, ks, amounts)) in enumerate(zip(prices,
                                                               emissions)):
@@ -367,7 +310,11 @@ class BookRows:
                     raise BidError(
                         f"clock price {price} does not exceed previous {last}")
                 if not 0 <= k <= cap:
-                    _headline_fault(k)
+                    if k < 0:
+                        raise BidError(
+                            f"headline demand on negative grid index {k}")
+                    raise CapExceeded(
+                        "headline demand exceeds the quantity cap")
                 hi = last_headline[r]
                 if hi is not None and k != hi:
                     if k > hi:
@@ -381,7 +328,7 @@ class BookRows:
                 if not has_bid[r, k] or units > values[r, k]:
                     values[r, k] = units
                     has_bid[r, k] = True
-                    self.kinds[r, k] = KIND_HEADLINE
+                    kinds[r, k] = KIND_HEADLINE
                 if len(ks):
                     bids.append((r, price, ks, amounts))
                 last_price[r] = price
@@ -399,76 +346,65 @@ class BookRows:
                 price = (row_prices[0] if len(set(row_prices)) == 1
                          else np.repeat(row_prices, counts))
                 base = np.repeat(np.asarray(rows) * (n + 1), counts)
-            _admit_and_fold(values.reshape(-1), has_bid.reshape(-1),
-                            self.kinds.reshape(-1), self.seg_lo.reshape(-1),
-                            self.seg_base.reshape(-1), base, base + ks, ks,
-                            amounts, price, grid, scale, True)
+            _check_bids(ks, amounts, cap)
+            self._fold(base, ks, amounts, price, clamp)
         except BidError:
-            # The first fault in row order wins, as in a row-by-row
-            # record: bids of an earlier row fault before a later row's
-            # headline, and the fold checks all rows' bids at once.
-            for _, _, ks, amounts in bids:
-                _check_bids(ks, amounts, cap)
+            if saved is None:
+                # The fold checks all rows' bids at once, after every
+                # row's headline: an earlier row's bids fault first.
+                for _, _, ks, amounts in bids:
+                    _check_bids(ks, amounts, cap)
+                raise
+            rows = range(len(last_price))
+            self.put(rows, saved, rows)
+            if len(rows) > 1:
+                for r, (price, emission) in enumerate(zip(prices, emissions)):
+                    self.take([r]).record([price], [emission], clamp)
             raise
 
+    def _fold(self, base, ks, amounts, price, clamp: bool) -> None:
+        """Admit checked additional bids and fold them into the maxima.
 
-def _admit_and_fold(values, has_bid, kinds, seg_lo, seg_base, base, flat, ks,
-                    amounts, price, grid: QuantityGrid, scale: int,
-                    clamp: bool) -> None:
-    """Admit additional bids and fold them into the running maxima.
-
-    The arrays are one book's, or several books' rows flattened; bid
-    ``i`` is on grid index ``ks[i]`` of the row that starts at offset
-    ``base`` (per bid, or one offset for all), flat index ``flat[i]``,
-    at clock ``price`` (per bid, or one price for all).  Amounts are
-    rounded to money units; with ``clamp`` an amount over the linear
-    price or the activity cap is reduced to the legal maximum, otherwise
-    it raises.  Every check runs before any array changes.
-    """
-    n = grid.n
-    _check_bids(ks, amounts, grid.cap_index)
-    lo = seg_lo[flat]
-    capped = lo.max() >= 0
-    if capped:
-        act = np.where(lo >= 0, values[base + np.maximum(lo, 0)]
-                       + seg_base[flat], SENTINEL_UNITS)
-    if clamp:
-        # Rounding is monotone, so rounding the smaller of the amount
-        # and the linear price equals the smaller of the two rounded.
-        units = np.floor(np.minimum(amounts * scale, price * ks / n * scale)
-                         + 0.5).astype(np.int64)
+        Bid ``i`` is on grid index ``ks[i]`` of the row at flat offset
+        ``base``, at clock ``price`` (each per bid, or one for all).  An
+        amount over a limit is reduced to it with ``clamp`` and raises,
+        before any array changes, without it."""
+        n, scale = self.grid.n, self.scale
+        values, has_bid = self.values.reshape(-1), self.has_bid.reshape(-1)
+        flat = base + ks
+        lo = self.seg_lo.reshape(-1)[flat]
+        capped = lo.max() >= 0
         if capped:
-            units = np.minimum(units, act)
-    else:
-        units = np.floor(amounts * scale + 0.5).astype(np.int64)
-        lin = np.floor(price * ks / n * scale + 0.5).astype(np.int64)
-        over_lin = units > lin
-        if over_lin.any():
-            i = int(np.argmax(over_lin))
-            raise OverLinearPrice(
-                f"bid {amounts[i]} on {ks[i]}/{n} exceeds the linear price "
-                f"{price * ks[i] / n}")
-        if capped:
-            over_act = units > act
-            if over_act.any():
-                i = int(np.argmax(over_act))
-                raise ActivityCapViolation(
-                    f"bid {amounts[i]} on {ks[i]}/{n} exceeds the relative "
-                    f"cap {act[i] / scale}")
-    if len(flat) == 1 or (flat[1:] > flat[:-1]).all():
-        at, raised = _fold_distinct(values, has_bid, flat, units)
-    else:
-        at, raised = _fold_any(values, has_bid, flat, units)
-    values[at] = raised
-    has_bid[at] = True
-    kinds[at] = KIND_ADDITIONAL
-
-
-def _headline_fault(k) -> None:
-    """Raise for a headline index off the grid's indices 0..cap."""
-    if k < 0:
-        raise BidError(f"headline demand on negative grid index {k}")
-    raise CapExceeded("headline demand exceeds the quantity cap")
+            act = np.where(lo >= 0, values[base + np.maximum(lo, 0)]
+                           + self.seg_base.reshape(-1)[flat], SENTINEL_UNITS)
+        if clamp:
+            # Rounding is monotone, so rounding the smaller of the amount
+            # and the linear price equals the smaller of the two rounded.
+            units = np.floor(np.minimum(amounts * scale,
+                                        price * ks / n * scale)
+                             + 0.5).astype(np.int64)
+            if capped:
+                units = np.minimum(units, act)
+        else:
+            units = np.floor(amounts * scale + 0.5).astype(np.int64)
+            lin = np.floor(price * ks / n * scale + 0.5).astype(np.int64)
+            limits = [(units > lin, OverLinearPrice, "linear price",
+                       price * ks / n)]
+            if capped:
+                limits.append((units > act, ActivityCapViolation,
+                               "relative cap", act / scale))
+            for over, fault, name, limit in limits:
+                if over.any():
+                    i = int(np.argmax(over))
+                    raise fault(f"bid {amounts[i]} on {ks[i]}/{n} exceeds "
+                                f"the {name} {limit[i]}")
+        if len(flat) == 1 or (flat[1:] > flat[:-1]).all():
+            at, raised = _fold_distinct(values, has_bid, flat, units)
+        else:
+            at, raised = _fold_any(values, has_bid, flat, units)
+        values[at] = raised
+        has_bid[at] = True
+        self.kinds.reshape(-1)[at] = KIND_ADDITIONAL
 
 
 def _check_bids(ks, amounts, cap: int) -> None:
@@ -507,10 +443,8 @@ def _fold_any(values, has_bid, flat, units):
 def _normalize_bids(additional_bids, grid: QuantityGrid):
     ks, amounts = [], []
     for bid in additional_bids:
-        if isinstance(bid, AdditionalBid):
-            x, a = bid.quantity, bid.amount
-        else:
-            x, a = bid
+        x, a = ((bid.quantity, bid.amount) if isinstance(bid, AdditionalBid)
+                else bid)
         ks.append(grid.index(x))
         amounts.append(float(a))
     return np.asarray(ks, dtype=np.int64), np.asarray(amounts, dtype=float)

@@ -13,8 +13,9 @@ A profile is verified when no deviation in the family gains more than
 the tolerance for any type pair, and refuted when some deviation does.
 
 The search is exact about engine semantics without simulating every
-family member: both bidders' books along the clock ladder are replayed
-once per type, deviations are then screened vectorially against those
+family member: every type's books along the clock ladder, full and
+headline-only, are recorded once, as rows of one book state with one
+record per tick; deviations are then screened vectorially against those
 ladders (the screen reproduces the engine's per-tick closing test), and
 every member whose optimistic surplus bound clears the tolerance is
 re-run through the real auction engine.  Reported gains always come
@@ -69,9 +70,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import integrate
 
-from .bidbook import BidBook, QuantityGrid
-from .mechanism import (AuctionConfig, _apply_round, _closing_rows,
-                        _run_lockstep, run_cmra)
+from .bidbook import BookRows, QuantityGrid
+from .mechanism import (AuctionConfig, _closing_rows, _emit, _run_lockstep,
+                        run_cmra)
 from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
@@ -277,26 +278,26 @@ def _divergence_tick(deviation: Deviation, prices) -> int | None:
     return int(np.searchsorted(prices, price - _PRICE_TOL))
 
 
-def _replay_cell(seat, deviations, dev_base, opp, dev_lad, opp_lad, prices,
-                 t0, config: AuctionConfig) -> list:
+def _replay_cell(seat, deviations, dev_base, opp, ladder, dev_row, opp_row,
+                 prices, t0, config: AuctionConfig) -> list:
     """Engine replays of one search cell's deviations, run in lockstep.
 
-    ``dev_lad`` is the headline-only ladder of ``dev_base``, ``opp_lad``
-    the ladder of ``opp``, both with snapshots at the same ticks, and
-    ``t0`` their first closing tick (None if they never close).  The run
-    of a deviation from price 0 reaches the last snapshot tick at or
-    below both ``t0`` and its divergence tick with exactly the
-    snapshots' books and no close, so it joins the clock there.
+    Row ``dev_row`` of ``ladder`` is the headline-only ladder of
+    ``dev_base``, row ``opp_row`` the ladder of ``opp``, and ``t0``
+    their first closing tick (None if they never close).  The run of a
+    deviation from price 0 reaches the last snapshot tick at or below
+    both ``t0`` and its divergence tick with exactly the snapshots'
+    books and no close, so it joins the clock there.
     """
     starts = []
     for dev in deviations:
         limit = _divergence_tick(dev, prices)
         if t0 is not None:
             limit = t0 if limit is None else min(limit, t0)
-        starts.append(_resume_tick(dev_lad, limit))
+        starts.append(_resume_tick(ladder, limit))
     return _run_lockstep([dev.build(dev_base) for dev in deviations], starts,
-                         [dev_lad.snaps[t] for t in starts], opp,
-                         opp_lad.snaps, seat, config)
+                         opp, ladder.snaps, [dev_row] * len(deviations),
+                         opp_row, seat, config)
 
 
 def _resume_tick(ladder, limit) -> int:
@@ -307,32 +308,34 @@ def _resume_tick(ladder, limit) -> int:
 # -- ladder replays ---------------------------------------------------
 
 class _Ladder:
-    """Book state of one strategy at every clock tick.
+    """Books of several strategies at every clock tick, as rows of one
+    state that one ``BookRows.record`` per tick records.
 
-    ``snaps`` maps each tick of ``snap_ticks`` to a copy of the book as it
-    stands before that tick's round: the state a replay resumes from.
-    ``caps`` maps each tick of ``cap_ticks`` to the activity caps after
-    that tick's round, ``_BIG`` where none binds.
+    ``values[r, t]`` and ``mask[r, t]`` hold the book of
+    ``strategies[r]`` after tick t's round, ``kpath[r, t]`` its headline.
+    ``caps[t]`` holds every row's activity caps after the round of tick
+    t in ``cap_ticks``, ``_BIG`` where none binds; ``snaps[t]`` a copy of
+    the state before the round of tick t in ``snap_ticks``: the books a
+    replay resumes from.
     """
 
-    def __init__(self, strategy, prices, grid, scale, cap_ticks=(),
+    def __init__(self, strategies, prices, grid, scale, cap_ticks=(),
                  snap_ticks=()):
-        book = BidBook(grid, scale)
-        t_n = len(prices)
-        width = grid.n + 1
-        self.values = np.zeros((t_n, width), dtype=np.int64)
-        self.mask = np.zeros((t_n, width), dtype=bool)
-        self.caps = {}
-        self.kpath = np.zeros(t_n, dtype=np.int64)
-        self.snaps = {}
-        for t, p in enumerate(prices):
+        count, t_n = len(strategies), len(prices)
+        state = BookRows(grid, scale, count)
+        self.values = np.zeros((count, t_n, grid.n + 1), dtype=np.int64)
+        self.mask = np.zeros((count, t_n, grid.n + 1), dtype=bool)
+        self.caps, self.snaps, heads = {}, {}, []
+        for t, p in enumerate(prices.tolist()):
             if t in snap_ticks:
-                self.snaps[t] = book.copy()
-            self.kpath[t] = _apply_round(book, strategy, float(p))[0]
-            self.values[t] = book.values
-            self.mask[t] = book.has_bid
+                self.snaps[t] = state.copy()
+            emissions = [_emit(s, p) for s in strategies]
+            state.record([p] * count, emissions)
+            heads.append([k for k, _, _ in emissions])
+            self.values[:, t], self.mask[:, t] = state.values, state.has_bid
             if t in cap_ticks:
-                self.caps[t] = book.activity_caps_array(_BIG)
+                self.caps[t] = state.activity_caps_array(_BIG)
+        self.kpath = np.array(heads, dtype=np.int64).T.copy()
 
 
 def _first_true(mask_1d):
@@ -352,22 +355,23 @@ class _PairScreen:
     matter for members that get replayed anyway.
     """
 
-    def __init__(self, dev_lad: _Ladder, opp_lad: _Ladder,
-                 prices, grid: QuantityGrid, scale: int, u_dev: np.ndarray):
+    def __init__(self, ladder: _Ladder, dev: int, opp: int, prices,
+                 grid: QuantityGrid, scale: int, u_dev: np.ndarray):
         self.prices = prices
         self.grid = grid
         self.scale = scale
         self.u_dev = u_dev
         n = grid.n
 
-        self.hd = np.where(dev_lad.mask, dev_lad.values, _NEG)
-        self.md = dev_lad.mask
-        self.dev_vals = dev_lad.values
-        self.dev_caps = dev_lad.caps
-        self.kpath = dev_lad.kpath
+        # Row ``dev``: the deviator's headline-only ladder.
+        self.md = ladder.mask[dev]
+        self.dev_vals = ladder.values[dev]
+        self.hd = np.where(self.md, self.dev_vals, _NEG)
+        self.dev_caps = {t: caps[dev] for t, caps in ladder.caps.items()}
+        self.kpath = ladder.kpath[dev]
 
-        self.bo = opp_lad.values
-        self.mo = opp_lad.mask
+        self.bo = ladder.values[opp]
+        self.mo = ladder.mask[opp]
         om = np.where(self.mo, self.bo, _NEG)
         self.po = np.maximum.accumulate(om, axis=1)
         self.po_has = np.logical_or.accumulate(self.mo, axis=1)
@@ -382,7 +386,7 @@ class _PairScreen:
         # The engine's closing test on the two ladders, tick by tick: the
         # best pair, the best single acceptance, and the first close.
         self.hh, self.s, self.closed = _closing_rows(
-            dev_lad.values, dev_lad.mask, opp_lad.values, opp_lad.mask)
+            self.dev_vals, self.md, self.bo, self.mo)
         self.t0 = _first_true(self.closed)
 
         # Ceiling on the deviator's surplus when a pair closes at tick t.
@@ -664,12 +668,13 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     strat = {th: make(models[th], grid) for th in thetas}
     # Replays resume at the latest snapshot not past their divergence
     # tick, which is one of the family's submission or drop ticks.
+    # Every type's full and headline-only ladders are rows of one state.
     snap_ticks = {0, *t_hats, *drop_ticks}
-    full_lad = {th: _Ladder(strat[th], prices, grid, scale,
-                            snap_ticks=snap_ticks) for th in thetas}
-    head_lad = {th: _Ladder(HeadlineOnly(strat[th]), prices, grid, scale,
-                            cap_ticks=t_hats, snap_ticks=snap_ticks)
-                for th in thetas}
+    ladder = _Ladder([strat[th] for th in thetas]
+                     + [HeadlineOnly(strat[th]) for th in thetas], prices,
+                     grid, scale, cap_ticks=t_hats, snap_ticks=snap_ticks)
+    full = {th: i for i, th in enumerate(thetas)}
+    head = {th: len(thetas) + i for i, th in enumerate(thetas)}
 
     run_cfg = replace(config, log_rounds=False)
     baselines = {}
@@ -679,12 +684,12 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
         # do, so it resumes from their last snapshot not past that tick.
         key = (th1, th2)
         if key not in baselines:
-            lad1, lad2 = full_lad[th1], full_lad[th2]
-            closed = _closing_rows(lad1.values, lad1.mask,
-                                   lad2.values, lad2.mask)[2]
-            t = _resume_tick(lad1, _first_true(closed))
-            out, = _run_lockstep([strat[th1]], [t], [lad1.snaps[t]],
-                                 strat[th2], lad2.snaps, 0, run_cfg)
+            r1, r2 = full[th1], full[th2]
+            closed = _closing_rows(ladder.values[r1], ladder.mask[r1],
+                                   ladder.values[r2], ladder.mask[r2])[2]
+            t = _resume_tick(ladder, _first_true(closed))
+            out, = _run_lockstep([strat[th1]], [t], strat[th2], ladder.snaps,
+                                 [r1], r2, 0, run_cfg)
             baselines[key] = out.surplus((models[th1], models[th2]))
         return baselines[key]
 
@@ -704,7 +709,7 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
                 baseline = baseline_run(*pair)[seat]
                 report.baseline[th_opp] = baseline
 
-                screen = _PairScreen(head_lad[th_dev], full_lad[th_opp],
+                screen = _PairScreen(ladder, head[th_dev], full[th_opp],
                                      prices, grid, scale, u_dev[th_dev])
                 cands = _Candidates()
                 # The bare headline-only deviation.
@@ -721,8 +726,8 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
                 truncated = truncated or cut
                 outcomes = _replay_cell(
                     seat, [dev for _, dev in top], strat[th_dev],
-                    strat[th_opp], head_lad[th_dev], full_lad[th_opp], prices,
-                    screen.t0, run_cfg)
+                    strat[th_opp], ladder, head[th_dev], full[th_opp],
+                    prices, screen.t0, run_cfg)
                 pair_models = (models[pair[0]], models[pair[1]])
                 best_here = -math.inf
                 for (_, dev), out in zip(top, outcomes):

@@ -163,9 +163,8 @@ def solve_closing(book1: BidBook, book2: BidBook) -> ClosingResult:
     toward bidder 1's larger share and partner shares as large as
     possible.
     """
-    b1, m1 = book1.arrays()
-    b2, m2 = book2.arrays()
-    return closing_from_arrays(b1, m1, b2, m2, book1.grid.n)
+    return closing_from_arrays(*book1.arrays(), *book2.arrays(),
+                               book1.grid.n)
 
 
 def closing_from_arrays(b1, m1, b2, m2, n: int) -> ClosingResult:
@@ -225,13 +224,6 @@ def _emit(strategy, price: float):
     return (k, *strategy.additional_bid_arrays(price))
 
 
-def _apply_round(book: BidBook, strategy, price: float):
-    """One bidder's round: its emission, recorded clamped to legality."""
-    emission = _emit(strategy, price)
-    book.record_round_indexed(price, *emission, clamp=True)
-    return emission
-
-
 def _log_round(log, round_no, price, emissions, closed, r_star):
     """Log one tick: its record holds the emissions themselves (see
     :mod:`cmra.roundlog`)."""
@@ -247,23 +239,23 @@ def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome
     ``config.refine_tol`` between the last non-closing and the first
     closing clock price.
     """
-    fresh = [BidBook(config.grid, config.money_scale) for _ in range(2)]
-    return _run_lockstep([strategy1], [0], fresh[:1], strategy2,
-                         {0: fresh[1]}, 0, config)[0]
+    fresh = {0: BookRows(config.grid, config.money_scale)}
+    return _run_lockstep([strategy1], [0], strategy2, fresh, [0], 0, 0,
+                         config)[0]
 
 
-def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
-                  config: AuctionConfig) -> list:
+def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
+                  seat: int, config: AuctionConfig) -> list:
     """CMRA runs of many strategies against one opponent, in one clock loop.
 
     Member ``i`` plays ``strategies[i]`` in seat ``seat`` (0 or 1) and
-    joins the clock at tick ``starts[i]`` with ``books[i]`` holding its
-    rounds at every earlier tick; none of those ticks closed.
-    ``opp_snaps`` maps every start tick to the opponent's book before
-    that tick's round.  Neither is changed.  Returns each member's
-    outcome, in member order, equal to that of its own clock loop
-    resumed at its start tick; with ``config.log_rounds`` each keeps the
-    round log of the ticks it was on the clock.
+    joins the clock at tick ``starts[i]``; its book, with its rounds at
+    every earlier tick, none of which closed, is row ``rows[i]`` of
+    ``snaps[starts[i]]``.  Row ``opp_row`` of ``snaps[t]`` is the
+    opponent's book before tick t's round.  Nothing in ``snaps`` changes.
+    Returns each member's outcome, in member order, equal to that of its
+    own clock loop resumed at its start tick; with ``config.log_rounds``
+    each keeps the round log of the ticks it was on the clock.
 
     Every book on the clock is a row of one ``BookRows`` state in seat
     order: members' rows from ``seat`` in joining order, the opponent's
@@ -294,12 +286,17 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
             t = starts[pending[-1]]
         if pending and starts[pending[-1]] == t:
             block = 1
-            rows = ([state.book(r) for r in range(len(active) + 1)]
-                    if active else [opp_snaps[t]])
+            snap, joining = snaps[t], []
             while pending and starts[pending[-1]] == t:
                 active.append(pending.pop())
-                rows.insert(seat + len(active) - 1, books[active[-1]])
-            state = BookRows.stack(rows)
+                joining.append(rows[active[-1]])
+            # Joining rows follow the members on the clock (none: the
+            # opponent's snapshot); in seat 0 the opponent's stays last.
+            on = len(active) - len(joining)
+            now, rows_now = (state, range(on + 1)) if on else (snap, [opp_row])
+            state = BookRows.join(
+                [(now, rows_now), (snap, joining)] if seat == 1 else
+                [(now, rows_now[:-1]), (snap, joining), (now, rows_now[-1:])])
         if config.start + t * config.eps > config.max_price + 1e-12:
             for i in active:
                 outcomes[i] = _max_price_outcome(config, logs[i])
@@ -321,15 +318,15 @@ def _run_lockstep(strategies, starts, books, opponent, opp_snaps, seat: int,
             if config.refine and c.tick > 0:
                 closers.append(c)
                 continue
-            pair = (c.own_hi, c.opp_hi) if seat == 0 else (c.opp_hi, c.own_hi)
             outcomes[c.member] = _build_outcome(
-                config.start + c.tick * config.eps, pair, solve_closing(*pair),
-                config, logs[c.member])
+                config.start + c.tick * config.eps,
+                *_solve_rows(c.hi, c.own, c.opp, seat), config,
+                logs[c.member])
     if closers:
-        for c, (close_price, pair, result, fallback) in zip(
+        for c, (price, books, pair, result, fallback) in zip(
                 closers, _refine_closers(closers, strategies, opponent, seat,
                                          config)):
-            outcomes[c.member] = _build_outcome(close_price, pair, result,
+            outcomes[c.member] = _build_outcome(price, books, pair, result,
                                                 config, logs[c.member],
                                                 fallback)
     return outcomes
@@ -343,8 +340,8 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     tick makes every row's emission, then records them in one
     ``BookRows.record`` call, whose ``BidError`` is the first one a
     tick-by-tick loop meets.  The values and masks of the K ticks are
-    kept as ``(K, B, n+1)`` member rows against ``(K, 1, n+1)`` opponent
-    rows for one closing test.  Ticks past the maximum price are not
+    kept as ``(rows, K, n+1)`` arrays for one closing test of the member
+    rows against the opponent's.  Ticks past the maximum price are not
     recorded.  The block ends at the first tick where some member
     closes, and each member's log gets a tick record per tick up to it.
 
@@ -362,15 +359,9 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     opp = width if seat == 0 else 0  # members' rows start at ``seat``
     bidders = [strategies[i] for i in active]
     bidders.insert(opp, opponent)
-    shape = (size, width, config.grid.n + 1)
-    own_values, own_mask = np.empty(shape, np.int64), np.empty(shape, bool)
-    shape = (size, 1, config.grid.n + 1)
-    opp_values, opp_mask = np.empty(shape, np.int64), np.empty(shape, bool)
+    shape = (width + 1, size, config.grid.n + 1)
+    values, mask = np.empty(shape, np.int64), np.empty(shape, bool)
     base = state.copy()
-    # The members' rows and the opponent's, as views of the state.
-    own_rows = state.values[seat:seat + width]
-    own_bids = state.has_bid[seat:seat + width]
-    opp_row, opp_bids = state.values[opp:opp + 1], state.has_bid[opp:opp + 1]
     prices, emitted = [], []
     error = None
     for j in range(size):
@@ -383,20 +374,20 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
         except Exception as exc:  # raised below unless an earlier tick closes
             error = exc
             break
-        own_values[j], own_mask[j] = own_rows, own_bids
-        opp_values[j], opp_mask[j] = opp_row, opp_bids
+        values[:, j], mask[:, j] = state.values, state.has_bid
         prices.append(price)
         emitted.append(emits)
     ticks = len(prices)
+    own, opp_rows = slice(seat, seat + width), slice(opp, opp + 1)
     best_pair, best_single, closed = _closing_rows(
-        own_values[:ticks], own_mask[:ticks],
-        opp_values[:ticks], opp_mask[:ticks])
-    closed = closed.ravel().tolist()  # member r at tick j: [j * width + r]
+        values[own, :ticks], mask[own, :ticks],
+        values[opp_rows, :ticks], mask[opp_rows, :ticks])
+    closed = closed.T.ravel().tolist()  # member r at tick j: [j * width + r]
     first = closed.index(True) // width if True in closed else None
     if first is not None:
         ticks = first + 1
     if config.log_rounds:
-        best_pair, best_single = best_pair.tolist(), best_single.tolist()
+        best_pair, best_single = best_pair.T.tolist(), best_single.T.tolist()
         for j in range(ticks):
             emits = emitted[j]
             for r, i in enumerate(active):
@@ -431,23 +422,30 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
         state = hi.take([r for r, flag in enumerate(flags) if not flag])
         base, hi = base.take(done + [opp]), hi.take(done + [opp])
         done, opp = range(len(done)), len(done)
-    closers = [_Closer(i, t + first, base.book(r), base.book(opp),
-                       hi.book(r), hi.book(opp))
+    closers = [_Closer(i, t + first, base, hi, r, opp)
                for i, r in zip(members, done)]
     return ticks, closers, state
 
 
 class _Closer(NamedTuple):
-    """A member that closed at clock tick ``tick``, with its books: in
-    the clock loop, views (``BookRows.book``) of rows that nothing
-    records on again."""
+    """A member that closed at clock tick ``tick``.  Its book is row
+    ``own`` and the opponent's row ``opp`` of ``base``, before the tick's
+    round, and of ``hi``, after it; nothing records on either again."""
 
     member: int
     tick: int
-    own_base: BidBook   # its book before the tick's round
-    opp_base: BidBook   # the opponent's book before the tick's round
-    own_hi: BidBook     # both books after the round
-    opp_hi: BidBook
+    base: BookRows
+    hi: BookRows
+    own: int
+    opp: int
+
+
+def _solve_rows(state: BookRows, own: int, opp: int, seat: int):
+    """``(state, pair, result)``: rows ``own`` and ``opp`` of ``state`` in
+    seat order, and their closing solve."""
+    pair = (own, opp) if seat == 0 else (opp, own)
+    (v1, m1), (v2, m2) = ((state.values[r], state.has_bid[r]) for r in pair)
+    return state, pair, closing_from_arrays(v1, m1, v2, m2, state.grid.n)
 
 
 def _refine_closers(closers, strategies, opponent, seat: int,
@@ -464,15 +462,15 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     one ``BookRows``, members' rows first, and each step makes one
     record on the closers still bisecting and one batched closing test.
 
-    Returns ``(price, seat-ordered books, ClosingResult, fallback)`` per
-    closer.  The books recorded at the final price must close; when a
+    Returns ``(price, state, seat-ordered rows, ClosingResult, fallback)``
+    per closer.  The books recorded at the final price must close; when a
     non-monotone strategy makes them not close, the closer falls back to
     the tick's books at that price and ``fallback`` is set.
     """
     m = len(closers)
     tol = config.refine_tol
-    state = BookRows.stack([c.own_base for c in closers]
-                           + [c.opp_base for c in closers])
+    state = BookRows.join([(c.base, [c.own]) for c in closers]
+                          + [(c.base, [c.opp]) for c in closers])
     bidders = [strategies[c.member] for c in closers] + [opponent] * m
     lo = [config.start + (c.tick - 1) * config.eps for c in closers]
     hi = [config.start + c.tick * config.eps for c in closers]
@@ -513,15 +511,11 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     state.record(hi + hi, [_emit(b, p) for b, p in zip(bidders, hi + hi)])
     refined = []
     for j, c in enumerate(closers):
-        pair = (state.book(j), state.book(m + j))
-        hi_pair = (c.own_hi, c.opp_hi)
-        if seat == 1:
-            pair, hi_pair = pair[::-1], hi_pair[::-1]
-        result = solve_closing(*pair)
+        books, pair, result = _solve_rows(state, j, m + j, seat)
         fallback = not result.closed
         if fallback:
-            pair, result = hi_pair, solve_closing(*hi_pair)
-        refined.append((hi[j], pair, result, fallback))
+            books, pair, result = _solve_rows(c.hi, c.own, c.opp, seat)
+        refined.append((hi[j], books, pair, result, fallback))
     return refined
 
 
@@ -534,21 +528,24 @@ def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
         excess_supply=1.0, r_star_units=None, rounds=RoundLog(log))
 
 
-def _build_outcome(price, books, result: ClosingResult, config, log,
+def _build_outcome(price, books, pair, result: ClosingResult, config, log,
                    refine_fallback: bool = False) -> AuctionOutcome:
+    """The outcome of a close; rows ``pair`` of ``books`` are the two
+    bidders' books in seat order."""
     grid = config.grid
     k1, k2 = result.allocation
     indices = (k1, k2)
     quantities = (grid.share(k1), grid.share(k2))
     payment_units = []
     kinds = []
-    for book, k in zip(books, indices):
+    for r, k in zip(pair, indices):
         if k == 0:
             payment_units.append(0)
             kinds.append("none")
         else:
-            payment_units.append(int(book.values[k]))
-            kinds.append("headline" if book.kinds[k] == 1 else "additional")
+            payment_units.append(int(books.values[r][k]))
+            kinds.append("headline" if books.kinds[r][k] == 1
+                         else "additional")
     scale = config.money_scale
     payments = tuple(u / scale for u in payment_units)
     revenue_units = sum(payment_units)

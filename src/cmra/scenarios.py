@@ -24,8 +24,8 @@ from importlib import resources
 from pathlib import Path
 
 from .audit import AuctionAuditRecord, audit_linear_prices
-from .bidbook import BidBook, MICRO, QuantityGrid
-from .mechanism import (AuctionConfig, _apply_round, revenue_curve, run_clock,
+from .bidbook import BidBook, BookRows, MICRO, QuantityGrid
+from .mechanism import (AuctionConfig, _emit, revenue_curve, run_clock,
                         run_cmra)
 from .roundlog import RoundLog
 from .strategies import STRATEGY_TAGS
@@ -385,17 +385,18 @@ def export_figure_data(source, prices, outdir=None) -> dict:
 
 
 def _books_at_price(scenario: Scenario, price: float):
-    """Book state at a clock price: all ladder rounds below, then the price."""
+    """Both books at a clock price, as the engine records them: every
+    clock round below the price, then the price; rows of one state."""
     cfg = scenario.config
-    books = tuple(BidBook(cfg.grid, cfg.money_scale) for _ in range(2))
+    state = BookRows(cfg.grid, cfg.money_scale, 2)
     t = 0
     while (p := cfg.start + t * cfg.eps) < price - 1e-15:
-        for book, strat in zip(books, scenario.strategies):
-            _apply_round(book, strat, p)
+        state.record([p, p], [_emit(s, p) for s in scenario.strategies])
         t += 1
-    for book, strat in zip(books, scenario.strategies):
-        _apply_round(book, strat, price)
-    return books
+    state.record([price, price], [_emit(s, price)
+                                  for s in scenario.strategies])
+    return tuple(BidBook.__new__(BidBook)._bind(state.take([r]))
+                 for r in (0, 1))
 
 
 # -- bundled data --------------------------------------------------------

@@ -6,9 +6,12 @@ are rows of one ``BookRows`` state, recorded with one row record per
 tick; its one block clock runs blocks of ticks with one closing test per
 block, one tick long while several members are on the clock, and every
 closer of one loop refines in one batched bisection.
-``reference_run_cmra`` is the plain loop it replaced: two ``BidBook``
-books, one full closing solve per tick, and one bisection per auction on
-two ``BidBook`` copies per probe.
+``reference_run_cmra`` is the plain loop it replaced: two books, one
+full closing solve per tick, and one bisection per auction on two book
+copies per probe.  It records on ``ReferenceBidBook``, one book at a
+time, checking and folding bids one by one in plain Python where the
+engine's one record rule, ``BookRows.record``, works on arrays of rows;
+no reference shares record code with the engine.
 
 ``cmra.mechanism`` logs one tick record per clock tick, and
 ``AuctionOutcome.rounds`` expands them into rows on access.
@@ -32,23 +35,150 @@ it replaced: the headline from ``truthful_demand``, the bids from
 """
 
 import csv
+import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from cmra.bidbook import BidBook
-from cmra.mechanism import (_apply_round, _build_outcome, _closing_rows,
+from cmra.bidbook import (KIND_ADDITIONAL, KIND_HEADLINE, MICRO,
+                          ActivityCapViolation, BidError, CapExceeded,
+                          NonMonotoneHeadline, OverLinearPrice, money_units)
+from cmra.mechanism import (_build_outcome, _closing_rows, _emit,
                             _max_price_outcome, solve_closing)
 from cmra.scenarios import _fmt
 from cmra.strategies import ClockTruthful
 from cmra.valuation import NON_DECREASING, _bisect
 
 
+class ReferenceBidBook:
+    """One bidder's book with the record rule written out per point.
+
+    The rule is the engine's: headline demand at linear clock prices,
+    non-increasing and within the cap; additional bids within the
+    linear price and the relative cap of past headline drops, reduced to
+    the legal maximum with ``clamp`` and rejected without it.  A
+    rejected round rolls back.  Bids are checked and folded one by one
+    in plain Python, where the engine's ``BookRows.record`` works on
+    arrays of rows.
+    """
+
+    def __init__(self, grid, scale=MICRO):
+        self.grid, self.scale = grid, scale
+        n = grid.n
+        self.values = np.zeros(n + 1, dtype=np.int64)
+        self.has_bid = np.zeros(n + 1, dtype=bool)
+        self.kinds = np.zeros(n + 1, dtype=np.int8)
+        self._seg_lo = np.full(n + 1, -1, dtype=np.int64)
+        self._seg_base = np.zeros(n + 1, dtype=np.int64)
+        self.last_price = self.last_headline = None
+
+    def arrays(self):
+        return self.values, self.has_bid
+
+    def activity_caps_array(self, unbounded):
+        return np.array([unbounded if lo < 0 else
+                         int(self.values[lo]) + int(base)
+                         for lo, base in zip(self._seg_lo, self._seg_base)],
+                        dtype=np.int64)
+
+    def copy(self):
+        dup = ReferenceBidBook(self.grid, self.scale)
+        for name in ("values", "has_bid", "kinds", "_seg_lo", "_seg_base"):
+            setattr(dup, name, getattr(self, name).copy())
+        dup.last_price, dup.last_headline = self.last_price, self.last_headline
+        return dup
+
+    def record_round_indexed(self, clock_price, headline_k, ks, amounts,
+                             clamp=False):
+        if self.last_price is not None and clock_price <= self.last_price:
+            raise BidError(f"clock price {clock_price} does not exceed "
+                           f"previous {self.last_price}")
+        if headline_k < 0:
+            raise BidError(f"headline demand on negative grid index "
+                           f"{headline_k}")
+        if headline_k > self.grid.cap_index:
+            raise CapExceeded("headline demand exceeds the quantity cap")
+        if self.last_headline is not None and headline_k > self.last_headline:
+            raise NonMonotoneHeadline(
+                f"headline rose from {self.last_headline} to {headline_k}")
+        n = self.grid.n
+        lo, hi = headline_k, self.last_headline
+        dropped = hi is not None and lo < hi
+        if dropped:
+            for k in range(lo + 1, hi):
+                self._seg_lo[k] = lo
+                self._seg_base[k] = money_units(clock_price * (k - lo) / n,
+                                                self.scale)
+        # The headline is posted first, so the activity cap sees this
+        # round's base value; saved state lets a rejected round roll back.
+        saved = (bool(self.has_bid[headline_k]), int(self.values[headline_k]),
+                 int(self.kinds[headline_k]))
+        self._post(headline_k, money_units(clock_price * headline_k / n,
+                                           self.scale), KIND_HEADLINE)
+        try:
+            self._admit(clock_price, [int(k) for k in ks],
+                        [float(a) for a in amounts], clamp)
+        except BidError:
+            self.has_bid[headline_k], self.values[headline_k], \
+                self.kinds[headline_k] = saved
+            if dropped:
+                self._seg_lo[lo + 1: hi] = -1
+                self._seg_base[lo + 1: hi] = 0
+            raise
+        self.last_price, self.last_headline = clock_price, headline_k
+
+    def _admit(self, price, ks, amounts, clamp):
+        """Check every bid, then fold all of them; caps read the values
+        before any bid of the round is folded."""
+        n, scale = self.grid.n, self.scale
+        if any(k < 0 for k in ks):
+            raise BidError(f"additional bid on negative grid index {min(ks)}")
+        if any(k > self.grid.cap_index for k in ks):
+            raise CapExceeded("additional bid above the quantity cap")
+        if any(a < 0 for a in amounts):
+            raise BidError("bid amounts must be non-negative")
+        caps = [math.inf if self._seg_lo[k] < 0 else
+                int(self.values[self._seg_lo[k]]) + int(self._seg_base[k])
+                for k in ks]
+        if clamp:
+            units = [min(math.floor(min(a * scale, price * k / n * scale)
+                                    + 0.5), cap)
+                     for k, a, cap in zip(ks, amounts, caps)]
+        else:
+            units = [math.floor(a * scale + 0.5) for a in amounts]
+            for k, a, u in zip(ks, amounts, units):
+                if u > math.floor(price * k / n * scale + 0.5):
+                    raise OverLinearPrice(
+                        f"bid {a} on {k}/{n} exceeds the linear price "
+                        f"{price * k / n}")
+            for k, a, u, cap in zip(ks, amounts, units, caps):
+                if u > cap:
+                    raise ActivityCapViolation(
+                        f"bid {a} on {k}/{n} exceeds the relative cap "
+                        f"{cap / scale}")
+        for k, u in zip(ks, units):
+            self._post(k, u, KIND_ADDITIONAL)
+
+    def _post(self, k, units, kind):
+        if not self.has_bid[k] or units > self.values[k]:
+            self.values[k] = units
+            self.has_bid[k] = True
+            self.kinds[k] = kind
+
+
+def reference_round(book, strategy, price):
+    """One bidder's round on a reference book, clamped to legality."""
+    emission = _emit(strategy, price)
+    book.record_round_indexed(price, *emission, clamp=True)
+    return emission
+
+
 def reference_run_cmra(strategy1, strategy2, config):
     """One auction from the start price, one ``solve_closing`` per tick."""
     strategies = (strategy1, strategy2)
-    books = (BidBook(config.grid, config.money_scale),
-             BidBook(config.grid, config.money_scale))
+    books = (ReferenceBidBook(config.grid, config.money_scale),
+             ReferenceBidBook(config.grid, config.money_scale))
     log: list = []
     t = 0
     prev_price = None
@@ -57,7 +187,8 @@ def reference_run_cmra(strategy1, strategy2, config):
         if price > config.max_price + 1e-12:
             return replace(_max_price_outcome(config, []), rounds=log)
         base = (books[0].copy(), books[1].copy())
-        emissions = [_apply_round(b, s, price) for b, s in zip(books, strategies)]
+        emissions = [reference_round(b, s, price)
+                     for b, s in zip(books, strategies)]
         result = solve_closing(books[0], books[1])
         if config.log_rounds:
             reference_log_round(log, t, price, emissions, result.closed,
@@ -66,8 +197,10 @@ def reference_run_cmra(strategy1, strategy2, config):
             if config.refine and prev_price is not None:
                 price, books, result = _refine_close(
                     base, strategies, prev_price, price, books, config)
-            return replace(_build_outcome(price, books, result, config, []),
-                           rounds=log)
+            rows = SimpleNamespace(values=[b.values for b in books],
+                                   kinds=[b.kinds for b in books])
+            return replace(_build_outcome(price, rows, (0, 1), result, config,
+                                          []), rounds=log)
         prev_price = price
         t += 1
 
@@ -99,7 +232,7 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
         mid = 0.5 * (lo + hi)
         trial = (lo_books[0].copy(), lo_books[1].copy())
         for b, s in zip(trial, strategies):
-            _apply_round(b, s, mid)
+            reference_round(b, s, mid)
         if _closing_rows(trial[0].values, trial[0].has_bid,
                          trial[1].values, trial[1].has_bid)[2]:
             hi = mid
@@ -107,7 +240,7 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
             lo, lo_books = mid, trial
     final_books = (lo_books[0].copy(), lo_books[1].copy())
     for b, s in zip(final_books, strategies):
-        _apply_round(b, s, hi)
+        reference_round(b, s, hi)
     final_result = solve_closing(final_books[0], final_books[1])
     if not final_result.closed:
         return hi, hi_books, solve_closing(*hi_books)

@@ -18,14 +18,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from reference_engine import reference_log_round, reference_run_cmra
-from test_refine import _BOOK_FIELDS, FAMILIES
+from reference_engine import (ReferenceBidBook, reference_log_round,
+                              reference_round, reference_run_cmra)
+from test_refine import FAMILIES, to_rows
 
-from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
-                  mechanism, run_cmra)
-from cmra.bidbook import BidError
+from cmra import (AuctionConfig, AuctionOutcome, QuantityGrid, mechanism,
+                  run_cmra)
+from cmra.bidbook import _ARRAYS, BidError, BookRows
 from cmra.equilibrium import DropPolicy, SingleBidDeviation
-from cmra.mechanism import _apply_round, _run_lockstep
+from cmra.mechanism import _run_lockstep
 from cmra.roundlog import RoundLog
 from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
 
@@ -86,10 +87,23 @@ def random_strategy(seed, make, model, config):
 
 def lone_run(member, opponent, seat, config):
     """A one-member lockstep run from the start price in ``seat``."""
-    fresh = [BidBook(config.grid, config.money_scale) for _ in range(2)]
-    out, = _run_lockstep([member], [0], fresh[:1], opponent, {0: fresh[1]},
-                         seat, config)
+    fresh = {0: BookRows(config.grid, config.money_scale)}
+    out, = _run_lockstep([member], [0], opponent, fresh, [0], 0, seat,
+                         config)
     return out
+
+
+def snapshots(strategies, ticks, config):
+    """Reference books of ``strategies`` before each of the first
+    ``ticks`` clock ticks, as the rows of one state per tick."""
+    books = [ReferenceBidBook(config.grid, config.money_scale)
+             for _ in strategies]
+    snaps = {}
+    for t in range(ticks):
+        snaps[t] = to_rows(*books)
+        for book, strategy in zip(books, strategies):
+            reference_round(book, strategy, config.start + t * config.eps)
+    return snaps
 
 
 class TestBlockClock:
@@ -183,19 +197,12 @@ class TestBlockClock:
                             for c in close_ticks[1:]]
             members = [make(model(th), grid) for th in thetas]
             opponent = make(model(opp_theta), grid)
-            books, snaps = [], {}
-            opp_book = BidBook(grid, config.money_scale)
-            for t in range(max(starts) + 1):
-                snaps[t] = opp_book.copy()
-                _apply_round(opp_book, opponent, config.start + t * config.eps)
-            for member, start in zip(members, starts):
-                book = BidBook(grid, config.money_scale)
-                for t in range(start):
-                    _apply_round(book, member, config.start + t * config.eps)
-                books.append(book)
+            # Member i's book is row i, the opponent's the last row.
+            snaps = snapshots(members + [opponent], max(starts) + 1, config)
             del blocks[:]
-            got = _run_lockstep(members, starts, books, opponent, snaps, seat,
-                                config)
+            got = _run_lockstep(members, starts, opponent, snaps,
+                                list(range(len(members))), len(members),
+                                seat, config)
             for out, want, start in zip(got, wants, starts):
                 assert_same_outcome(out, want, (i, profile), start)
             for t, size, ticks, _ in blocks:
@@ -314,24 +321,17 @@ class TestBlockClock:
                              if rng.random() < 0.5
                              else int(rng.integers(0, ends[k] + 1)))
             bidders, opp = members(), opponent()
-            opp_book, snaps = BidBook(grid, config.money_scale), {}
-            for t in range(max(starts) + 1):
-                snaps[t] = opp_book.copy()
-                _apply_round(opp_book, opp, config.start + t * config.eps)
-            books = []
-            for member, start in zip(bidders, starts):
-                book = BidBook(grid, config.money_scale)
-                for t in range(start):
-                    _apply_round(book, member, config.start + t * config.eps)
-                books.append(book)
-            kept = [b.copy() for b in books + list(snaps.values())]
-            got = _run_lockstep(bidders, starts, books, opp, snaps, seat,
+            # The opponent's book is row 0, member k's row k + 1.
+            snaps = snapshots([opp] + bidders, max(starts) + 1, config)
+            kept = {t: rows.copy() for t, rows in snaps.items()}
+            got = _run_lockstep(bidders, starts, opp, snaps,
+                                list(range(1, len(thetas) + 1)), 0, seat,
                                 config)
             for k, (out, want) in enumerate(zip(got, wants)):
                 assert_same_outcome(out, want, (i, profile, seat, k),
                                     starts[k])
-            for book, copy in zip(books + list(snaps.values()), kept):
-                assert_same_book(book, copy)
+            for t, rows in snaps.items():
+                assert_same_rows(rows, kept[t])
             for j, start in enumerate(starts):
                 # Members on the clock when member j joins, and those
                 # that close on that tick.
@@ -343,10 +343,10 @@ class TestBlockClock:
         assert min(seen.values()) > 0, seen
 
 
-def assert_same_book(book, want):
-    for name, _ in _BOOK_FIELDS:
-        assert np.array_equal(getattr(book, name), getattr(want, name)), name
-    assert (book.last_price, book.last_headline) == \
+def assert_same_rows(rows, want):
+    for name in _ARRAYS:
+        assert np.array_equal(getattr(rows, name), getattr(want, name)), name
+    assert (rows.last_price, rows.last_headline) == \
         (want.last_price, want.last_headline)
 
 
@@ -374,11 +374,10 @@ def run_several_members(rng, i, refine, count=6):
     wants = [reference_run_cmra(
         *((m, opponent()) if seat == 0 else (opponent(), m)), config)
         for m in members()]
-    fresh = [BidBook(config.grid, config.money_scale)
-             for _ in range(count + 1)]
+    fresh = {0: BookRows(config.grid, config.money_scale)}
     bidders = members()
-    got = _run_lockstep(bidders, [0] * count, fresh[1:], opponent(),
-                        {0: fresh[0]}, seat, config)
+    got = _run_lockstep(bidders, [0] * count, opponent(), fresh, [0] * count,
+                        0, seat, config)
     for k, (out, want) in enumerate(zip(got, wants)):
         assert_same_outcome(out, want, (i, profile, family, seat, k))
     return config, seat, bidders, got
@@ -434,10 +433,9 @@ def run_both(members, opponent, seat, config):
     except BidError as exc:
         want = exc
     try:
-        fresh = [BidBook(config.grid, config.money_scale)
-                 for _ in range(len(members) + 1)]
+        fresh = {0: BookRows(config.grid, config.money_scale)}
         got = _run_lockstep([m() for m in members], [0] * len(members),
-                            fresh[1:], opponent(), {0: fresh[0]}, seat,
+                            opponent(), fresh, [0] * len(members), 0, seat,
                             config)[0]
     except BidError as exc:
         got = exc

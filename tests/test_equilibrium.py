@@ -5,7 +5,8 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from reference_engine import reference_run_cmra
+from reference_engine import (ReferenceBidBook, reference_round,
+                              reference_run_cmra)
 
 from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   MarketEnv, QuantityGrid, TypeDistribution, ValuationModel,
@@ -13,7 +14,7 @@ from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   rdr_threshold, replay_deviation, run_cmra,
                   vcg_equivalence_check, vcg_outcome)
 from cmra.bidbook import money_units
-from cmra.equilibrium import (Deviation, DeviationFamily, HeadlineOnly,
+from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
                               _Candidates, _Ladder, _PairScreen, _replay_cell)
 from cmra.strategies import STRATEGY_TAGS
 
@@ -173,9 +174,12 @@ class TestExPostSearch:
         assert surplus - report.baseline[report.best_opponent] == \
             pytest.approx(report.best_gain, abs=1e-12)
 
-    def test_screen_bound_dominates_engine_surplus(self):
-        # Soundness of the screen: no family member's engine surplus may
-        # exceed the verified threshold by more than the tolerance.
+    def test_off_family_deviations_gain_at_most_tol(self):
+        # Deviations outside the search family, with amounts off its
+        # levels and submission and drop prices off its ticks, gain at
+        # most the tolerance over a verified profile's baseline.  The
+        # screen bounds only family members, which
+        # test_every_member_within_its_own_bound replays exhaustively.
         env = pow_env()
         cfg = small_config(0.75, 1.6, eps=1e-2)
         fam = DeviationFamily(n_amounts=8, n_submit_prices=5, n_drop_prices=5)
@@ -228,13 +232,13 @@ class TestExPostSearch:
                 for th_o in env.distribution.support:
                     md = env.models[seat].with_theta(th_d)
                     mo = env.models[1 - seat].with_theta(th_o)
-                    dev_lad = _Ladder(HeadlineOnly(make(md, grid)), prices,
-                                      grid, scale, cap_ticks=ticks)
-                    opp_lad = _Ladder(make(mo, grid), prices, grid, scale)
+                    ladder = _Ladder([HeadlineOnly(make(md, grid)),
+                                      make(mo, grid)], prices, grid, scale,
+                                     cap_ticks=ticks)
                     u_dev = np.array([md.value(grid.share(k))
                                       for k in range(grid.n + 1)])
-                    screen = _PairScreen(dev_lad, opp_lad, prices, grid,
-                                         scale, u_dev)
+                    screen = _PairScreen(ladder, 0, 1, prices, grid, scale,
+                                         u_dev)
                     base = _baseline(profile, env, cfg, th_d, th_o, seat)
                     cands = _Candidates()
                     if screen.t0 is not None:
@@ -415,24 +419,21 @@ class TestResumedReplay:
                     # for some pairs, so resume ticks fall on, below and
                     # short of the limit.
                     full = set(range(t_n))
-                    dev_lad = _Ladder(HeadlineOnly(base), prices, grid,
-                                      cfg.money_scale, snap_ticks=full)
-                    opp_lad = _Ladder(opp, prices, grid, cfg.money_scale,
-                                      snap_ticks=full)
+                    ladder = _Ladder([HeadlineOnly(base), opp], prices, grid,
+                                     cfg.money_scale, snap_ticks=full)
                     u_dev = np.array([md.value(grid.share(k))
                                       for k in range(grid.n + 1)])
-                    t0 = _PairScreen(dev_lad, opp_lad, prices, grid,
+                    t0 = _PairScreen(ladder, 0, 1, prices, grid,
                                      cfg.money_scale, u_dev).t0
                     keep = {0, *rng.choice(t_n, 8, replace=False).tolist()}
                     if t0 is not None and rng.random() < 0.5:
                         keep.add(t0)
-                    for lad in (dev_lad, opp_lad):
-                        lad.snaps = {t: b for t, b in lad.snaps.items()
-                                     if t in keep}
+                    ladder.snaps = {t: b for t, b in ladder.snaps.items()
+                                    if t in keep}
                     batch = [_random_deviation(rng, cfg, prices, t_n)
                              for _ in range(10)]
                     got = _replay_cell(seat, [dev for dev, _ in batch], base,
-                                       opp, dev_lad, opp_lad, prices, t0, cfg)
+                                       opp, ladder, 0, 1, prices, t0, cfg)
                     starts, closes = set(), set()
                     for (dev, div), out in zip(batch, got):
                         pair = (dev.build(make(md, grid)), make(mo, grid))
@@ -465,6 +466,89 @@ class TestResumedReplay:
                    seen["mixed closes"]) > 0, seen
 
 
+class _ReferenceLadder:
+    """The per-strategy ladder that ``_Ladder``'s rows replaced: one book,
+    one round per tick, and a copy of the book per snapshot tick."""
+
+    def __init__(self, strategy, prices, grid, scale, cap_ticks=(),
+                 snap_ticks=()):
+        book = ReferenceBidBook(grid, scale)
+        t_n = len(prices)
+        width = grid.n + 1
+        self.values = np.zeros((t_n, width), dtype=np.int64)
+        self.mask = np.zeros((t_n, width), dtype=bool)
+        self.caps = {}
+        self.kpath = np.zeros(t_n, dtype=np.int64)
+        self.snaps = {}
+        for t, p in enumerate(prices):
+            if t in snap_ticks:
+                self.snaps[t] = book.copy()
+            self.kpath[t] = reference_round(book, strategy, float(p))[0]
+            self.values[t] = book.values
+            self.mask[t] = book.has_bid
+            if t in cap_ticks:
+                self.caps[t] = book.activity_caps_array(_BIG)
+
+
+class TestLadderRows:
+    """A search's ladders, rows of one state, against per-strategy loops."""
+
+    def test_rows_match_per_strategy_ladders(self):
+        rng = np.random.default_rng(97)
+        seen = {"segments": 0, "capped": 0, "bids": 0, "regimes": set()}
+        for i in range(16):
+            profile = list(STRATEGY_TAGS)[i % 4]
+            env, cap, top = ((pow_env(), 0.75, 1.6) if i // 4 % 2 == 0
+                             else (quad_env(), 0.9, 1.5))
+            cfg = AuctionConfig(
+                grid=QuantityGrid(int(rng.choice([10, 20])), cap),
+                eps=float(rng.choice([1e-2, 0.0197])), max_price=top,
+                start=float(rng.choice([0.0, 0.13])), log_rounds=False)
+            grid, scale = cfg.grid, cfg.money_scale
+            t_n = int((cfg.max_price - cfg.start) / cfg.eps) + 1
+            prices = cfg.start + cfg.eps * np.arange(t_n)
+            make = STRATEGY_TAGS[profile]
+            lo, hi = env.distribution.support
+            models = [env.models[0].with_theta(float(th))
+                      for th in rng.uniform(lo, hi, 3)]
+
+            def strategies():
+                # A search's rows: full ladders, then headline-only ones.
+                full = [make(m, grid) for m in models]
+                return full + [HeadlineOnly(s) for s in full]
+            cap_ticks = sorted({0, *rng.choice(t_n, 5).tolist()})
+            snap_ticks = {0, t_n - 1, *rng.choice(t_n, 5).tolist()}
+            got = _Ladder(strategies(), prices, grid, scale, cap_ticks,
+                          snap_ticks)
+            assert got.caps.keys() == set(cap_ticks)
+            assert got.snaps.keys() == snap_ticks
+            for r, strategy in enumerate(strategies()):
+                want = _ReferenceLadder(strategy, prices, grid, scale,
+                                        cap_ticks, snap_ticks)
+                assert np.array_equal(got.values[r], want.values)
+                assert np.array_equal(got.mask[r], want.mask)
+                assert np.array_equal(got.kpath[r], want.kpath)
+                for t in cap_ticks:
+                    assert np.array_equal(got.caps[t][r], want.caps[t])
+                for t, book in want.snaps.items():
+                    snap = got.snaps[t]
+                    for name in ("values", "has_bid", "kinds"):
+                        assert np.array_equal(getattr(snap, name)[r],
+                                              getattr(book, name)), name
+                    assert np.array_equal(snap.seg_lo[r], book._seg_lo)
+                    assert np.array_equal(snap.seg_base[r], book._seg_base)
+                    assert (snap.last_price[r], snap.last_headline[r]) == \
+                        (book.last_price, book.last_headline)
+                last = want.snaps[t_n - 1]
+                seen["segments"] += bool((last._seg_lo >= 0).any())
+                seen["capped"] += any(bool((want.caps[t] < _BIG).any())
+                                      for t in cap_ticks)
+                seen["bids"] += int((last.kinds == 2).sum()) > 0
+            seen["regimes"].add(env.regime)
+        assert len(seen["regimes"]) == 2
+        assert min(seen["segments"], seen["capped"], seen["bids"]) > 0, seen
+
+
 class TestScreenEquivalence:
     """The screens against their per-member loop versions on random ladders."""
 
@@ -495,13 +579,13 @@ class TestScreenEquivalence:
                     fam = DeviationFamily(
                         n_amounts=int(rng.choice([1, 2, 11, 21, 50])))
                     t_hats = sorted({0, *rng.choice(t_n, 6).tolist()})
-                    dev_lad = _Ladder(HeadlineOnly(make(md, grid)), prices,
-                                      grid, scale, cap_ticks=t_hats)
-                    opp_lad = _Ladder(make(mo, grid), prices, grid, scale)
+                    ladder = _Ladder([HeadlineOnly(make(md, grid)),
+                                      make(mo, grid)], prices, grid, scale,
+                                     cap_ticks=t_hats)
                     u_dev = np.array([md.value(grid.share(k))
                                       for k in range(grid.n + 1)])
-                    screen = _PairScreen(dev_lad, opp_lad, prices, grid,
-                                         scale, u_dev)
+                    screen = _PairScreen(ladder, 0, 1, prices, grid, scale,
+                                         u_dev)
                     drop_ticks = sorted({0, *rng.choice(t_n, 6).tolist()})
                     # Baselines low enough that many members are candidates;
                     # with no cutoff every member that closes is one.

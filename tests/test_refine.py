@@ -1,11 +1,17 @@
-"""The batched closing-price refine and its row record, against references.
+"""The one record rule and the batched closing-price refine, against
+the plain references of ``tests/reference_engine.py``.
 
-``BookRows.record`` is checked row by row against
-``BidBook.record_round_indexed(clamp=True)``, on bid indices in any
-order and sorted distinct, so both folds of the additional bids run for
-both; and
-``mechanism._refine_closers`` closer by closer against the scalar
-bisection kept in ``tests/reference_engine.py``.
+``BookRows.record`` is the engine's only implementation of the bidding
+rules.  It is checked against ``ReferenceBidBook``, which records one
+book at a time in plain Python.  Many rows recorded at once, clamped
+and unclamped, must equal those rows recorded one by one and raise the
+error that a row-by-row record raises first, leaving the rows as they
+were when unclamped.  A ``BidBook``, a one-row state, must equal one
+reference book, and a rejected round must leave it as it was.  Bid
+indices come in any order and sorted distinct, so both folds of the
+additional bids run.  ``mechanism._refine_closers`` is checked closer by
+closer against the scalar bisection ``_refine_close``, which records on
+reference books.
 """
 
 from dataclasses import fields, replace
@@ -13,15 +19,15 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from reference_engine import _refine_close, reference_run_cmra
+from reference_engine import (ReferenceBidBook, _refine_close, reference_round,
+                              reference_run_cmra)
 
 from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
                   ValuationModel, bidbook, run_cmra)
-from cmra.bidbook import (BidError, BookRows, CapExceeded,
-                          NonMonotoneHeadline)
+from cmra.bidbook import (MICRO, ActivityCapViolation, BidError, BookRows,
+                          CapExceeded, NonMonotoneHeadline, OverLinearPrice)
 from cmra.equilibrium import DropPolicy, SingleBidDeviation
-from cmra.mechanism import (_apply_round, _closing_rows, _Closer,
-                            _refine_closers)
+from cmra.mechanism import _closing_rows, _Closer, _refine_closers
 from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
 
 _BOOK_FIELDS = (("values", "values"), ("has_bid", "has_bid"),
@@ -35,6 +41,50 @@ def assert_row_equals_book(rows, r, book):
                               getattr(book, book_name)), row_name
     assert rows.last_price[r] == book.last_price
     assert rows.last_headline[r] == book.last_headline
+
+
+def to_rows(*books):
+    """Copies of reference books as the rows of one state."""
+    rows = BookRows(books[0].grid, books[0].scale, len(books))
+    for r, book in enumerate(books):
+        for book_name, row_name in _BOOK_FIELDS:
+            getattr(rows, row_name)[r] = getattr(book, book_name)
+        rows.last_price[r] = book.last_price
+        rows.last_headline[r] = book.last_headline
+    return rows
+
+
+def to_reference(rows, r):
+    """A copy of row ``r`` as a reference book."""
+    book = ReferenceBidBook(rows.grid, rows.scale)
+    for book_name, row_name in _BOOK_FIELDS:
+        setattr(book, book_name, getattr(rows, row_name)[r].copy())
+    book.last_price = rows.last_price[r]
+    book.last_headline = rows.last_headline[r]
+    return book
+
+
+def record_one_by_one(books, prices, emissions, clamp):
+    """Record reference ``books`` one by one.  At the first ``BidError``
+    the books recorded before it are put back and the error returned."""
+    before = [book.copy() for book in books]
+    for r, (book, price, emission) in enumerate(zip(books, prices,
+                                                    emissions)):
+        try:
+            book.record_round_indexed(price, *emission, clamp=clamp)
+        except BidError as exc:
+            books[:r] = before[:r]
+            return exc
+    return None
+
+
+def raised(record, *args):
+    """The ``BidError`` that ``record(*args)`` raises, or None."""
+    try:
+        record(*args)
+    except BidError as exc:
+        return exc
+    return None
 
 
 def random_emission(rng, grid, price, last_headline, seen):
@@ -67,6 +117,23 @@ def random_emission(rng, grid, price, last_headline, seen):
     return k, ks, amounts
 
 
+def random_round(rng, grid, books, clamp, seen):
+    """A price and an emission per reference book.  Unclamped rounds
+    mostly keep their amounts within the linear price, so that some of
+    them pass the activity cap too."""
+    prices, emissions = [], []
+    for book in books:
+        price = (book.last_price or 0.0) + float(
+            rng.choice([1e-7, rng.uniform(0.01, 1)]))
+        k, ks, amounts = random_emission(rng, grid, price, book.last_headline,
+                                         seen)
+        if not clamp and rng.random() < 0.8:
+            amounts = np.minimum(amounts, price * ks / grid.n)
+        prices.append(price)
+        emissions.append((k, ks, amounts))
+    return prices, emissions
+
+
 def count_folds(monkeypatch, seen, caller):
     """Count the additional-bid folds by branch and by ``caller[0]``."""
     for name, branch in (("_fold_distinct", "distinct fold"),
@@ -77,11 +144,17 @@ def count_folds(monkeypatch, seen, caller):
         monkeypatch.setattr(bidbook, name, counted)
 
 
+def assert_same_error(got, want):
+    assert type(got) is type(want)
+    assert str(got) == str(want)
+
+
 class TestBookRows:
     def test_record_matches_bidbook(self, monkeypatch):
         rng = np.random.default_rng(61)
         seen = {"segment": 0, "no bids": 0, "duplicates": 0, "clamped": 0,
-                "fresh": 0}
+                "fresh": 0, "rejected": 0, "unclamped": 0,
+                "rejected book": 0, "unclamped book": 0}
         caller = ["BidBook"]
         seen.update({(who, branch): 0 for who in ("BidBook", "BookRows")
                      for branch in ("distinct fold", "full fold")})
@@ -91,48 +164,73 @@ class TestBookRows:
                                 float(rng.choice([0.75, 0.6, 0.9])))
             count = int(rng.integers(1, 9))
             scale = int(rng.choice([10 ** 6, 10 ** 3]))
+            refs = [ReferenceBidBook(grid, scale) for _ in range(count)]
             books = [BidBook(grid, scale) for _ in range(count)]
             # Some rows start with rounds already recorded, some fresh.
-            for book in books:
+            for ref, book in zip(refs, books):
                 for _ in range(int(rng.integers(0, 3))):
-                    price = (book.last_price or 0.0) + float(rng.uniform(0.01, 1))
-                    book.record_round_indexed(price, *random_emission(
-                        rng, grid, price, book.last_headline, seen), clamp=True)
-                seen["fresh"] += book.last_price is None
-            rows = BookRows.stack(books)
+                    price = (ref.last_price or 0.0) + float(
+                        rng.uniform(0.01, 1))
+                    emission = random_emission(rng, grid, price,
+                                               ref.last_headline, seen)
+                    ref.record_round_indexed(price, *emission, clamp=True)
+                    book.record_round_indexed(price, *emission, clamp=True)
+                seen["fresh"] += ref.last_price is None
+            rows = BookRows.join([(book.rows, [0]) for book in books])
+            row_refs = [ref.copy() for ref in refs]
             for _ in range(int(rng.integers(1, 8))):
-                prices, emissions = [], []
-                for book in books:
-                    price = (book.last_price or 0.0) + float(
-                        rng.choice([1e-7, rng.uniform(0.01, 1)]))
-                    prices.append(price)
-                    emissions.append(random_emission(
-                        rng, grid, price, book.last_headline, seen))
+                # Every row at once, against the rows one by one.
+                clamp = bool(rng.random() < 0.6)
+                prices, emissions = random_round(rng, grid, row_refs, clamp,
+                                                 seen)
+                want = record_one_by_one(row_refs, prices, emissions, clamp)
                 caller[0] = "BookRows"
-                rows.record(prices, emissions)
+                got = raised(rows.record, prices, emissions, clamp)
                 caller[0] = "BidBook"
-                for r, (book, price, (k, ks, amounts)) in enumerate(
-                        zip(books, prices, emissions)):
-                    book.record_round_indexed(price, k, ks, amounts,
-                                              clamp=True)
-                    assert_row_equals_book(rows, r, book)
+                assert_same_error(got, want)
+                assert want is None or not clamp  # clamped rounds are legal
+                for r, ref in enumerate(row_refs):
+                    assert_row_equals_book(rows, r, ref)
+                seen["rejected"] += want is not None
+                seen["unclamped"] += want is None and not clamp
+                if want is None and clamp:
                     # A clamped bid leaves less than its rounded amount.
-                    units = np.floor(amounts * scale + 0.5)
-                    seen["clamped"] += bool((units > book.values[ks]).any())
-            # Copies, takes and puts move whole rows.
+                    seen["clamped"] += any(
+                        bool((np.floor(amounts * scale + 0.5)
+                              > rows.values[r, ks]).any())
+                        for r, (_, ks, amounts) in enumerate(emissions))
+                # Each one-row book on its own.
+                prices, emissions = random_round(rng, grid, refs, clamp, seen)
+                for book, ref, price, emission in zip(books, refs, prices,
+                                                      emissions):
+                    want = record_one_by_one([ref], [price], [emission], clamp)
+                    got = raised(book.record_round_indexed, price, *emission,
+                                 clamp)
+                    assert_same_error(got, want)
+                    assert_row_equals_book(book.rows, 0, ref)
+                    assert np.array_equal(book.activity_caps_array(-1),
+                                          ref.activity_caps_array(-1))
+                    seen["rejected book"] += want is not None
+                    seen["unclamped book"] += want is None and not clamp
+            # Copies, takes, puts and joins move whole rows.
             order = rng.permutation(count).tolist()
             taken = rows.take(order)
             for i, r in enumerate(order):
-                assert_row_equals_book(taken, i, books[r])
-            blank = BookRows.stack([BidBook(grid, scale)] * count)
+                assert_row_equals_book(taken, i, row_refs[r])
+            blank = BookRows(grid, scale, count)
             blank.put(order, taken, list(range(count)))
             dup = blank.copy()
-            for r, book in enumerate(books):
-                assert_row_equals_book(dup, r, book)
-                assert_row_equals_book(rows, r, rows.book(r))
+            cut = int(rng.integers(0, count + 1))
+            joined = BookRows.join([(dup, order[:cut]), (rows, order[:1]),
+                                    (taken, range(count))])
+            for r, ref in enumerate(
+                    [row_refs[r] for r in order[:cut] + order[:1] + order]):
+                assert_row_equals_book(joined, r, ref)
+            for r, ref in enumerate(row_refs):
+                assert_row_equals_book(dup, r, ref)
         assert min(seen.values()) > 0, seen
 
-    @pytest.mark.parametrize("case, error", [
+    ERROR_CASES = [
         ("price", BidError), ("headline cap", CapExceeded),
         ("headline rise", NonMonotoneHeadline), ("bid cap", CapExceeded),
         ("negative", BidError),
@@ -152,8 +250,17 @@ class TestBookRows:
         ("bid cap, headline below 0", CapExceeded),
         ("bid below 0, negative", BidError),
         ("negative, bid below 0", BidError),
-        ("headline rise, headline below 0", NonMonotoneHeadline)])
+        ("headline rise, headline below 0", NonMonotoneHeadline)]
+
+    @pytest.mark.parametrize("case, error", ERROR_CASES)
     def test_errors_match(self, case, error):
+        self.assert_errors_match(case, error, True)
+
+    @pytest.mark.parametrize("case, error", ERROR_CASES)
+    def test_unclamped_errors_match(self, case, error):
+        self.assert_errors_match(case, error, False)
+
+    def assert_errors_match(self, case, error, clamp):
         grid = QuantityGrid(8, 0.75)
         ok = (grid.cap_index - 1, np.array([1, 2]), np.array([0.01, 0.02]))
         bad = {"price": (0.5, ok),
@@ -165,30 +272,74 @@ class TestBookRows:
                "headline below 0": (2.0, (-1,) + ok[1:]),
                "bid below 0": (2.0, (ok[0], np.array([1, -1]), ok[2])),
                }
+        self.assert_first_fault(grid, [(1.0, ok)], ok, bad, case, error,
+                                clamp)
+
+    @pytest.mark.parametrize("case, error", [
+        ("linear", OverLinearPrice), ("cap", ActivityCapViolation),
+        ("cap and linear", OverLinearPrice),
+        ("cap, linear", ActivityCapViolation),
+        ("linear, cap", OverLinearPrice),
+        ("cap, headline rise", ActivityCapViolation),
+        ("headline rise, cap", NonMonotoneHeadline),
+        ("cap, price", ActivityCapViolation), ("price, cap", BidError),
+        ("negative, cap", BidError), ("cap, negative", ActivityCapViolation)])
+    def test_unclamped_limits_match(self, case, error):
+        # Rounds at 0.5 and 1.0 drop the headline from 5 to 2, so at 2.0
+        # a bid on 4 may not exceed 0.5 + 0.25, below its linear price 1.
+        grid = QuantityGrid(8, 0.75)
+        before = [(0.5, (5, np.array([1]), np.array([0.01]))),
+                  (1.0, (2, np.array([1]), np.array([0.01])))]
+        ok = (2, np.array([1, 4]), np.array([0.1, 0.6]))
+        bad = {"linear": (2.0, (2, ok[1], np.array([0.3, 0.6]))),
+               "cap": (2.0, (2, ok[1], np.array([0.1, 0.9]))),
+               "cap and linear": (2.0, (2, np.array([4, 1]),
+                                        np.array([0.9, 0.3]))),
+               "headline rise": (2.0, (3,) + ok[1:]),
+               "price": (1.0, ok),
+               "negative": (2.0, (2, ok[1], np.array([-0.1, 0.6])))}
+        self.assert_first_fault(grid, before, ok, bad, case, error, False)
+
+    @staticmethod
+    def assert_first_fault(grid, before, ok, bad, case, error, clamp):
+        """Three rows record ``before``, then a round of ``ok`` emissions
+        at price 2.0 with the faults of ``case`` on one row or on rows 0
+        and 1: the state raises what the rows one by one raise first and,
+        unclamped, changes no row; a ``BidBook`` of each row raises that
+        row's own fault and changes nothing."""
         faults = case.split(", ")
         at = [1] if len(faults) == 1 else range(len(faults))
         round_ = [(2.0, ok)] * 3
         for r, fault in zip(at, faults):
             round_[r] = bad[fault]
-        books = [BidBook(grid) for _ in range(3)]
-        for book in books:
-            book.record_round_indexed(1.0, *ok, clamp=True)
-        rows = BookRows.stack(books)
-        with pytest.raises(error) as want:
-            for book, (price, emission) in zip(books, round_):
-                book.record_round_indexed(price, *emission, clamp=True)
-        with pytest.raises(error) as got:
-            rows.record([price for price, _ in round_],
-                        [emission for _, emission in round_])
-        assert type(want.value) is error
-        assert type(got.value) is type(want.value)
-        assert str(got.value) == str(want.value)
+        refs = [ReferenceBidBook(grid) for _ in range(3)]
+        rows = BookRows(grid, MICRO, 3)
+        for price, emission in before:
+            assert record_one_by_one(refs, [price] * 3, [emission] * 3,
+                                     clamp) is None
+            rows.record([price] * 3, [emission] * 3, clamp)
+        prices, emissions = zip(*round_)
+        want = record_one_by_one(refs, prices, emissions, clamp)
+        assert type(want) is error
+        assert_same_error(raised(rows.record, prices, emissions, clamp), want)
+        if not clamp:
+            for r, ref in enumerate(refs):
+                assert_row_equals_book(rows, r, ref)
+        for price, emission in round_:
+            book, ref = BidBook(grid), ReferenceBidBook(grid)
+            for books_price, books_emission in before:
+                book.record_round_indexed(books_price, *books_emission, clamp)
+                ref.record_round_indexed(books_price, *books_emission, clamp)
+            assert_same_error(
+                raised(book.record_round_indexed, price, *emission, clamp),
+                raised(ref.record_round_indexed, price, *emission, clamp))
+            assert_row_equals_book(book.rows, 0, ref)
 
     def test_negative_index_at_price_zero(self):
         # Row 1's bid on index -1 would land on row 0's top index.
         grid = QuantityGrid(8, 0.75)
-        rows = BookRows.stack([BidBook(grid) for _ in range(2)])
-        book = BidBook(grid)
+        rows = BookRows(grid, MICRO, 2)
+        book = ReferenceBidBook(grid)
         emissions = [(grid.cap_index, np.array([1]), np.array([0.0])),
                      (grid.cap_index, np.array([-1]), np.array([0.0]))]
         with pytest.raises(BidError) as want:
@@ -210,21 +361,22 @@ FAMILIES = {
 
 
 def run_to_close(member, opponent, config):
-    """A member's own clock loop up to its first closing tick t > 0:
-    the ``_Closer`` of that tick, or None.  The closing test is
-    seat-symmetric, so the closer is the same in either seat."""
-    books = (BidBook(config.grid, config.money_scale),
-             BidBook(config.grid, config.money_scale))
+    """A member's own clock loop on reference books, up to its first
+    closing tick t > 0: the ``_Closer`` of that tick, or None.  The
+    closing test is seat-symmetric, so the closer is the same in either
+    seat."""
+    books = (ReferenceBidBook(config.grid, config.money_scale),
+             ReferenceBidBook(config.grid, config.money_scale))
     t = 0
     while config.start + t * config.eps <= config.max_price + 1e-12:
         price = config.start + t * config.eps
         base = (books[0].copy(), books[1].copy())
-        _apply_round(books[0], member, price)
-        _apply_round(books[1], opponent, price)
+        reference_round(books[0], member, price)
+        reference_round(books[1], opponent, price)
         if _closing_rows(books[0].values, books[0].has_bid,
                          books[1].values, books[1].has_bid)[2]:
-            return _Closer(None, t, base[0], base[1], books[0],
-                           books[1]) if t > 0 else None
+            return _Closer(None, t, to_rows(*base), to_rows(*books), 0,
+                           1) if t > 0 else None
         t += 1
     return None
 
@@ -245,9 +397,9 @@ def random_member(rng, make, model, config):
 
 def assert_refine_matches(closers, members, opponent, seat, config):
     got = _refine_closers(closers, members, opponent, seat, config)
-    for c, (price, books, result, fallback) in zip(closers, got):
-        base = (c.own_base.copy(), c.opp_base.copy())
-        hi_books = (c.own_hi, c.opp_hi)
+    for c, (price, books, pair, result, fallback) in zip(closers, got):
+        base = (to_reference(c.base, c.own), to_reference(c.base, c.opp))
+        hi_books = (to_reference(c.hi, c.own), to_reference(c.hi, c.opp))
         bidders = (members[c.member], opponent)
         if seat == 1:
             base, hi_books, bidders = base[::-1], hi_books[::-1], bidders[::-1]
@@ -257,11 +409,9 @@ def assert_refine_matches(closers, members, opponent, seat, config):
         assert price == want_price
         assert result == want_result
         assert fallback == (want_books is hi_books)
-        for b, w in zip(books, want_books):
-            for name, _ in _BOOK_FIELDS:
-                assert np.array_equal(getattr(b, name), getattr(w, name))
-            assert (b.last_price, b.last_headline) == \
-                (w.last_price, w.last_headline)
+        assert fallback == (books is c.hi)
+        for r, w in zip(pair, want_books):
+            assert_row_equals_book(books, r, w)
     return got
 
 
