@@ -7,8 +7,10 @@ non-increasing (eligibility), and bids above the current headline are
 constrained by the relative activity cap created by past headline drops.
 
 Books are the rows of a ``BookRows`` state, and ``BookRows.record`` is
-the one implementation of these rules: it records a round on every row
-at once.  ``BidBook``, one bidder's book, is a handle on a one-row state.
+the one implementation of these rules: one call records a run of
+rounds on every row, with every check made before anything is written,
+so each round is recorded whole or not at all.  ``BidBook``, one
+bidder's book, is a handle on a one-row state.
 
 Money is held internally as integers in small fixed units (micro-units
 of the currency by default) so that ties in the closing rule are exact.
@@ -62,7 +64,10 @@ def money_units(amount: float, scale: int = MICRO) -> int:
 
 
 class BidError(ValueError):
-    """A submission violates the auction's bidding rules."""
+    """A submission violates the auction's bidding rules.
+
+    ``BookRows.record`` sets ``tick``, the index in its run of the tick
+    whose round raised."""
 
 
 class NonMonotoneHeadline(BidError):
@@ -197,11 +202,13 @@ class BidBook:
                              clamp: bool = False) -> None:
         """One round with bids as grid indices: ``BookRows.record`` on
         the book's row, by default without the clamp."""
-        self.rows.record([clock_price], [(headline_k, ks, amounts)], clamp)
+        self.rows.record([clock_price], [[(headline_k, ks, amounts)]], clamp)
 
 
-# The per-point arrays of a ``BookRows``, one row per book.
+# The per-point arrays of a ``BookRows``, one row per book, and all of
+# its per-row arrays.
 _ARRAYS = ("values", "has_bid", "kinds", "seg_lo", "seg_base")
+_ROWS = _ARRAYS + ("last",)
 
 
 class BookRows:
@@ -213,9 +220,11 @@ class BookRows:
     headline fell from hi to lo, the points strictly between hold
     ``seg_lo`` = lo and, in ``seg_base``, the linear price of their
     increment then: segments never overlap, so a cap is one lookup.
+    ``last[r]`` holds book r's last clock price and headline, NaN before
+    its first round.
     """
 
-    __slots__ = ("grid", "scale", "last_price", "last_headline") + _ARRAYS
+    __slots__ = ("grid", "scale") + _ROWS
 
     def __init__(self, grid: QuantityGrid, scale: int = MICRO,
                  count: int = 1):
@@ -227,38 +236,36 @@ class BookRows:
         self.kinds = np.zeros(shape, np.int8)
         self.seg_lo = np.full(shape, -1, np.int64)
         self.seg_base = np.zeros(shape, np.int64)
-        self.last_price = [None] * count      # per row, None before a round
-        self.last_headline = [None] * count   # per row, None before a round
+        self.last = np.full((count, 2), np.nan)
 
-    def _with(self, arrays, last_price, last_headline) -> "BookRows":
-        """A state on this one's grid holding ``arrays``, as ``_ARRAYS``."""
+    last_price = property(lambda self: [
+        None if math.isnan(p) else p for p in self.last[:, 0].tolist()],
+        doc="Each row's last clock price, None before a round.")
+    last_headline = property(lambda self: [
+        None if math.isnan(k) else int(k) for k in self.last[:, 1].tolist()],
+        doc="Each row's last headline index, None before a round.")
+
+    def _with(self, arrays) -> "BookRows":
+        """A state on this one's grid holding ``arrays``, as ``_ROWS``."""
         new = BookRows.__new__(BookRows)
         new.grid, new.scale = self.grid, self.scale
-        new.values, new.has_bid, new.kinds, new.seg_lo, new.seg_base = arrays
-        new.last_price, new.last_headline = last_price, last_headline
+        (new.values, new.has_bid, new.kinds, new.seg_lo, new.seg_base,
+         new.last) = arrays
         return new
 
     def copy(self) -> "BookRows":
-        return self._with((self.values.copy(), self.has_bid.copy(),
-                           self.kinds.copy(), self.seg_lo.copy(),
-                           self.seg_base.copy()),
-                          self.last_price.copy(), self.last_headline.copy())
+        return self._with([getattr(self, a).copy() for a in _ROWS])
 
     def take(self, rows) -> "BookRows":
         """Copies of the given rows, in that order."""
         return self._with([getattr(self, a).take(rows, axis=0)
-                           for a in _ARRAYS],
-                          [self.last_price[r] for r in rows],
-                          [self.last_headline[r] for r in rows])
+                           for a in _ROWS])
 
     def put(self, rows, src: "BookRows", src_rows) -> None:
         """Overwrite ``rows`` with rows ``src_rows`` of ``src``."""
         at = np.asarray(rows)
-        for a in _ARRAYS:
+        for a in _ROWS:
             getattr(self, a)[at] = getattr(src, a).take(src_rows, axis=0)
-        for r, s in zip(rows, src_rows):
-            self.last_price[r] = src.last_price[s]
-            self.last_headline[r] = src.last_headline[s]
 
     @staticmethod
     def join(parts) -> "BookRows":
@@ -268,9 +275,7 @@ class BookRows:
                   for state, group in groupby(parts, key=itemgetter(0))]
         return groups[0][0]._with(
             [np.concatenate([getattr(state, a).take(rows, axis=0)
-                             for state, rows in groups]) for a in _ARRAYS],
-            [state.last_price[r] for state, rows in groups for r in rows],
-            [state.last_headline[r] for state, rows in groups for r in rows])
+                             for state, rows in groups]) for a in _ROWS])
 
     def activity_caps_array(self, unbounded: int) -> np.ndarray:
         """Every row's per-point caps, ``unbounded`` where no cap binds."""
@@ -278,166 +283,299 @@ class BookRows:
         caps = np.take_along_axis(self.values, lo, axis=1) + self.seg_base
         return np.where(self.seg_lo >= 0, caps, unbounded)
 
-    def record(self, prices, emissions, clamp: bool = True) -> None:
-        """One round per row: row ``r`` bids ``emissions[r]`` at ``prices[r]``.
+    def record(self, prices, emissions, clamp: bool = True,
+               out=None) -> None:
+        """Record K ticks on every row: at tick j, row ``r`` bids
+        ``emissions[j][r]``, ``(headline_k, ks, amounts)`` in grid indices,
+        at ``prices[j]``, one price for all rows or one per row.
 
-        An emission ``(headline_k, ks, amounts)`` holds grid indices.  The
-        price must exceed the row's previous one and the headline lie in
-        0..cap, not above the previous one; it is bid at the linear clock
-        price, and a drop writes its segment, before the additional bids,
-        so their activity caps see this round's base value.  Additional
-        bids must lie within the linear price and the activity cap;
-        ``clamp`` reduces them to the legal maximum instead, as the engine
-        needs (grid rounding can overshoot a cap that proxies saturate).
-        All rows' additional bids are folded at once.
+        The price must be finite and exceed the row's previous one; the
+        headline lies in 0..cap, not above the previous one, and is bid at
+        the linear price; a drop writes its segment first, so the tick's
+        caps see its base value.  Additional bids must be non-negative and
+        within the linear price and the activity cap; ``clamp`` reduces
+        them to that limit instead, as the engine needs.  ``out``, value
+        and mask arrays ``(rows, K or more, n+1)``, gets each tick's books.
 
-        The ``BidError`` raised is the first one that recording the rows
-        one by one would raise.  A record on one row, or without the
-        clamp, restores its rows from a copy when it raises; a clamped
-        record on several rows, the engine's, leaves them undefined.
+        All checks run before any write, so a record is atomic per tick:
+        the ``BidError`` raised is the first a tick-by-tick, row-by-row
+        record raises, the ticks before it are recorded, its ``tick`` is
+        its index and its tick changes no row.  One tick is folded in
+        place, a longer run by a running maximum over its points' ticks.
         """
         grid, scale = self.grid, self.scale
-        n, cap = grid.n, grid.cap_index
-        values, has_bid, kinds = self.values, self.has_bid, self.kinds
-        last_price, last_headline = self.last_price, self.last_headline
-        bids = []  # (row, price, ks, amounts) of the rows with bids
-        saved = self.copy() if not clamp or len(last_price) == 1 else None
-        try:
-            for r, (price, (k, ks, amounts)) in enumerate(zip(prices,
-                                                              emissions)):
-                last = last_price[r]
-                if last is not None and price <= last:
-                    raise BidError(
-                        f"clock price {price} does not exceed previous {last}")
-                if not 0 <= k <= cap:
-                    if k < 0:
-                        raise BidError(
-                            f"headline demand on negative grid index {k}")
-                    raise CapExceeded(
-                        "headline demand exceeds the quantity cap")
-                hi = last_headline[r]
-                if hi is not None and k != hi:
-                    if k > hi:
-                        raise NonMonotoneHeadline(
-                            f"headline rose from {hi} to {k}")
-                    for j in range(k + 1, hi):
-                        self.seg_lo[r, j] = k
-                        self.seg_base[r, j] = money_units(
-                            price * (j - k) / n, scale)
-                units = money_units(price * k / n, scale)
-                if not has_bid[r, k] or units > values[r, k]:
-                    values[r, k] = units
-                    has_bid[r, k] = True
-                    kinds[r, k] = KIND_HEADLINE
-                if len(ks):
-                    bids.append((r, price, ks, amounts))
-                last_price[r] = price
-                last_headline[r] = k
-            if not bids:
-                return
-            if len(bids) == 1:
-                (r, price, ks, amounts), = bids
-                base = r * (n + 1)
-            else:
-                rows, row_prices, row_ks, row_amounts = zip(*bids)
-                counts = [len(x) for x in row_ks]
-                ks = np.concatenate(row_ks)
-                amounts = np.concatenate(row_amounts)
-                price = (row_prices[0] if len(set(row_prices)) == 1
-                         else np.repeat(row_prices, counts))
-                base = np.repeat(np.asarray(rows) * (n + 1), counts)
-            _check_bids(ks, amounts, cap)
-            self._fold(base, ks, amounts, price, clamp)
-        except BidError:
-            if saved is None:
-                # The fold checks all rows' bids at once, after every
-                # row's headline: an earlier row's bids fault first.
-                for _, _, ks, amounts in bids:
-                    _check_bids(ks, amounts, cap)
-                raise
-            rows = range(len(last_price))
-            self.put(rows, saved, rows)
-            if len(rows) > 1:
-                for r, (price, emission) in enumerate(zip(prices, emissions)):
-                    self.take([r]).record([price], [emission], clamp)
-            raise
-
-    def _fold(self, base, ks, amounts, price, clamp: bool) -> None:
-        """Admit checked additional bids and fold them into the maxima.
-
-        Bid ``i`` is on grid index ``ks[i]`` of the row at flat offset
-        ``base``, at clock ``price`` (each per bid, or one for all).  An
-        amount over a limit is reduced to it with ``clamp`` and raises,
-        before any array changes, without it."""
-        n, scale = self.grid.n, self.scale
-        values, has_bid = self.values.reshape(-1), self.has_bid.reshape(-1)
-        flat = base + ks
-        lo = self.seg_lo.reshape(-1)[flat]
-        capped = lo.max() >= 0
-        if capped:
-            act = np.where(lo >= 0, values[base + np.maximum(lo, 0)]
-                           + self.seg_base.reshape(-1)[flat], SENTINEL_UNITS)
-        if clamp:
+        n, cap, width = grid.n, grid.cap_index, grid.n + 1
+        count, ticks = len(self.last), len(emissions)
+        # Entry e is row e % count at tick e // count.
+        price = np.asarray(prices, dtype=float)
+        price = price.repeat(count) if price.ndim == 1 else price.ravel()
+        entries = (emissions[0] if ticks == 1
+                   else [e for tick in emissions for e in tick])
+        size = len(entries)
+        heads = np.array([e[0] for e in entries], dtype=np.int64)
+        # Each entry's previous price and headline, NaN before any round.
+        last, top = self.last.T if ticks == 1 else (
+            np.concatenate((self.last[:, 0], price[:-count])),
+            np.concatenate((self.last[:, 1], heads[:-count])))
+        # A negative index read as unsigned is above any cap.
+        bad = ((price <= last) | ~np.isfinite(price)
+               | (heads.view(np.uint64) > np.fmin(top, cap)))
+        sizes = [len(e[1]) for e in entries]
+        bids = any(sizes)
+        if bids:
+            ks = np.concatenate([e[1] for e in entries]).astype(
+                np.int64, copy=False)
+            amounts = np.concatenate([e[2] for e in entries]).astype(
+                float, copy=False)
+            # In place where it can be: a run's bids can be many.
+            lin = price.repeat(sizes)
+            lin *= ks
+            lin /= n
+            lin *= scale
             # Rounding is monotone, so rounding the smaller of the amount
             # and the linear price equals the smaller of the two rounded.
-            units = np.floor(np.minimum(amounts * scale,
-                                        price * ks / n * scale)
-                             + 0.5).astype(np.int64)
-            if capped:
-                units = np.minimum(units, act)
+            if clamp:
+                amounts *= scale  # a copy; its sign and NaNs are kept
+                units = np.minimum(amounts, lin, out=lin)
+            else:
+                units = amounts * scale
+            units += 0.5
+            np.floor(units, out=units)
+            if (ks.view(np.uint64).max() > cap or not amounts.min() >= 0
+                    or not clamp and (units > np.floor(lin + 0.5)).any()):
+                wrong = (ks.view(np.uint64) > cap) | ~(amounts >= 0)
+                if not clamp:
+                    wrong |= units > np.floor(lin + 0.5)
+                bad[np.arange(size).repeat(sizes)[wrong]] = True
+            del lin
+            if clamp:
+                amounts = None  # only an unclamped bid's fault reports it
+        if bad.any():
+            e = int(bad.argmax())
+            self._fail(price, emissions, clamp, out, e, _fault(
+                entries[e], price[e], last[e], top[e], grid, scale))
+        values, has_bid, kinds = (getattr(self, a).reshape(-1)
+                                  for a in _ARRAYS[:3])
+        row = (np.arange(0, count * width, width) if ticks == 1
+               else np.arange(size) % count * width)  # each entry's row
+        at_head = row + heads
+        head_units = _money_units(price * heads / n, scale)
+        # A drop puts a segment on every point strictly between the new
+        # headline and the previous one, from its tick on.
+        drop, seg = (heads < top).nonzero()[0], ()
+        if len(drop):
+            gap = top[drop].astype(np.int64) - heads[drop] - 1
+            seg = drop.repeat(gap)  # the entry of each segment point
+            step = (np.arange(len(seg)) + 1
+                    - (np.cumsum(gap) - gap).repeat(gap))
+            seg_at = row[seg] + heads[seg] + step
+            seg_units = _money_units(price[seg] * step / n, scale)
+        capped = ()
+        if bids:
+            units = units.astype(np.int64)
+            at = row.repeat(sizes)
+            at += ks
+            if clamp:
+                ks = None  # nor its index
+            low = self.seg_lo.reshape(-1)[at]
+            if len(seg) or low.max() >= 0:
+                owner = np.arange(size).repeat(sizes)
+                base = self.seg_base.reshape(-1)[at]
+                if len(seg):
+                    # Segments never overlap: new ones lie below the old
+                    # ones, and cap from their drop's tick on.
+                    index = np.full(len(values), -1)
+                    index[seg_at] = np.arange(len(seg))
+                    i = index[at]
+                    new = (i >= 0) & (seg[i] // count <= owner // count)
+                    low = np.where(new, heads[seg[i]], low)
+                    base = np.where(new, seg_units[i], base)
+                capped = (low >= 0).nonzero()[0]
+                o, low, base = owner[capped], low[capped], base[capped]
+                lo_at = row[o] + low
+                if not clamp:
+                    ks, amounts = ks[capped], amounts[capped]
+            else:
+                low = ks = amounts = None
+            # A run's bids can be many: keep no per-bid array the folds
+            # do not read.
+            owner = index = i = new = None
+
+            def limit(before) -> bool:
+                """Cap the ``capped`` bids, whose segments' lower points
+                held ``before`` ahead of their tick; True if one fell."""
+                act = np.where(heads[o] == low, np.maximum(
+                    before, head_units[o]), before) + base
+                over = units[capped] > act
+                if not over.any():
+                    return False
+                i = int(over.argmax())
+                if not clamp:
+                    self._fail(price, emissions, clamp, out, int(o[i]),
+                               ActivityCapViolation(
+                                   f"bid {amounts[i]} on {ks[i]}/{n} "
+                                   f"exceeds the relative cap "
+                                   f"{act[i] / scale}"))
+                units[capped] = np.minimum(units[capped], act)
+                return True
+        if ticks == 1:
+            if len(capped):
+                limit(np.where(has_bid[lo_at], values[lo_at], _NOTHING))
+            _fold_tick(values, has_bid, kinds, at_head, head_units,
+                       *((at, units) if bids else ()))
+            if out is not None:
+                out[0][:, 0], out[1][:, 0] = self.values, self.has_bid
         else:
-            units = np.floor(amounts * scale + 0.5).astype(np.int64)
-            lin = np.floor(price * ks / n * scale + 0.5).astype(np.int64)
-            limits = [(units > lin, OverLinearPrice, "linear price",
-                       price * ks / n)]
-            if capped:
-                limits.append((units > act, ActivityCapViolation,
-                               "relative cap", act / scale))
-            for over, fault, name, limit in limits:
-                if over.any():
-                    i = int(np.argmax(over))
-                    raise fault(f"bid {amounts[i]} on {ks[i]}/{n} exceeds "
-                                f"the {name} {limit[i]}")
-        if len(flat) == 1 or (flat[1:] > flat[:-1]).all():
-            at, raised = _fold_distinct(values, has_bid, flat, units)
-        else:
-            at, raised = _fold_any(values, has_bid, flat, units)
-        values[at] = raised
+            touched = np.zeros(len(values), bool)
+            touched[at_head] = True
+            if bids:
+                touched[at] = True
+            if len(capped):
+                touched[lo_at] = True
+            cols = touched.nonzero()[0]
+            column = np.empty(len(values), np.intp)
+            column[cols] = np.arange(len(cols))
+            # Cell (c, j + 1) of a point's run holds what tick j bids on it.
+            tick = np.arange(ticks).repeat(count)
+            cell_head = column[at_head] * (ticks + 1) + tick + 1
+            pre = np.where(has_bid[cols], values[cols], _NOTHING)
+            bid_cells = ()
+            if bids:
+                cell, at = column[at], None
+                cell *= ticks + 1
+                cell += tick.repeat(sizes)
+                cell += 1
+                bid_cells = (cell, units)
+            run = _fold_run(pre, ticks, cell_head, head_units, *bid_cells)
+            # A lower point is in no segment: uncapped bids leave it exact.
+            if len(capped) and limit(run[column[lo_at], tick[o]]):
+                run = _fold_run(pre, ticks, cell_head, head_units,
+                                *bid_cells)
+            bid_cells = units = None
+            final = run[:, -1]
+            # The tick at which a point first holds its final value sets
+            # its kind; the headline comes before the bids of its tick.
+            first = (run >= final[:, None]).argmax(axis=1)
+            up = first.nonzero()[0]
+            kind = KIND_HEADLINE
+            if bids:
+                e = (first[up] - 1) * count + cols[up] // width
+                kind = np.where((at_head[e] == cols[up])
+                                & (head_units[e] == final[up]),
+                                KIND_HEADLINE, KIND_ADDITIONAL)
+            kinds[cols[up]] = kind
+            if out is not None:
+                r, k = np.divmod(cols, width)
+                held = run[:, 1:] > _NOTHING
+                run[run == _NOTHING] = 0  # as the state holds no bid
+                out[0][:, :ticks] = self.values[:, None]
+                out[1][:, :ticks] = self.has_bid[:, None]
+                out[0][r, :ticks, k] = run[:, 1:]
+                out[1][r, :ticks, k] = held
+            values[cols] = final
+            has_bid[cols] = True
+        if len(seg):
+            self.seg_lo.reshape(-1)[seg_at] = heads[seg]
+            self.seg_base.reshape(-1)[seg_at] = seg_units
+        self.last[:, 0], self.last[:, 1] = price[-count:], heads[-count:]
+
+    def _fail(self, price, emissions, clamp, out, e, error):
+        """Raise ``error``, the first fault, of entry ``e`` of a run, after
+        recording the ticks before its tick.  The rows before it in its
+        tick are checked on a copy: an unclamped one may fail its cap."""
+        count = len(self.last)
+        j, r = divmod(e, count)
+        price = price.reshape(-1, count)
+        if j:
+            self.record(price[:j], emissions[:j], clamp, out)
+        if r and not clamp:
+            try:
+                self.take(range(r)).record(price[j:j + 1, :r],
+                                           [emissions[j][:r]], clamp)
+            except BidError as earlier:
+                error = earlier
+        error.tick = j
+        raise error
+
+
+# Money units of "no bid" in a fold: below any bid's value.
+_NOTHING = -SENTINEL_UNITS
+
+
+def _fold_tick(values, has_bid, kinds, at_head, head_units, at=None,
+               units=None) -> None:
+    """Fold one tick into flat book arrays: raise the maxima at the
+    headline points ``at_head``, then at the bid points ``at``, where a
+    repeated point keeps its largest bid."""
+    up = head_units > np.where(has_bid[at_head], values[at_head], _NOTHING)
+    at_up = at_head[up]
+    values[at_up] = head_units[up]
+    has_bid[at_up] = True
+    kinds[at_up] = KIND_HEADLINE
+    if at is not None:
+        old = np.where(has_bid[at], values[at], _NOTHING)
+        values[at] = old
+        np.maximum.at(values, at, units)
+        kinds[at[values[at] > old]] = KIND_ADDITIONAL
         has_bid[at] = True
-        self.kinds.reshape(-1)[at] = KIND_ADDITIONAL
 
 
-def _check_bids(ks, amounts, cap: int) -> None:
-    """The checks of additional bids that no clamp repairs.
+def _fold_run(pre, ticks, cell_head, head_units, cell_bid=None,
+              units=None):
+    """The running maximum of a run's points over its ticks.
 
-    One reduction tests both ends of the index range: a negative index
-    read as unsigned is above any cap.
-    """
-    if np.asarray(ks, dtype=np.int64).view(np.uint64).max() > cap:
-        if ks.min() < 0:
-            raise BidError(f"additional bid on negative grid index "
-                           f"{ks.min()}")
-        raise CapExceeded("additional bid above the quantity cap")
-    if amounts.min() < 0:
-        raise BidError("bid amounts must be non-negative")
-
-
-def _fold_distinct(values, has_bid, flat, units):
-    """The indices and values a fold raises, for distinct flat indices:
-    a gather and a compare on the bid indices only."""
-    up = units > np.where(has_bid[flat], values[flat], -1)
-    return flat[up], units[up]
+    Row c of the ``(points, ticks + 1)`` result starts at ``pre[c]``,
+    point c's value before the run (``_NOTHING`` without a bid), and
+    column j + 1 holds its maximum after tick j.  ``cell_head`` and
+    ``cell_bid`` are the flat cells the headlines and the bids raise; a
+    repeated cell keeps its largest bid."""
+    run = np.full((len(pre), ticks + 1), _NOTHING)
+    run[:, 0] = pre
+    flat = run.reshape(-1)
+    flat[cell_head] = head_units
+    if cell_bid is not None:
+        np.maximum.at(flat, cell_bid, units)
+    return np.maximum.accumulate(run, axis=1, out=run)
 
 
-def _fold_any(values, has_bid, flat, units):
-    """The indices and values a fold raises, for any flat indices: a
-    running maximum over the full width, so repeated indices keep their
-    largest bid."""
-    prev = np.where(has_bid, values, np.int64(-1))
-    after = prev.copy()
-    np.maximum.at(after, flat, units)
-    up = after > prev
-    return up, after[up]
+def _money_units(amount, scale: int) -> np.ndarray:
+    """``money_units`` of each amount of an array: the cast truncates
+    toward zero, so it floors the magnitude."""
+    return np.copysign(np.abs(amount) * scale + 0.5, amount).astype(
+        np.int64)
+
+
+def _fault(emission, price, last, top, grid, scale) -> BidError:
+    """The error of one row's emission at one tick: the first check it
+    fails, after a previous price ``last`` and headline ``top`` (NaN
+    before any round)."""
+    k, ks, amounts = emission
+    n, cap = grid.n, grid.cap_index
+    price = float(price)
+    if not math.isfinite(price):
+        return BidError(f"clock price {price} is not finite")
+    if price <= last:
+        return BidError(
+            f"clock price {price} does not exceed previous {float(last)}")
+    if k < 0:
+        return BidError(f"headline demand on negative grid index {k}")
+    if k > cap:
+        return CapExceeded("headline demand exceeds the quantity cap")
+    if k > top:
+        return NonMonotoneHeadline(f"headline rose from {int(top)} to {k}")
+    ks = np.asarray(ks, dtype=np.int64)
+    amounts = np.asarray(amounts, dtype=float)
+    if ks.min() < 0:
+        return BidError(f"additional bid on negative grid index {ks.min()}")
+    if ks.max() > cap:
+        return CapExceeded("additional bid above the quantity cap")
+    if not (amounts >= 0).all():
+        return BidError("bid amounts must be non-negative numbers")
+    over = np.floor(amounts * scale + 0.5) > np.floor(
+        price * ks / n * scale + 0.5)
+    i = int(over.argmax())
+    return OverLinearPrice(f"bid {amounts[i]} on {ks[i]}/{n} exceeds the "
+                           f"linear price {price * ks[i] / n}")
 
 
 def _normalize_bids(additional_bids, grid: QuantityGrid):

@@ -15,11 +15,12 @@ the tolerance for any type pair, and refuted when some deviation does.
 The search is exact about engine semantics without simulating every
 family member: every type's books along the clock ladder, full and
 headline-only, are recorded once, as rows of one book state with one
-record per tick; deviations are then screened vectorially against those
-ladders (the screen reproduces the engine's per-tick closing test), and
-every member whose optimistic surplus bound clears the tolerance is
-re-run through the real auction engine.  Reported gains always come
-from such engine replays, so any reported deviation is reproducible.
+record per run of ticks between snapshots; deviations are then screened
+vectorially against those ladders (the screen reproduces the engine's
+per-tick closing test), and every member whose optimistic surplus bound
+clears the tolerance is re-run through the real auction engine.
+Reported gains always come from such engine replays, so any reported
+deviation is reproducible.
 
 Neither screen builds a book per member.  The headline is
 non-increasing, so from its drop tick td on, a drop policy's book is
@@ -43,18 +44,18 @@ two ticks the deviation's books therefore equal the ladders' books, and
 the replay resumes from the ladders' snapshot at the last snapshot tick
 not past it.
 
-The replays of one search cell (seat x deviator type x opponent type)
-run in lockstep, in one clock loop: each joins at its resume tick, the
-opponent's book is recorded once per tick for all of them, and one
-batched closing test covers every replay still on the clock.  The
-opponent's emissions depend only on the price, so its book at every
-tick is the same for every replay, and a replay that closes refines
-from exactly the books its own clock loop would hold; the outcomes are
-those of separate runs.  The profile's own runs, the baselines that
-gains are measured against, take their first closing tick from the
-engine's closing test on the two full ladders and resume in the same
-loop from the last snapshot not past it.  :func:`replay_deviation`
-runs one deviation from price 0.
+The replays of the search cells (seat x deviator type x opponent type)
+of one seat and opponent type run in lockstep, in one clock loop: each
+joins at its resume tick, the opponent's book is recorded once per tick
+for all of them, and one batched closing test covers every replay still
+on the clock.  The opponent's emissions depend only on the price, so its
+book at every tick is the same for every replay, and a replay that
+closes refines from exactly the books its own clock loop would hold; the
+outcomes are those of separate runs.  The profile's own runs, the
+baselines that gains are measured against, take their first closing
+tick from the engine's closing test on the full ladders and resume from
+the last snapshot not past it, those against one opponent type in one
+such loop.  :func:`replay_deviation` runs one deviation from price 0.
 
 The module also houses the collusion-threshold analysis for the
 riskless demand-reduction strategy and the VCG outcome-equivalence
@@ -278,26 +279,31 @@ def _divergence_tick(deviation: Deviation, prices) -> int | None:
     return int(np.searchsorted(prices, price - _PRICE_TOL))
 
 
-def _replay_cell(seat, deviations, dev_base, opp, ladder, dev_row, opp_row,
-                 prices, t0, config: AuctionConfig) -> list:
-    """Engine replays of one search cell's deviations, run in lockstep.
+def _replay_cells(seat, cells, opp, ladder, opp_row, prices,
+                  config: AuctionConfig) -> list:
+    """Engine replays of several search cells against one opponent, all
+    in one lockstep run; the outcomes of each cell, in order.
 
-    Row ``dev_row`` of ``ladder`` is the headline-only ladder of
-    ``dev_base``, row ``opp_row`` the ladder of ``opp``, and ``t0``
-    their first closing tick (None if they never close).  The run of a
-    deviation from price 0 reaches the last snapshot tick at or below
-    both ``t0`` and its divergence tick with exactly the snapshots'
-    books and no close, so it joins the clock there.
+    A cell is ``(deviations, dev_base, dev_row, t0)``: row ``dev_row`` of
+    ``ladder`` is the headline-only ladder of ``dev_base``, row
+    ``opp_row`` the ladder of ``opp``, and ``t0`` their first closing
+    tick (None if they never close).  The run of a deviation from price 0
+    reaches the last snapshot tick at or below both ``t0`` and its
+    divergence tick with exactly the snapshots' books and no close, so it
+    joins the clock there.
     """
-    starts = []
-    for dev in deviations:
-        limit = _divergence_tick(dev, prices)
-        if t0 is not None:
-            limit = t0 if limit is None else min(limit, t0)
-        starts.append(_resume_tick(ladder, limit))
-    return _run_lockstep([dev.build(dev_base) for dev in deviations], starts,
-                         opp, ladder.snaps, [dev_row] * len(deviations),
-                         opp_row, seat, config)
+    members, starts, rows = [], [], []
+    for deviations, dev_base, dev_row, t0 in cells:
+        for dev in deviations:
+            limit = _divergence_tick(dev, prices)
+            if t0 is not None:
+                limit = t0 if limit is None else min(limit, t0)
+            starts.append(_resume_tick(ladder, limit))
+            members.append(dev.build(dev_base))
+            rows.append(dev_row)
+    outcomes = iter(_run_lockstep(members, starts, opp, ladder.snaps, rows,
+                                  opp_row, seat, config))
+    return [[next(outcomes) for _ in cell[0]] for cell in cells]
 
 
 def _resume_tick(ladder, limit) -> int:
@@ -309,32 +315,36 @@ def _resume_tick(ladder, limit) -> int:
 
 class _Ladder:
     """Books of several strategies at every clock tick, as rows of one
-    state that one ``BookRows.record`` per tick records.
+    state that one ``BookRows.record`` per run of ticks records.
 
     ``values[r, t]`` and ``mask[r, t]`` hold the book of
     ``strategies[r]`` after tick t's round, ``kpath[r, t]`` its headline.
     ``caps[t]`` holds every row's activity caps after the round of tick
     t in ``cap_ticks``, ``_BIG`` where none binds; ``snaps[t]`` a copy of
     the state before the round of tick t in ``snap_ticks``: the books a
-    replay resumes from.
+    replay resumes from.  A run ends where a snapshot or caps are due.
     """
 
     def __init__(self, strategies, prices, grid, scale, cap_ticks=(),
                  snap_ticks=()):
         count, t_n = len(strategies), len(prices)
         state = BookRows(grid, scale, count)
-        self.values = np.zeros((count, t_n, grid.n + 1), dtype=np.int64)
-        self.mask = np.zeros((count, t_n, grid.n + 1), dtype=bool)
+        self.values = np.empty((count, t_n, grid.n + 1), dtype=np.int64)
+        self.mask = np.empty((count, t_n, grid.n + 1), dtype=bool)
         self.caps, self.snaps, heads = {}, {}, []
-        for t, p in enumerate(prices.tolist()):
-            if t in snap_ticks:
-                self.snaps[t] = state.copy()
-            emissions = [_emit(s, p) for s in strategies]
-            state.record([p] * count, emissions)
-            heads.append([k for k, _, _ in emissions])
-            self.values[:, t], self.mask[:, t] = state.values, state.has_bid
-            if t in cap_ticks:
-                self.caps[t] = state.activity_caps_array(_BIG)
+        prices = prices.tolist()
+        cuts = sorted({0, t_n} | {t for t in snap_ticks if 0 <= t < t_n}
+                      | {t + 1 for t in cap_ticks if 0 <= t < t_n})
+        for a, b in zip(cuts, cuts[1:]):
+            if a in snap_ticks:
+                self.snaps[a] = state.copy()
+            emissions = [[_emit(s, p) for s in strategies]
+                         for p in prices[a:b]]
+            state.record(prices[a:b], emissions,
+                         out=(self.values[:, a:b], self.mask[:, a:b]))
+            heads += [[k for k, _, _ in tick] for tick in emissions]
+            if b - 1 in cap_ticks:
+                self.caps[b - 1] = state.activity_caps_array(_BIG)
         self.kpath = np.array(heads, dtype=np.int64).T.copy()
 
 
@@ -680,25 +690,60 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     baselines = {}
 
     def baseline_run(th1, th2):
-        # The profile's own run: it first closes where its full ladders
-        # do, so it resumes from their last snapshot not past that tick.
-        key = (th1, th2)
-        if key not in baselines:
-            r1, r2 = full[th1], full[th2]
-            closed = _closing_rows(ladder.values[r1], ladder.mask[r1],
+        # The profile's own runs against ``th2``, all in one lockstep run:
+        # each first closes where its full ladders do, so it resumes from
+        # their last snapshot not past that tick.
+        if (th1, th2) not in baselines:
+            rows, r2 = [full[th] for th in thetas], full[th2]
+            closed = _closing_rows(ladder.values[rows], ladder.mask[rows],
                                    ladder.values[r2], ladder.mask[r2])[2]
-            t = _resume_tick(ladder, _first_true(closed))
-            out, = _run_lockstep([strat[th1]], [t], strat[th2], ladder.snaps,
-                                 [r1], r2, 0, run_cfg)
-            baselines[key] = out.surplus((models[th1], models[th2]))
-        return baselines[key]
+            starts = [_resume_tick(ladder, _first_true(c)) for c in closed]
+            outs = _run_lockstep([strat[th] for th in thetas], starts,
+                                 strat[th2], ladder.snaps, rows, r2, 0,
+                                 run_cfg)
+            for th, out in zip(thetas, outs):
+                baselines[th, th2] = out.surplus((models[th], models[th2]))
+        return baselines[th1, th2]
+
+    cutoff = tol / 2
+    replayed = {}
+
+    def screen_cell(seat, th_dev, th_opp):
+        """``(baseline, members, top, truncated, t0)`` of one cell."""
+        pair = (th_dev, th_opp) if seat == 0 else (th_opp, th_dev)
+        baseline = baseline_run(*pair)[seat]
+        screen = _PairScreen(ladder, head[th_dev], full[th_opp], prices,
+                             grid, scale, u_dev[th_dev])
+        cands = _Candidates()
+        # The bare headline-only deviation.
+        cands.members += 1
+        if screen.t0 is not None:
+            opt0 = float(screen.hh_opt[screen.t0]) - baseline
+            if opt0 > cutoff:
+                cands.add(opt0, Deviation("headline-only"))
+        screen.screen_single_bids(family, t_hats, baseline, cutoff, cands)
+        screen.screen_drops(family, drop_ticks, baseline, cutoff, cands)
+        return (baseline, cands.members, *cands.top(replay_cap), screen.t0)
+
+    def cell(seat, th_dev, th_opp):
+        """A cell's screen and the outcomes of its replays.  Every cell
+        against ``th_opp`` in ``seat`` replays in one lockstep run, unless
+        the search may stop at the first gain over ``stop_at_gain``."""
+        if (seat, th_dev, th_opp) not in replayed:
+            group = thetas if stop_at_gain is None else [th_dev]
+            found = [screen_cell(seat, th, th_opp) for th in group]
+            for th, screened, outcomes in zip(group, found, _replay_cells(
+                    seat, [([dev for _, dev in top], strat[th], head[th], t0)
+                           for th, (*_, top, _, t0) in zip(group, found)],
+                    strat[th_opp], ladder, full[th_opp], prices, run_cfg)):
+                replayed[seat, th, th_opp] = screened, outcomes
+        return replayed[seat, th_dev, th_opp]
 
     reports = {}
     max_gain = -math.inf
     replays = 0
     members = 0
     truncated = False
-    cutoff = tol / 2
 
     for seat in seats:
         for th_dev in thetas:
@@ -706,28 +751,11 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
             reports[(th_dev, seat)] = report
             for th_opp in thetas:
                 pair = (th_dev, th_opp) if seat == 0 else (th_opp, th_dev)
-                baseline = baseline_run(*pair)[seat]
+                (baseline, found, top, cut, _), outcomes = cell(seat, th_dev,
+                                                               th_opp)
                 report.baseline[th_opp] = baseline
-
-                screen = _PairScreen(ladder, head[th_dev], full[th_opp],
-                                     prices, grid, scale, u_dev[th_dev])
-                cands = _Candidates()
-                # The bare headline-only deviation.
-                cands.members += 1
-                if screen.t0 is not None:
-                    opt0 = float(screen.hh_opt[screen.t0]) - baseline
-                    if opt0 > cutoff:
-                        cands.add(opt0, Deviation("headline-only"))
-                screen.screen_single_bids(family, t_hats, baseline, cutoff, cands)
-                screen.screen_drops(family, drop_ticks, baseline, cutoff, cands)
-                members += cands.members
-
-                top, cut = cands.top(replay_cap)
+                members += found
                 truncated = truncated or cut
-                outcomes = _replay_cell(
-                    seat, [dev for _, dev in top], strat[th_dev],
-                    strat[th_opp], ladder, head[th_dev], full[th_opp],
-                    prices, screen.t0, run_cfg)
                 pair_models = (models[pair[0]], models[pair[1]])
                 best_here = -math.inf
                 for (_, dev), out in zip(top, outcomes):

@@ -17,9 +17,9 @@ continuous-clock suprema.
 There is one clock loop, :func:`_run_lockstep`, which runs any number
 of strategies in one seat against one opponent.  The books on the clock
 are rows of one ``BookRows`` state, the opponent's included, and one
-block clock, :func:`_block`, records them ahead for a block of ticks,
-one ``BookRows.record`` call per tick, and runs one batched closing test
-over the block.  A block is one tick long while several members are on
+block clock, :func:`_block`, makes their emissions for a block of ticks,
+records the block in one ``BookRows.record`` call and runs one batched
+closing test over it.  A block is one tick long while several members are on
 the clock and up to ``_BLOCK_MAX`` ticks while one is.  :func:`run_cmra`
 is the loop's one-member call from the start price; the deviation
 search enters it with many members, each at its own resume tick.  A
@@ -27,7 +27,7 @@ member that closes leaves the clock, and the loop refines every closer
 at its end in one batched bisection, :func:`_refine_closers`: the
 closers' books are rows of one ``BookRows`` state, and each step records
 one probe round on every closer still bisecting and runs one batched
-closing test.
+closing test.  A closer whose last probe closed keeps that probe's books.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bidbook import (MICRO, SENTINEL_UNITS, BidBook, BookRows, QuantityGrid,
-                      money_units)
+from .bidbook import (MICRO, SENTINEL_UNITS, BidBook, BidError, BookRows,
+                      QuantityGrid, money_units)
 from .roundlog import RoundLog
 from .strategies import _EMPTY_AMTS, _EMPTY_KS
 
@@ -336,22 +336,25 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
            size: int, config: AuctionConfig, logs) -> tuple:
     """Up to ``size`` clock ticks of the active members from tick ``t``.
 
-    ``state`` holds the books on the clock as rows in seat order.  Each
-    tick makes every row's emission, then records them in one
-    ``BookRows.record`` call, whose ``BidError`` is the first one a
-    tick-by-tick loop meets.  The values and masks of the K ticks are
-    kept as ``(rows, K, n+1)`` arrays for one closing test of the member
-    rows against the opponent's.  Ticks past the maximum price are not
-    recorded.  The block ends at the first tick where some member
-    closes, and each member's log gets a tick record per tick up to it.
+    ``state`` holds the books on the clock as rows in seat order.  The
+    block makes every row's emission for each tick, up to the first
+    emission that raises, then records them all in one
+    ``BookRows.record`` call, which keeps the ticks before a fault and
+    fills ``(rows, K, n+1)`` value and mask arrays for one closing test
+    of the member rows against the opponent's.  So the exception that
+    surfaces is the first one a tick-by-tick loop meets.  Ticks past
+    the maximum price are not recorded.  The block ends at the first tick
+    where some member closes, and each member's log gets a tick record per
+    tick up to it.
 
     Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
     :class:`_Closer` per member that closed at the last of them, and the
     state after it without the closers' rows (None when every member
     closed).  The state is copied once, at the block's start; rows
     recorded past the close, and the closers' rows before their closing
-    tick, are rebuilt from the copy by recording the block's rounds
-    again, so the block is exact for any length and number of members.
+    tick, are rebuilt from the copy by one record of the ticks before
+    the close and one of the closing tick, so the block is exact for any
+    length and number of members.
     An exception that a round raises surfaces only when no tick of the
     block closes, as in a tick-by-tick loop.
     """
@@ -369,14 +372,19 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
         if price > config.max_price + 1e-12:
             break
         try:
-            emits = [_emit(bidder, price) for bidder in bidders]
-            state.record([price] * len(bidders), emits)
+            emitted.append([_emit(bidder, price) for bidder in bidders])
         except Exception as exc:  # raised below unless an earlier tick closes
             error = exc
             break
-        values[:, j], mask[:, j] = state.values, state.has_bid
         prices.append(price)
-        emitted.append(emits)
+    if prices:
+        try:
+            state.record(prices, emitted, out=(values, mask))
+        except BidError as exc:
+            # The ticks before the fault are recorded, and a fault beats
+            # an emission error of a later tick.
+            error = exc
+            del prices[exc.tick:], emitted[exc.tick:]
     ticks = len(prices)
     own, opp_rows = slice(seat, seat + width), slice(opp, opp + 1)
     best_pair, best_single, closed = _closing_rows(
@@ -404,13 +412,13 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     # The rows before the closing tick's round and after it; the live
     # rows are the latter when the close is the last recorded tick and
     # no round raised.
-    for price, emits in zip(prices[:first], emitted):
-        base.record([price] * len(bidders), emits)
+    if first:
+        base.record(prices[:first], emitted[:first])
     if first == len(prices) - 1 and error is None:
         hi = state
     else:
         hi = base.copy()
-        hi.record([prices[first]] * len(bidders), emitted[first])
+        hi.record(prices[first:first + 1], emitted[first:first + 1])
     flags = closed[first * width:ticks * width]
     flags.insert(opp, False)  # per row of the state
     done = [r for r, flag in enumerate(flags) if flag]
@@ -463,7 +471,9 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     record on the closers still bisecting and one batched closing test.
 
     Returns ``(price, state, seat-ordered rows, ClosingResult, fallback)``
-    per closer.  The books recorded at the final price must close; when a
+    per closer.  The books at the final price are the trial rows of the
+    closer's last probe when it closed, and are recorded from its books
+    at the lower end otherwise.  They must close; when a
     non-monotone strategy makes them not close, the closer falls back to
     the tick's books at that price and ``fallback`` is set.
     """
@@ -474,6 +484,9 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     bidders = [strategies[c.member] for c in closers] + [opponent] * m
     lo = [config.start + (c.tick - 1) * config.eps for c in closers]
     hi = [config.start + c.tick * config.eps for c in closers]
+    # Per closer, its books recorded at ``hi`` from its books at ``lo``:
+    # rows taken from the trial of its last probe when that probe closed.
+    final = [None] * m
     live = [j for j in range(m) if hi[j] - lo[j] > tol]
     while live:
         size = len(live)
@@ -485,8 +498,9 @@ def _refine_closers(closers, strategies, opponent, seat: int,
             rows = live + [m + j for j in live]
             trial = state.take(rows)
         prices = mids * 2
-        trial.record(prices, [_emit(b, p) for b, p in zip(
-            bidders if rows is None else [bidders[r] for r in rows], prices)])
+        trial.record([prices], [[_emit(b, p) for b, p in zip(
+            bidders if rows is None else [bidders[r] for r in rows],
+            prices)]])
         values, has_bid = trial.values, trial.has_bid
         if size == 1:
             closed = [bool(_closing_rows(values[0], has_bid[0],
@@ -507,11 +521,25 @@ def _refine_closers(closers, strategies, opponent, seat: int,
                 hi[j] = mid
             else:
                 lo[j] = mid
+        kept = [s for s, (j, done) in enumerate(zip(live, closed))
+                if done and hi[j] - lo[j] <= tol]
+        if kept:
+            books = trial.take(kept + [s + size for s in kept])
+            for i, s in enumerate(kept):
+                final[live[s]] = (books, i, i + len(kept))
         live = [j for j in live if hi[j] - lo[j] > tol]
-    state.record(hi + hi, [_emit(b, p) for b, p in zip(bidders, hi + hi)])
+    rest = [j for j in range(m) if final[j] is None]
+    if rest:
+        rows = rest + [m + j for j in rest]
+        books = state if len(rest) == m else state.take(rows)
+        prices = [hi[j] for j in rest] * 2
+        books.record([prices], [[_emit(bidders[r], p)
+                                 for r, p in zip(rows, prices)]])
+        for s, j in enumerate(rest):
+            final[j] = (books, s, s + len(rest))
     refined = []
     for j, c in enumerate(closers):
-        books, pair, result = _solve_rows(state, j, m + j, seat)
+        books, pair, result = _solve_rows(*final[j], seat)
         fallback = not result.closed
         if fallback:
             books, pair, result = _solve_rows(c.hi, c.own, c.opp, seat)

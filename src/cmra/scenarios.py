@@ -389,12 +389,13 @@ def _books_at_price(scenario: Scenario, price: float):
     clock round below the price, then the price; rows of one state."""
     cfg = scenario.config
     state = BookRows(cfg.grid, cfg.money_scale, 2)
-    t = 0
+    prices, t = [], 0
     while (p := cfg.start + t * cfg.eps) < price - 1e-15:
-        state.record([p, p], [_emit(s, p) for s in scenario.strategies])
+        prices.append(p)
         t += 1
-    state.record([price, price], [_emit(s, price)
-                                  for s in scenario.strategies])
+    prices.append(price)
+    state.record(prices, [[_emit(s, p) for s in scenario.strategies]
+                          for p in prices])
     return tuple(BidBook.__new__(BidBook)._bind(state.take([r]))
                  for r in (0, 1))
 

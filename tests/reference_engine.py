@@ -2,9 +2,9 @@
 
 ``cmra.mechanism.run_cmra`` runs through the lockstep clock loop that
 also replays the deviation search's families.  The books on its clock
-are rows of one ``BookRows`` state, recorded with one row record per
-tick; its one block clock runs blocks of ticks with one closing test per
-block, one tick long while several members are on the clock, and every
+are rows of one ``BookRows`` state, recorded with one record per block
+of ticks; its one block clock runs blocks of ticks with one closing test
+per block, one tick long while several members are on the clock, and every
 closer of one loop refines in one batched bisection.
 ``reference_run_cmra`` is the plain loop it replaced: two books, one
 full closing solve per tick, and one bisection per auction on two book
@@ -91,6 +91,8 @@ class ReferenceBidBook:
 
     def record_round_indexed(self, clock_price, headline_k, ks, amounts,
                              clamp=False):
+        if not math.isfinite(clock_price):
+            raise BidError(f"clock price {clock_price} is not finite")
         if self.last_price is not None and clock_price <= self.last_price:
             raise BidError(f"clock price {clock_price} does not exceed "
                            f"previous {self.last_price}")
@@ -136,8 +138,8 @@ class ReferenceBidBook:
             raise BidError(f"additional bid on negative grid index {min(ks)}")
         if any(k > self.grid.cap_index for k in ks):
             raise CapExceeded("additional bid above the quantity cap")
-        if any(a < 0 for a in amounts):
-            raise BidError("bid amounts must be non-negative")
+        if any(not a >= 0 for a in amounts):  # NaN too
+            raise BidError("bid amounts must be non-negative numbers")
         caps = [math.inf if self._seg_lo[k] < 0 else
                 int(self.values[self._seg_lo[k]]) + int(self._seg_base[k])
                 for k in ks]
@@ -146,7 +148,9 @@ class ReferenceBidBook:
                                     + 0.5), cap)
                      for k, a, cap in zip(ks, amounts, caps)]
         else:
-            units = [math.floor(a * scale + 0.5) for a in amounts]
+            # An infinite amount is over any linear price.
+            units = [math.inf if math.isinf(a) else math.floor(a * scale + 0.5)
+                     for a in amounts]
             for k, a, u in zip(ks, amounts, units):
                 if u > math.floor(price * k / n * scale + 0.5):
                     raise OverLinearPrice(

@@ -113,6 +113,57 @@ class TestRecordRound:
         assert (book.last_price, book.last_headline) == (0.25, 10)
 
 
+class TestNonFinite:
+    """Non-finite amounts and prices are faults, never silently dropped."""
+
+    def recorded(self):
+        book = lots_book()
+        book.record_round(40.0, 0.75, [(0.5, 5.0)])
+        return book, book.copy()
+
+    def assert_unchanged(self, book, before):
+        for name in ("values", "has_bid", "kinds", "_seg_lo", "_seg_base"):
+            assert (getattr(book, name) == getattr(before, name)).all()
+        assert (book.last_price, book.last_headline) == (40.0, 3)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_nan_amount_rejected(self, clamp):
+        book, before = self.recorded()
+        with pytest.raises(BidError, match="non-negative numbers") as err:
+            book.record_round_indexed(48.0, 2, np.array([1, 2]),
+                                      np.array([1.0, math.nan]), clamp=clamp)
+        assert type(err.value) is BidError
+        self.assert_unchanged(book, before)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("price", [math.nan, math.inf, -math.inf])
+    def test_non_finite_price_rejected(self, price, clamp):
+        book, before = self.recorded()
+        with pytest.raises(BidError, match="is not finite") as err:
+            book.record_round_indexed(price, 3, np.array([2]),
+                                      np.array([1.0]), clamp=clamp)
+        assert type(err.value) is BidError
+        self.assert_unchanged(book, before)
+
+    def test_unclamped_infinite_amount_over_linear_price(self):
+        book, before = self.recorded()
+        with pytest.raises(OverLinearPrice, match="bid inf"):
+            book.record_round(48.0, 0.75, [(0.5, math.inf)])
+        self.assert_unchanged(book, before)
+
+    def test_clamped_infinite_amount_reduced_to_its_limit(self):
+        book, _ = self.recorded()
+        book.record_round_indexed(48.0, 3, np.array([2]),
+                                  np.array([math.inf]), clamp=True)
+        assert book.bid_at(0.5) == 24 * MICRO  # the linear price 48 * 0.5
+        assert book.kind_at_index(2) == KIND_ADDITIONAL
+
+    def test_fresh_book_rejects_a_nan_bid(self):
+        with pytest.raises(BidError):
+            BidBook(QuantityGrid(4, 0.75)).record_round(
+                1.0, 0.75, [(0.5, math.nan)])
+
+
 class TestActivityCap:
     def test_cap_after_drop(self):
         g = QuantityGrid(20, 0.75)

@@ -7,9 +7,10 @@ bids, kinds and drop segments in dicts and checks every rule with plain
 loops.  After each step the two must agree on values, masks, kinds,
 activity caps and the last price and headline; a rejected round must
 raise the same error type in both and leave both unchanged.  Bid
-indices come in any order and as sorted distinct lists, so both folds of
-the additional bids run, and the test checks that they did.  The run is
-derandomized, so the suite sees the same examples every time.
+indices come in any order and as sorted distinct lists, so the fold of
+the additional bids sees repeated and distinct points, and the test
+checks that it did.  The run is derandomized, so the suite sees the
+same examples every time.
 """
 
 import math
@@ -221,17 +222,20 @@ BidBookMachine.TestCase.settings = settings(
 
 class TestBidBookAgainstNaive(BidBookMachine.TestCase):
     def runTest(self):
-        """The state machine; both additional-bid folds must have run."""
-        seen = {"_fold_distinct": 0, "_fold_any": 0}
-        folds = {name: getattr(bidbook, name) for name in seen}
-        for name, fold in folds.items():
-            def counted(*args, fold=fold, name=name):
-                seen[name] += 1
-                return fold(*args)
-            setattr(bidbook, name, counted)
+        """The state machine; the one-tick fold must have folded bids on
+        distinct points and on repeated points."""
+        seen = {"distinct": 0, "repeated": 0}
+        fold = bidbook._fold_tick
+
+        def counted(*args):
+            at = (args + (None, None))[5]
+            if at is not None:
+                seen["repeated" if len(np.unique(at)) < len(at)
+                     else "distinct"] += 1
+            return fold(*args)
+        bidbook._fold_tick = counted
         try:
             super().runTest()
         finally:
-            for name, fold in folds.items():
-                setattr(bidbook, name, fold)
+            bidbook._fold_tick = fold
         assert min(seen.values()) > 0, seen

@@ -15,7 +15,7 @@ from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   vcg_equivalence_check, vcg_outcome)
 from cmra.bidbook import money_units
 from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
-                              _Candidates, _Ladder, _PairScreen, _replay_cell)
+                              _Candidates, _Ladder, _PairScreen, _replay_cells)
 from cmra.strategies import STRATEGY_TAGS
 
 _NEG = np.int64(-(2 ** 53))  # the screens' marker for an absent bid or pair
@@ -432,8 +432,9 @@ class TestResumedReplay:
                                     if t in keep}
                     batch = [_random_deviation(rng, cfg, prices, t_n)
                              for _ in range(10)]
-                    got = _replay_cell(seat, [dev for dev, _ in batch], base,
-                                       opp, ladder, 0, 1, prices, t0, cfg)
+                    got, = _replay_cells(
+                        seat, [([dev for dev, _ in batch], base, 0, t0)],
+                        opp, ladder, 1, prices, cfg)
                     starts, closes = set(), set()
                     for (dev, div), out in zip(batch, got):
                         pair = (dev.build(make(md, grid)), make(mo, grid))

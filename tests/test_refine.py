@@ -6,19 +6,24 @@ rules.  It is checked against ``ReferenceBidBook``, which records one
 book at a time in plain Python.  Many rows recorded at once, clamped
 and unclamped, must equal those rows recorded one by one and raise the
 error that a row-by-row record raises first, leaving the rows as they
-were when unclamped.  A ``BidBook``, a one-row state, must equal one
-reference book, and a rejected round must leave it as it was.  Bid
-indices come in any order and sorted distinct, so both folds of the
-additional bids run.  ``mechanism._refine_closers`` is checked closer by
+were.  A run of ticks recorded in one call must equal the rows recorded
+tick by tick, hold each tick's books in ``out`` and, at a fault, keep
+the ticks before it and leave its tick unrecorded.  A ``BidBook``, a
+one-row state, must equal one reference book, and a rejected round must
+leave it as it was.  Bid indices come in any order and sorted distinct,
+so the folds of one tick and of a run see repeated and distinct bid
+points.  ``mechanism._refine_closers`` is checked closer by
 closer against the scalar bisection ``_refine_close``, which records on
 reference books.
 """
 
+import math
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import reference_engine
 from reference_engine import (ReferenceBidBook, _refine_close, reference_round,
                               reference_run_cmra)
 
@@ -49,8 +54,8 @@ def to_rows(*books):
     for r, book in enumerate(books):
         for book_name, row_name in _BOOK_FIELDS:
             getattr(rows, row_name)[r] = getattr(book, book_name)
-        rows.last_price[r] = book.last_price
-        rows.last_headline[r] = book.last_headline
+        rows.last[r] = [math.nan if x is None else x
+                        for x in (book.last_price, book.last_headline)]
     return rows
 
 
@@ -134,12 +139,23 @@ def random_round(rng, grid, books, clamp, seen):
     return prices, emissions
 
 
+def bid_points(fold, args):
+    """``(fold, "distinct" or "repeated")`` of a call of one of the folds
+    of ``BookRows.record`` with additional bids, or None without them."""
+    at = args[5] if fold == "_fold_tick" else args[4]
+    if at is None:
+        return None
+    return fold, "repeated" if len(np.unique(at)) < len(at) else "distinct"
+
+
 def count_folds(monkeypatch, seen, caller):
-    """Count the additional-bid folds by branch and by ``caller[0]``."""
-    for name, branch in (("_fold_distinct", "distinct fold"),
-                         ("_fold_any", "full fold")):
-        def counted(*args, fold=getattr(bidbook, name), branch=branch):
-            seen[caller[0], branch] += 1
+    """Count the folds of one tick and of a run that fold additional
+    bids, by whether bid points repeat and by ``caller[0]``."""
+    for name in ("_fold_tick", "_fold_run"):
+        def counted(*args, fold=getattr(bidbook, name), name=name):
+            key = bid_points(name, args + (None, None))
+            if key is not None:
+                seen[(caller[0],) + key] += 1
             return fold(*args)
         monkeypatch.setattr(bidbook, name, counted)
 
@@ -156,8 +172,9 @@ class TestBookRows:
                 "fresh": 0, "rejected": 0, "unclamped": 0,
                 "rejected book": 0, "unclamped book": 0}
         caller = ["BidBook"]
-        seen.update({(who, branch): 0 for who in ("BidBook", "BookRows")
-                     for branch in ("distinct fold", "full fold")})
+        seen.update({(who, "_fold_tick", branch): 0
+                     for who in ("BidBook", "BookRows")
+                     for branch in ("distinct", "repeated")})
         count_folds(monkeypatch, seen, caller)
         for _ in range(150):
             grid = QuantityGrid(int(rng.integers(4, 30)),
@@ -185,7 +202,7 @@ class TestBookRows:
                                                  seen)
                 want = record_one_by_one(row_refs, prices, emissions, clamp)
                 caller[0] = "BookRows"
-                got = raised(rows.record, prices, emissions, clamp)
+                got = raised(rows.record, [prices], [emissions], clamp)
                 caller[0] = "BidBook"
                 assert_same_error(got, want)
                 assert want is None or not clamp  # clamped rounds are legal
@@ -250,7 +267,11 @@ class TestBookRows:
         ("bid cap, headline below 0", CapExceeded),
         ("bid below 0, negative", BidError),
         ("negative, bid below 0", BidError),
-        ("headline rise, headline below 0", NonMonotoneHeadline)]
+        ("headline rise, headline below 0", NonMonotoneHeadline),
+        # Non-finite prices and amounts.
+        ("nan price", BidError), ("inf price", BidError),
+        ("nan amount", BidError), ("nan amount, headline rise", BidError),
+        ("headline rise, nan price", NonMonotoneHeadline)]
 
     @pytest.mark.parametrize("case, error", ERROR_CASES)
     def test_errors_match(self, case, error):
@@ -271,6 +292,9 @@ class TestBookRows:
                "negative": (2.0, (ok[0], ok[1], np.array([0.01, -0.5]))),
                "headline below 0": (2.0, (-1,) + ok[1:]),
                "bid below 0": (2.0, (ok[0], np.array([1, -1]), ok[2])),
+               "nan price": (math.nan, ok), "inf price": (math.inf, ok),
+               "nan amount": (2.0, (ok[0], ok[1],
+                                    np.array([0.01, math.nan]))),
                }
         self.assert_first_fault(grid, [(1.0, ok)], ok, bad, case, error,
                                 clamp)
@@ -283,7 +307,8 @@ class TestBookRows:
         ("cap, headline rise", ActivityCapViolation),
         ("headline rise, cap", NonMonotoneHeadline),
         ("cap, price", ActivityCapViolation), ("price, cap", BidError),
-        ("negative, cap", BidError), ("cap, negative", ActivityCapViolation)])
+        ("negative, cap", BidError), ("cap, negative", ActivityCapViolation),
+        ("inf", OverLinearPrice), ("cap, inf", ActivityCapViolation)])
     def test_unclamped_limits_match(self, case, error):
         # Rounds at 0.5 and 1.0 drop the headline from 5 to 2, so at 2.0
         # a bid on 4 may not exceed 0.5 + 0.25, below its linear price 1.
@@ -297,7 +322,8 @@ class TestBookRows:
                                         np.array([0.9, 0.3]))),
                "headline rise": (2.0, (3,) + ok[1:]),
                "price": (1.0, ok),
-               "negative": (2.0, (2, ok[1], np.array([-0.1, 0.6])))}
+               "negative": (2.0, (2, ok[1], np.array([-0.1, 0.6]))),
+               "inf": (2.0, (2, ok[1], np.array([math.inf, 0.6])))}
         self.assert_first_fault(grid, before, ok, bad, case, error, False)
 
     @staticmethod
@@ -317,11 +343,12 @@ class TestBookRows:
         for price, emission in before:
             assert record_one_by_one(refs, [price] * 3, [emission] * 3,
                                      clamp) is None
-            rows.record([price] * 3, [emission] * 3, clamp)
+            rows.record([price], [[emission] * 3], clamp)
         prices, emissions = zip(*round_)
         want = record_one_by_one(refs, prices, emissions, clamp)
         assert type(want) is error
-        assert_same_error(raised(rows.record, prices, emissions, clamp), want)
+        assert_same_error(raised(rows.record, [prices], [emissions], clamp),
+                          want)
         if not clamp:
             for r, ref in enumerate(refs):
                 assert_row_equals_book(rows, r, ref)
@@ -345,10 +372,166 @@ class TestBookRows:
         with pytest.raises(BidError) as want:
             book.record_round_indexed(0.0, *emissions[1], clamp=True)
         with pytest.raises(BidError) as got:
-            rows.record([0.0, 0.0], emissions)
+            rows.record([0.0], [emissions])
         assert type(got.value) is type(want.value) is BidError
         assert str(got.value) == str(want.value)
         assert not rows.has_bid[:, grid.n].any()
+
+
+def record_ticks(books, prices, emissions, clamp):
+    """Record reference ``books`` tick by tick, row by row, at
+    ``prices[j]``, one price or one per row: the ``(values, has_bid)`` of
+    every book after each tick recorded, and the first error or None; at
+    the error's tick the books recorded before it are put back."""
+    after = []
+    for tick_prices, tick in zip(prices, emissions):
+        error = record_one_by_one(books, np.broadcast_to(
+            tick_prices, len(books)).tolist(), tick, clamp)
+        if error is not None:
+            return after, error
+        after.append([(b.values.copy(), b.has_bid.copy()) for b in books])
+    return after, None
+
+
+def assert_run_matches(rows, refs, prices, emissions, clamp):
+    """One ``rows.record`` over the run against ``refs`` recorded tick by
+    tick: the same error and tick, the same books, and ``out`` holding
+    every recorded tick's books.  Returns the error or None."""
+    width = rows.grid.n + 1
+    out = (np.full((len(refs), len(prices), width), -7, np.int64),
+           np.zeros((len(refs), len(prices), width), bool))
+    after, want = record_ticks(refs, prices, emissions, clamp)
+    got = raised(rows.record, prices, emissions, clamp, out)
+    assert_same_error(got, want)
+    if got is not None:
+        assert got.tick == len(after)
+    for r, ref in enumerate(refs):
+        assert_row_equals_book(rows, r, ref)
+    for j, books in enumerate(after):
+        for r, (values, has_bid) in enumerate(books):
+            assert np.array_equal(out[0][r, j], values), (j, r)
+            assert np.array_equal(out[1][r, j], has_bid), (j, r)
+    return got
+
+
+class TestRunRecord:
+    """``BookRows.record`` over a run of K ticks, against reference books
+    recorded tick by tick and row by row."""
+
+    def test_matches_tick_by_tick(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        seen = {"K=1": 0, "K=32": 0, "one row": 0, "many rows": 0,
+                "drop in run": 0, "capped by run segment": 0,
+                "capped same tick": 0, "repeated": 0, "zero bid": 0,
+                "negative price": 0, "clamped": 0, "unclamped": 0,
+                "rejected": 0, "segment": 0, "no bids": 0, "duplicates": 0}
+        caller = ["BookRows"]
+        seen.update({("BookRows", fold, branch): 0
+                     for fold in ("_fold_tick", "_fold_run")
+                     for branch in ("distinct", "repeated")})
+        count_folds(monkeypatch, seen, caller)
+        for case in range(160):
+            grid = QuantityGrid(int(rng.choice([8, 12, 20])),
+                                float(rng.choice([0.5, 0.75, 0.9])))
+            count = int(rng.choice([1, 2, 5, 9]))
+            ticks = int(rng.choice([1, 2, 5, 32]))
+            clamp = bool(rng.random() < 0.7)
+            scale = int(rng.choice([10 ** 6, 10 ** 3]))
+            refs = [ReferenceBidBook(grid, scale) for _ in range(count)]
+            price = float(rng.choice([-0.5, 0.0, 0.25]))
+            for ref in refs[:int(rng.integers(0, count + 1))]:
+                ref.record_round_indexed(price - 0.25, *random_emission(
+                    rng, grid, abs(price) + 0.1, None, seen), clamp=True)
+            rows = to_rows(*refs)
+            tops = [ref.last_headline for ref in refs]
+            prices, emissions = [], []
+            for j in range(ticks):
+                price += float(rng.choice([1e-7, rng.uniform(0.01, 0.3)]))
+                tick = []
+                for r in range(count):
+                    k, ks, amounts = random_emission(rng, grid, abs(price),
+                                                     tops[r], seen)
+                    if rng.random() < 0.1:
+                        # Repeated bids on half the supply, as rdr emits
+                        # them when the cap is 1/2.
+                        ks = np.array([grid.n // 2] * 2)
+                        amounts = np.zeros(2)
+                    if not clamp and rng.random() < 0.9:
+                        amounts = np.minimum(amounts,
+                                             max(price, 0) * ks / grid.n)
+                    tops[r] = k
+                    tick.append((k, ks, amounts))
+                prices.append(price)
+                emissions.append(tick)
+            # Where the run's own segments cap its bids.
+            seg = [ref._seg_lo.copy() for ref in refs]
+            for j, tick in enumerate(emissions):
+                for r, (k, ks, amounts) in enumerate(tick):
+                    top = refs[r].last_headline if j == 0 else \
+                        emissions[j - 1][r][0]
+                    if top is not None and k + 1 < top:
+                        seen["drop in run"] += 1
+                        fresh = list(range(k + 1, top))
+                        seen["capped same tick"] += bool(
+                            set(fresh) & set(ks.tolist()))
+                        seg[r][fresh] = k
+                    elif (seg[r][ks] >= 0).any() and (
+                            refs[r]._seg_lo[ks] < 0).any():
+                        seen["capped by run segment"] += 1
+                    seen["repeated"] += len(set(ks.tolist())) < len(ks)
+                    seen["zero bid"] += bool((amounts == 0).any())
+            got = assert_run_matches(rows, refs, prices, emissions, clamp)
+            seen["K=1"] += ticks == 1
+            seen["K=32"] += ticks == 32
+            seen["one row" if count == 1 else "many rows"] += 1
+            seen["negative price"] += prices[0] < 0
+            seen["clamped" if clamp else "unclamped"] += 1
+            seen["rejected"] += got is not None
+        assert min(seen.values()) > 0, seen
+
+    FAULTS = {"price": BidError, "nan price": BidError,
+              "headline rise": NonMonotoneHeadline,
+              "headline cap": CapExceeded, "bid cap": CapExceeded,
+              "bid below 0": BidError, "negative": BidError,
+              "nan amount": BidError}
+
+    @pytest.mark.parametrize("clamp", [True, False])
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_fault_at_every_tick_and_row(self, fault, clamp):
+        """Four ticks of three rows with one fault at each (tick, row) in
+        turn: the ticks before it are recorded, its tick changes no row,
+        and the error is the one recording tick by tick raises first."""
+        grid = QuantityGrid(8, 0.75)
+        ok = (grid.cap_index - 1, np.array([1, 2]), np.array([0.01, 0.02]))
+        for j in range(4):
+            for r in range(3):
+                refs = [ReferenceBidBook(grid) for _ in range(3)]
+                for ref in refs:
+                    ref.record_round_indexed(0.5, *ok)
+                rows = to_rows(*refs)
+                prices = [[1.0 + t] * 3 for t in range(4)]
+                emissions = [[ok] * 3 for _ in range(4)]
+                k, ks, amounts = ok
+                if fault == "price":
+                    prices[j][r] = prices[j - 1][r] if j else 0.5
+                elif fault == "nan price":
+                    prices[j][r] = math.nan
+                elif fault == "headline rise":
+                    k = grid.cap_index
+                elif fault == "headline cap":
+                    k = grid.cap_index + 1
+                elif fault == "bid cap":
+                    ks = np.array([1, grid.cap_index + 1])
+                elif fault == "bid below 0":
+                    ks = np.array([1, -1])
+                else:
+                    amounts = np.array([0.01, -0.5 if fault == "negative"
+                                        else math.nan])
+                emissions[j][r] = (k, ks, amounts)
+                got = assert_run_matches(rows, refs, prices, emissions,
+                                         clamp)
+                assert type(got) is self.FAULTS[fault]
+                assert got.tick == j
 
 
 FAMILIES = {
@@ -395,17 +578,35 @@ def random_member(rng, make, model, config):
     return base
 
 
-def assert_refine_matches(closers, members, opponent, seat, config):
+def assert_refine_matches(closers, members, opponent, seat, config,
+                          last_probes=None):
+    """Each closer's refine against the scalar bisection; with
+    ``last_probes``, count the closers by whether the last probe of their
+    bisection closed (True), did not (False) or was never made (None)."""
     got = _refine_closers(closers, members, opponent, seat, config)
+    probes = []
+    closing_rows = reference_engine._closing_rows
+
+    def probe(*args):
+        probes.append(bool(closing_rows(*args)[2]))
+        return closing_rows(*args)
     for c, (price, books, pair, result, fallback) in zip(closers, got):
         base = (to_reference(c.base, c.own), to_reference(c.base, c.opp))
         hi_books = (to_reference(c.hi, c.own), to_reference(c.hi, c.opp))
         bidders = (members[c.member], opponent)
         if seat == 1:
             base, hi_books, bidders = base[::-1], hi_books[::-1], bidders[::-1]
-        want_price, want_books, want_result = _refine_close(
-            base, bidders, config.start + (c.tick - 1) * config.eps,
-            config.start + c.tick * config.eps, hi_books, config)
+        del probes[:]
+        reference_engine._closing_rows = probe
+        try:
+            want_price, want_books, want_result = _refine_close(
+                base, bidders, config.start + (c.tick - 1) * config.eps,
+                config.start + c.tick * config.eps, hi_books, config)
+        finally:
+            reference_engine._closing_rows = closing_rows
+        if last_probes is not None:
+            last = probes[-1] if probes else None
+            last_probes[last] = last_probes.get(last, 0) + 1
         assert price == want_price
         assert result == want_result
         assert fallback == (want_books is hi_books)
@@ -421,6 +622,9 @@ class TestBatchedRefine:
         sizes = [1, 2, 3, 5, 9, 17, 33, 64]
         seen = {"seats": set(), "sizes": set(), "mixed ticks": 0,
                 "profiles": set(), "takes": 0}
+        # A closer whose last probe closed keeps that probe's books; the
+        # others record their final price once more.
+        last_probes = {}
         take = BookRows.take
 
         def counted_take(rows, *args):
@@ -455,7 +659,8 @@ class TestBatchedRefine:
                 members.append(member)
             if not closers:
                 continue
-            assert_refine_matches(closers, members, opponent, seat, config)
+            assert_refine_matches(closers, members, opponent, seat, config,
+                                  last_probes)
             seen["seats"].add(seat)
             seen["sizes"].add(len(closers))
             seen["profiles"].add(profile)
@@ -464,6 +669,8 @@ class TestBatchedRefine:
         assert 1 in seen["sizes"] and max(seen["sizes"]) >= 60
         assert seen["mixed ticks"] > 0 and len(seen["profiles"]) >= 3, seen
         assert seen["takes"] > 0, seen
+        assert last_probes.get(True, 0) > 0, last_probes
+        assert last_probes.get(False, 0) > 0, last_probes
 
 
 class _CapThenOut(ProxyStrategy):
