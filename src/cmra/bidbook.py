@@ -498,7 +498,7 @@ class BookRows:
         raise error
 
 
-# Money units of "no bid" in a fold: below any bid's value.
+# Money units of "no bid", below any bid's value (folds, closing tests).
 _NOTHING = -SENTINEL_UNITS
 
 

@@ -658,12 +658,11 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
                              f"{legal.stop - 1}, the grid indices up to "
                              f"the cap")
     scale = config.money_scale
-    lo, hi = env.distribution.support
-    thetas = [lo + (hi - lo) * i / (theta_grid - 1) for i in range(theta_grid)] \
-        if theta_grid > 1 else [0.5 * (lo + hi)]
+    thetas = env.distribution.grid(theta_grid)
 
-    t_n = int(math.floor((config.max_price - config.start) / config.eps)) + 1
-    prices = config.start + config.eps * np.arange(t_n)
+    # The ladders hold exactly the engine's clock ticks.
+    t_n = config.ticks
+    prices = config.price(np.arange(t_n))
     t_hats = sorted({int(round(i)) for i in
                      np.linspace(0, t_n - 1, family.n_submit_prices)})
     drop_ticks = sorted({int(round(i)) for i in
@@ -885,6 +884,8 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
     dist = env.distribution
     if dist.kind != "uniform":
         raise AssumptionViolation("quadrature check needs a uniform type distribution")
+    if theta_points < 1:
+        raise ValueError("theta_points must be at least 1")
     lo, hi = dist.support
     lam = env.cap
 
@@ -894,7 +895,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
         deviation = dist.cdf(t) * t + m.value(1.0 - lam) - partial
         return m.value(0.5) - deviation
 
-    thetas = [lo + (hi - lo) * i / (theta_points - 1) for i in range(theta_points)]
+    thetas = dist.grid(theta_points)
     slacks = [ic_slack(t) for t in thetas]
     # Ties in the minimum go to the strongest type: it is the one whose
     # incentive constraint the threshold condition is built around.

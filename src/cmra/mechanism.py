@@ -35,11 +35,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .bidbook import (MICRO, SENTINEL_UNITS, BidBook, BidError, BookRows,
+from .bidbook import (_NOTHING, MICRO, BidBook, BidError, BookRows,
                       QuantityGrid, money_units)
 from .roundlog import RoundLog
 from .strategies import _EMPTY_AMTS, _EMPTY_KS
@@ -55,8 +56,6 @@ __all__ = [
     "revenue_curve",
 ]
 
-_NEG = -SENTINEL_UNITS  # solver-internal only; masked entries never leak
-
 # The longest block of clock ticks a lone member records ahead of one
 # closing test; several members on the clock record one tick per block.
 _BLOCK_MAX = 32
@@ -67,7 +66,14 @@ MAX_PRICE_HIT = "max-price-hit"
 
 @dataclass(frozen=True)
 class AuctionConfig:
-    """Clock discretization and engine knobs for one auction run."""
+    """Clock discretization and engine knobs for one auction run.
+
+    Tick t is priced ``start + t * eps`` (:meth:`price`).  The clock has
+    every tick priced at most ``max_price + 1e-12``: ticks 0 to
+    ``ticks - 1``.  An auction that has not closed by then stops at the
+    maximum price, and the deviation search's ladders hold exactly those
+    ticks.
+    """
 
     grid: QuantityGrid
     eps: float
@@ -97,6 +103,23 @@ class AuctionConfig:
         if isinstance(self.money_scale, bool) or not isinstance(
                 self.money_scale, numbers.Integral) or self.money_scale <= 0:
             raise ValueError("money_scale must be a positive integer")
+
+    def price(self, t):
+        """The clock price of tick ``t``, or of each tick in an array."""
+        return self.start + t * self.eps
+
+    @cached_property
+    def ticks(self) -> int:
+        """The number of ticks priced at most ``max_price + 1e-12``: prices
+        rise with the tick, so the count steps from the quotient's estimate,
+        rounded either way, to the last tick in range."""
+        limit = self.max_price + 1e-12
+        t = int((limit - self.start) / self.eps)
+        while self.price(t) > limit:
+            t -= 1
+        while self.price(t + 1) <= limit:
+            t += 1
+        return t + 1
 
 
 @dataclass(frozen=True)
@@ -188,11 +211,11 @@ def _closing_rows(b1, m1, b2, m2):
     all).  The test is symmetric in the two sides; only the allocation
     is not.
     """
-    masked2 = np.where(m2, b2, _NEG)
+    masked2 = np.where(m2, b2, _NOTHING)
     # Best partner value with x2 <= 1 - x1, indexed by x1.
     partner = np.maximum.accumulate(masked2, axis=-1)[..., ::-1]
-    best_pair = np.where(m1, b1 + partner, _NEG).max(axis=-1)
-    best_single = np.maximum(np.where(m1, b1, _NEG).max(axis=-1),
+    best_pair = np.where(m1, b1 + partner, _NOTHING).max(axis=-1)
+    best_single = np.maximum(np.where(m1, b1, _NOTHING).max(axis=-1),
                              masked2.max(axis=-1))
     # Closed: some pair exists and no single acceptance beats it.
     closed = best_pair >= np.maximum(best_single, 0)
@@ -297,9 +320,9 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
             state = BookRows.join(
                 [(now, rows_now), (snap, joining)] if seat == 1 else
                 [(now, rows_now[:-1]), (snap, joining), (now, rows_now[-1:])])
-        if config.start + t * config.eps > config.max_price + 1e-12:
+        if t >= config.ticks:
             for i in active:
-                outcomes[i] = _max_price_outcome(config, logs[i])
+                outcomes[i] = _outcome(config, logs[i])
             active = []
             continue
         if len(active) > 1:
@@ -319,9 +342,8 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
                 closers.append(c)
                 continue
             outcomes[c.member] = _build_outcome(
-                config.start + c.tick * config.eps,
-                *_solve_rows(c.hi, c.own, c.opp, seat), config,
-                logs[c.member])
+                config.price(c.tick), *_solve_rows(c.hi, c.own, c.opp, seat),
+                config, logs[c.member])
     if closers:
         for c, (price, books, pair, result, fallback) in zip(
                 closers, _refine_closers(closers, strategies, opponent, seat,
@@ -342,10 +364,10 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     ``BookRows.record`` call, which keeps the ticks before a fault and
     fills ``(rows, K, n+1)`` value and mask arrays for one closing test
     of the member rows against the opponent's.  So the exception that
-    surfaces is the first one a tick-by-tick loop meets.  Ticks past
-    the maximum price are not recorded.  The block ends at the first tick
-    where some member closes, and each member's log gets a tick record per
-    tick up to it.
+    surfaces is the first one a tick-by-tick loop meets.  The block
+    stops at the clock's last tick, and ends at the first tick where
+    some member closes; each member's log gets a tick record per tick up
+    to it.
 
     Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
     :class:`_Closer` per member that closed at the last of them, and the
@@ -367,10 +389,8 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     base = state.copy()
     prices, emitted = [], []
     error = None
-    for j in range(size):
-        price = config.start + (t + j) * config.eps
-        if price > config.max_price + 1e-12:
-            break
+    for j in range(min(size, config.ticks - t)):
+        price = config.price(t + j)
         try:
             emitted.append([_emit(bidder, price) for bidder in bidders])
         except Exception as exc:  # raised below unless an earlier tick closes
@@ -482,8 +502,8 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     state = BookRows.join([(c.base, [c.own]) for c in closers]
                           + [(c.base, [c.opp]) for c in closers])
     bidders = [strategies[c.member] for c in closers] + [opponent] * m
-    lo = [config.start + (c.tick - 1) * config.eps for c in closers]
-    hi = [config.start + c.tick * config.eps for c in closers]
+    lo = [config.price(c.tick - 1) for c in closers]
+    hi = [config.price(c.tick) for c in closers]
     # Per closer, its books recorded at ``hi`` from its books at ``lo``:
     # rows taken from the trial of its last probe when that probe closed.
     final = [None] * m
@@ -547,44 +567,41 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     return refined
 
 
-def _max_price_outcome(config: AuctionConfig, log) -> AuctionOutcome:
-    """The outcome of a clock that passed the maximum price unclosed."""
+def _outcome(config: AuctionConfig, log, price=None, indices=None,
+             payment_units=(0, 0), kinds=("none", "none"), excess_supply=1.0,
+             r_star=None, refine_fallback=False) -> AuctionOutcome:
+    """The outcome of a close at ``price`` on the grid ``indices`` or, with
+    no indices, of a clock that passed the maximum price unclosed.  The
+    caller passes the excess supply: a CMRA close sums it as ``1.0 - x1 -
+    x2`` and a clock close as ``1.0 - (x1 + x2)``, which can differ in the
+    last bit."""
+    scale = config.money_scale
+    revenue_units = sum(payment_units)
     return AuctionOutcome(
-        final_price=config.max_price, indices=None, quantities=None,
-        payments=(0.0, 0.0), payment_units=(0, 0), kinds=("none", "none"),
-        revenue=0.0, revenue_units=0, termination=MAX_PRICE_HIT,
-        excess_supply=1.0, r_star_units=None, rounds=RoundLog(log))
+        final_price=config.max_price if indices is None else price,
+        indices=indices,
+        quantities=None if indices is None else tuple(
+            config.grid.share(k) for k in indices),
+        payments=tuple(u / scale for u in payment_units),
+        payment_units=tuple(payment_units), kinds=tuple(kinds),
+        revenue=revenue_units / scale, revenue_units=revenue_units,
+        termination=MAX_PRICE_HIT if indices is None else CLOSED,
+        excess_supply=excess_supply, r_star_units=r_star,
+        rounds=RoundLog(log), refine_fallback=refine_fallback)
 
 
 def _build_outcome(price, books, pair, result: ClosingResult, config, log,
                    refine_fallback: bool = False) -> AuctionOutcome:
-    """The outcome of a close; rows ``pair`` of ``books`` are the two
-    bidders' books in seat order."""
-    grid = config.grid
-    k1, k2 = result.allocation
-    indices = (k1, k2)
-    quantities = (grid.share(k1), grid.share(k2))
-    payment_units = []
-    kinds = []
-    for r, k in zip(pair, indices):
-        if k == 0:
-            payment_units.append(0)
-            kinds.append("none")
-        else:
-            payment_units.append(int(books.values[r][k]))
-            kinds.append("headline" if books.kinds[r][k] == 1
-                         else "additional")
-    scale = config.money_scale
-    payments = tuple(u / scale for u in payment_units)
-    revenue_units = sum(payment_units)
-    return AuctionOutcome(
-        final_price=price, indices=indices, quantities=quantities,
-        payments=payments, payment_units=tuple(payment_units),
-        kinds=tuple(kinds), revenue=revenue_units / scale,
-        revenue_units=revenue_units, termination=CLOSED,
-        excess_supply=1.0 - quantities[0] - quantities[1],
-        r_star_units=result.r_star, rounds=RoundLog(log),
-        refine_fallback=refine_fallback)
+    """The outcome of a CMRA close; rows ``pair`` of ``books`` are the two
+    bidders' books in seat order, and a winner pays its book's value."""
+    indices = result.allocation
+    x1, x2 = (config.grid.share(k) for k in indices)
+    return _outcome(
+        config, log, price, indices,
+        [int(books.values[r][k]) if k else 0 for r, k in zip(pair, indices)],
+        ["none" if not k else "headline" if books.kinds[r][k] == 1
+         else "additional" for r, k in zip(pair, indices)],
+        1.0 - x1 - x2, result.r_star, refine_fallback)
 
 
 def run_clock(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome:
@@ -597,27 +614,22 @@ def run_clock(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcom
     """
     grid = config.grid
     n = grid.n
-    strategies = (strategy1, strategy2)
     log: list = []
 
     def demands(p):
-        return strategies[0].headline_index(p), strategies[1].headline_index(p)
+        return strategy1.headline_index(p), strategy2.headline_index(p)
 
-    t = 0
     prev = None
-    prev_price = None
-    while True:
-        price = config.start + t * config.eps
-        if price > config.max_price + 1e-12:
-            return _max_price_outcome(config, log)
+    for t in range(config.ticks):
+        price = config.price(t)
         k1, k2 = demands(price)
         if config.log_rounds:
             _log_round(log, t, price, ((k1, _EMPTY_KS, _EMPTY_AMTS),
                                        (k2, _EMPTY_KS, _EMPTY_AMTS)),
                        k1 + k2 <= n, None)
         if k1 + k2 <= n:
-            if config.refine and prev_price is not None:
-                lo, hi = prev_price, price
+            if config.refine and t > 0:
+                lo, hi = config.price(t - 1), price
                 while hi - lo > config.refine_tol:
                     mid = 0.5 * (lo + hi)
                     d1, d2 = demands(mid)
@@ -629,27 +641,14 @@ def run_clock(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcom
                 k1, k2 = demands(price)
             if k1 == 0 and k2 == 0 and prev is not None:
                 k1 = prev[0]  # simultaneous drop: serve bidder 1 pre-drop
-            return _clock_outcome(price, (k1, k2), config, log)
+            x1, x2 = grid.share(k1), grid.share(k2)
+            payment_units = [money_units(price * x, config.money_scale)
+                             for x in (x1, x2)]
+            return _outcome(config, log, price, (k1, k2), payment_units,
+                            ["headline" if k > 0 else "none" for k in (k1, k2)],
+                            1.0 - (x1 + x2), sum(payment_units))
         prev = (k1, k2)
-        prev_price = price
-        t += 1
-
-
-def _clock_outcome(price, indices, config, log) -> AuctionOutcome:
-    grid = config.grid
-    quantities = tuple(grid.share(k) for k in indices)
-    payment_units = tuple(money_units(price * x, config.money_scale)
-                          for x in quantities)
-    kinds = tuple("headline" if k > 0 else "none" for k in indices)
-    revenue_units = sum(payment_units)
-    scale = config.money_scale
-    return AuctionOutcome(
-        final_price=price, indices=indices, quantities=quantities,
-        payments=tuple(u / scale for u in payment_units),
-        payment_units=payment_units, kinds=kinds,
-        revenue=revenue_units / scale, revenue_units=revenue_units,
-        termination=CLOSED, excess_supply=1.0 - sum(quantities),
-        r_star_units=revenue_units, rounds=RoundLog(log))
+    return _outcome(config, log)
 
 
 def revenue_curve(book1: BidBook, book2: BidBook):

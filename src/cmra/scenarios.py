@@ -77,6 +77,15 @@ class Scenario:
             return cls.from_dict(json.load(fh))
 
     @classmethod
+    def load(cls, source) -> "Scenario":
+        """A Scenario as given, or read from a dict or a JSON file path."""
+        if isinstance(source, Scenario):
+            return source
+        if isinstance(source, dict):
+            return cls.from_dict(source)
+        return cls.from_json(source)
+
+    @classmethod
     def _parse(cls, data: dict) -> "Scenario":
         name = data.get("name", "scenario")
         mode = data.get("mode", "single")
@@ -247,12 +256,7 @@ def run_scenario(source, outdir=None, seed=None) -> dict:
     "result": mode-specific object}.  Raises ScenarioError on invalid
     input; engine errors propagate.
     """
-    if isinstance(source, Scenario):
-        scenario = source
-    elif isinstance(source, dict):
-        scenario = Scenario.from_dict(source)
-    else:
-        scenario = Scenario.from_json(source)
+    scenario = Scenario.load(source)
     if seed is not None:
         scenario.seed = seed
     outdir = Path(outdir or os.environ.get("CMRA_OUTPUT_DIR", "."))
@@ -309,10 +313,7 @@ def run_scenario(source, outdir=None, seed=None) -> dict:
 
 def _run_sweep(scenario: Scenario):
     spec = scenario.options
-    n = int(spec.get("theta_grid", 5))
-    lo, hi = scenario.env.distribution.support
-    thetas = [lo + (hi - lo) * i / (n - 1) for i in range(n)] if n > 1 \
-        else [0.5 * (lo + hi)]
+    thetas = scenario.env.distribution.grid(int(spec.get("theta_grid", 5)))
     runner = run_cmra if scenario.auction == "cmra" else run_clock
     tags = [type(s).tag for s in scenario.strategies]
     rows = []
@@ -341,9 +342,7 @@ def export_figure_data(source, prices, outdir=None) -> dict:
     lie between the start price and the final closing price.  Books are
     replayed up to each price exactly as the engine would build them.
     """
-    scenario = source if isinstance(source, Scenario) else (
-        Scenario.from_dict(source) if isinstance(source, dict)
-        else Scenario.from_json(source))
+    scenario = Scenario.load(source)
     if scenario.mode != "single" or scenario.auction != "cmra":
         raise ScenarioError("figure export needs a single-run CMRA scenario")
     outdir = Path(outdir or os.environ.get("CMRA_OUTPUT_DIR", "."))
@@ -390,7 +389,7 @@ def _books_at_price(scenario: Scenario, price: float):
     cfg = scenario.config
     state = BookRows(cfg.grid, cfg.money_scale, 2)
     prices, t = [], 0
-    while (p := cfg.start + t * cfg.eps) < price - 1e-15:
+    while (p := cfg.price(t)) < price - 1e-15:
         prices.append(p)
         t += 1
     prices.append(price)

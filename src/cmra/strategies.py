@@ -75,6 +75,8 @@ class ProxyStrategy:
 
 
 class ClockTruthful(ProxyStrategy):
+    """Truthful headline demands at every clock price, no additional bids."""
+
     tag = "clock-truthful"
 
     def __init__(self, model, grid):
@@ -92,6 +94,8 @@ class ClockTruthful(ProxyStrategy):
 
 
 class CmraTruthful(ClockTruthful):
+    """Truthful headline demands plus surplus-indifferent additional bids."""
+
     tag = "cmra-truthful"
 
     def __init__(self, model, grid):
@@ -123,6 +127,8 @@ class CmraTruthful(ClockTruthful):
 
 
 class ConstantBidding(ProxyStrategy):
+    """Cap headline while individually rational; one zero bid on 1-cap."""
+
     tag = "constant"
 
     def __init__(self, model, grid):
@@ -141,6 +147,8 @@ class ConstantBidding(ProxyStrategy):
 
 
 class RisklessDemandReduction(ConstantBidding):
+    """Constant strategy plus a first-round zero bid on half the supply."""
+
     tag = "rdr"
 
     def __init__(self, model, grid):
@@ -151,29 +159,9 @@ class RisklessDemandReduction(ConstantBidding):
             for ks, amounts in (self._early, self._late))
 
 
-def clock_truthful(model: ValuationModel, grid: QuantityGrid) -> ProxyStrategy:
-    """Truthful headline demands at every clock price, no additional bids."""
-    return ClockTruthful(model, grid)
+clock_truthful, cmra_truthful = ClockTruthful, CmraTruthful
+constant_strategy, rdr_strategy = ConstantBidding, RisklessDemandReduction
 
-
-def cmra_truthful(model: ValuationModel, grid: QuantityGrid) -> ProxyStrategy:
-    """Truthful headline demands plus surplus-indifferent additional bids."""
-    return CmraTruthful(model, grid)
-
-
-def constant_strategy(model: ValuationModel, grid: QuantityGrid) -> ProxyStrategy:
-    """Cap headline while individually rational; one zero bid on 1-cap."""
-    return ConstantBidding(model, grid)
-
-
-def rdr_strategy(model: ValuationModel, grid: QuantityGrid) -> ProxyStrategy:
-    """Constant strategy plus a first-round zero bid on half the supply."""
-    return RisklessDemandReduction(model, grid)
-
-
-STRATEGY_TAGS = {
-    "clock-truthful": clock_truthful,
-    "cmra-truthful": cmra_truthful,
-    "constant": constant_strategy,
-    "rdr": rdr_strategy,
-}
+STRATEGY_TAGS = {cls.tag: cls for cls in (ClockTruthful, CmraTruthful,
+                                          ConstantBidding,
+                                          RisklessDemandReduction)}

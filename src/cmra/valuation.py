@@ -307,6 +307,15 @@ class TypeDistribution:
             return (t - lo) / (hi - lo)
         return sum(1 for p in self.points if p <= t) / len(self.points)
 
+    def grid(self, n: int) -> list:
+        """``n`` evenly spaced types over the support; its midpoint for 1."""
+        if n < 1:
+            raise ValueError(f"a type grid needs at least 1 point, not {n}")
+        lo, hi = self.support
+        if n == 1:
+            return [0.5 * (lo + hi)]
+        return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
     def pdf(self, t: float) -> float:
         if self.kind != "uniform":
             raise ValueError("pdf defined only for the uniform family")

@@ -44,8 +44,8 @@ import numpy as np
 from cmra.bidbook import (KIND_ADDITIONAL, KIND_HEADLINE, MICRO,
                           ActivityCapViolation, BidError, CapExceeded,
                           NonMonotoneHeadline, OverLinearPrice, money_units)
-from cmra.mechanism import (_build_outcome, _closing_rows, _emit,
-                            _max_price_outcome, solve_closing)
+from cmra.mechanism import (_build_outcome, _closing_rows, _emit, _outcome,
+                            solve_closing)
 from cmra.scenarios import _fmt
 from cmra.strategies import ClockTruthful
 from cmra.valuation import NON_DECREASING, _bisect
@@ -189,7 +189,7 @@ def reference_run_cmra(strategy1, strategy2, config):
     while True:
         price = config.start + t * config.eps
         if price > config.max_price + 1e-12:
-            return replace(_max_price_outcome(config, []), rounds=log)
+            return replace(_outcome(config, []), rounds=log)
         base = (books[0].copy(), books[1].copy())
         emissions = [reference_round(b, s, price)
                      for b, s in zip(books, strategies)]

@@ -106,6 +106,14 @@ class TestCheckRdrBne:
         assert not rep.holds
         assert rep.slack_at_top == pytest.approx(-0.125, abs=1e-9)
 
+    def test_type_grid_of_one_point_is_the_midpoint(self):
+        env = pow_env(1.0, support=(0.0, 1.0))
+        rep = check_rdr_bne(env, samples=1_000, seed=3, theta_points=1)
+        assert rep.binding_theta == 0.5
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="theta_points"):
+                check_rdr_bne(env, samples=1_000, theta_points=bad)
+
     def test_engine_subsample_agreement(self):
         cfg = small_config(0.75, 2.0, eps=5e-3)
         rep = check_rdr_bne(pow_env(1.0, support=(0.0, 1.0)), samples=5_000,
@@ -173,6 +181,23 @@ class TestExPostSearch:
             (report.deviator_theta, report.best_opponent))
         assert surplus - report.baseline[report.best_opponent] == \
             pytest.approx(report.best_gain, abs=1e-12)
+
+    def test_ladders_hold_every_engine_tick(self):
+        """A maximum price whose quotient by eps rounds down, and one a
+        hair above it, give the same clock, so the same search."""
+        fam = DeviationFamily(16, 8, 8)
+        results = []
+        for top in (0.489, 0.489 + 1e-9):
+            cfg = AuctionConfig(grid=QuantityGrid(20, 0.9), eps=1e-3,
+                                max_price=top, start=0.03, log_rounds=False)
+            assert cfg.ticks == 460
+            results.append(check_expost("constant", quad_env(), cfg,
+                                        theta_grid=3, family=fam, tol=1e-4))
+        low, high = results
+        for name in ("replays", "members", "max_gain", "verified",
+                     "truncated", "reports"):
+            assert getattr(low, name) == getattr(high, name), name
+        assert low.replays == 2502
 
     def test_off_family_deviations_gain_at_most_tol(self):
         # Deviations outside the search family, with amounts off its

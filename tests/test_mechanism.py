@@ -12,8 +12,8 @@ from cmra import (AuctionConfig, AuctionOutcome, BidBook, MarketEnv,
                   QuantityGrid, ValuationModel, revenue_curve, run_clock,
                   run_cmra, solve_closing)
 from cmra.bidbook import MICRO
-from cmra.strategies import (STRATEGY_TAGS, clock_truthful, cmra_truthful,
-                             constant_strategy, rdr_strategy)
+from cmra.strategies import (STRATEGY_TAGS, ProxyStrategy, clock_truthful,
+                             cmra_truthful, constant_strategy, rdr_strategy)
 
 
 def lots_env():
@@ -219,6 +219,48 @@ class TestConfigValidation:
             out = run(cmra_truthful(env.models[0], grid),
                       cmra_truthful(env.models[1], grid), env, config)
             assert out.closed
+
+
+class _CapForever(ProxyStrategy):
+    """Headline at the cap at every price: two of them never close."""
+
+    tag = "cap-forever"
+
+    def headline_index(self, p):
+        return self.grid.cap_index
+
+
+class TestClockSchedule:
+    """``AuctionConfig.ticks`` against the reference loop's own stop rule."""
+
+    def test_ticks_match_reference_loop(self):
+        rng = np.random.default_rng(11)
+        grid = QuantityGrid(4, 0.75)
+        # (start, eps, max_price): the quotient of the first rounds down.
+        cases = [(0.0, 1e-3, 1.4), (0.03, 1e-3, 0.489),
+                 (0.03, 1e-3, 0.489 + 1e-9)]
+        for _ in range(40):
+            start = float(rng.choice([0.0, rng.uniform(0, 2)]))
+            eps = float(10 ** rng.uniform(-3, -1))
+            # Maximum prices on and around a tick's price.
+            top = start + int(rng.integers(1, 400)) * eps
+            jitter = float(rng.choice([0.0, 1e-13, -1e-13, 1e-12, 2e-12,
+                                       -2e-12, 1e-9, 0.5 * eps]))
+            cases.append((start, eps, top + jitter))
+        for start, eps, top in cases:
+            config = AuctionConfig(grid=grid, eps=eps, max_price=top,
+                                   start=start)
+            bidders = [_CapForever(ValuationModel.power(1.0, 0.75), grid)
+                       for _ in range(2)]
+            want = reference_run_cmra(*bidders, config)
+            got = run_cmra(*bidders, None, config)
+            assert not want.closed and not got.closed
+            ticks = want.rounds[-1][0] + 1
+            assert config.ticks == ticks == len(got.rounds.ticks), \
+                (start, eps, top)
+            assert config.price(np.arange(ticks)).tolist() == \
+                [start + t * eps for t in range(ticks)]
+        assert AuctionConfig(grid=grid, eps=1e-3, max_price=1.4).ticks == 1401
 
 
 class TestOneClockLoop:

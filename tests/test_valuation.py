@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from cmra import (AssumptionViolation, MarketEnv, ValuationModel,
-                  efficient_allocation, vcg_outcome)
+from cmra import (AssumptionViolation, MarketEnv, TypeDistribution,
+                  ValuationModel, efficient_allocation, vcg_outcome)
 from cmra.valuation import _bisect
 from reference_engine import reference_truthful_demand
 
@@ -193,6 +193,17 @@ class TestFinalPrice:
             spreads.append(m.value(cap) - m.value(0.5))
         assert all(b < a for a, b in zip(spreads, spreads[1:]))
         assert spreads[-1] < 0.011
+
+
+class TestTypeGrid:
+    def test_evenly_spaced_over_the_support(self):
+        dist = TypeDistribution("uniform", (1.05, 1.25))
+        assert dist.grid(1) == [0.5 * (1.05 + 1.25)]
+        assert dist.grid(3) == pytest.approx([1.05, 1.15, 1.25], abs=1e-15)
+        assert dist.grid(3)[0] == 1.05
+        for bad in (0, -3):
+            with pytest.raises(ValueError, match="at least 1"):
+                dist.grid(bad)
 
 
 class TestEfficientAllocation:
