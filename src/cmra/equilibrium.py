@@ -72,9 +72,9 @@ import numpy as np
 from scipy import integrate
 
 from .bidbook import BookRows, QuantityGrid
-from .mechanism import (AuctionConfig, _closing_rows, _emit, _run_lockstep,
-                        run_cmra)
-from .strategies import STRATEGY_TAGS, ProxyStrategy
+from .mechanism import (AuctionConfig, _closing_rows, _emissions,
+                        _run_lockstep, run_cmra)
+from .strategies import STRATEGY_TAGS, ProxyStrategy, _read_only
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
 __all__ = [
@@ -151,10 +151,7 @@ class SingleBidDeviation(ProxyStrategy):
         self.quantity_k = quantity_k
         self.amount = amount
         self.submit_price = submit_price
-        self._ks = np.array([quantity_k], dtype=np.int64)
-        self._amts = np.array([amount], dtype=float)
-        self._ks.setflags(write=False)   # round logs keep references
-        self._amts.setflags(write=False)
+        self._ks, self._amts = _read_only([quantity_k], [amount])
 
     def headline_index(self, p: float) -> int:
         return self._base.headline_index(p)
@@ -338,8 +335,9 @@ class _Ladder:
         for a, b in zip(cuts, cuts[1:]):
             if a in snap_ticks:
                 self.snaps[a] = state.copy()
-            emissions = [[_emit(s, p) for s in strategies]
-                         for p in prices[a:b]]
+            emissions, error = _emissions(strategies, prices[a:b])
+            if error is not None:
+                raise error
             state.record(prices[a:b], emissions,
                          out=(self.values[:, a:b], self.mask[:, a:b]))
             heads += [[k for k, _, _ in tick] for tick in emissions]

@@ -20,11 +20,12 @@ are rows of one ``BookRows`` state, the opponent's included, and one
 block clock, :func:`_block`, makes their emissions for a block of ticks,
 records the block in one ``BookRows.record`` call and runs one batched
 closing test over it.  A block is one tick long while several members are on
-the clock and up to ``_BLOCK_MAX`` ticks while one is.  :func:`run_cmra`
-is the loop's one-member call from the start price; the deviation
-search enters it with many members, each at its own resume tick.  A
-member that closes leaves the clock, and the loop refines every closer
-at its end in one batched bisection, :func:`_refine_closers`: the
+the clock and up to ``_BLOCK_MAX`` ticks while one is, when each bidder
+emits the whole block in one run call, ``ProxyStrategy.emissions``.
+:func:`run_cmra` is the loop's one-member call from the start price; the
+deviation search enters it with many members, each at its own resume
+tick.  A member that closes leaves the clock, and the loop refines every
+closer at its end in one batched bisection, :func:`_refine_closers`: the
 closers' books are rows of one ``BookRows`` state, and each step records
 one probe round on every closer still bisecting and runs one batched
 closing test.  A closer whose last probe closed keeps that probe's books.
@@ -247,6 +248,36 @@ def _emit(strategy, price: float):
     return (k, *strategy.additional_bid_arrays(price))
 
 
+def _emissions(bidders, prices) -> tuple:
+    """``(emitted, error)``: bidder r's emission at ``prices[j]`` is
+    ``emitted[j][r]`` up to the first tick where one raises, and ``error``
+    the first exception in (tick, bidder) order, or None.  Each bidder
+    makes one run call, ``ProxyStrategy.emissions``, and one that raises
+    is emitted again tick by tick, as pure emissions allow; one tick is
+    one ``_emit`` per bidder."""
+    if len(prices) == 1:
+        try:
+            return [[_emit(bidder, prices[0]) for bidder in bidders]], None
+        except Exception as exc:
+            return [], exc
+    runs, error = [], None
+    for bidder in bidders:
+        try:
+            runs.append(bidder.emissions(prices))
+            continue
+        except Exception:
+            run = []
+        for price in prices:
+            try:
+                run.append(_emit(bidder, price))
+            except Exception as exc:
+                error = exc
+                break
+        runs.append(run)
+        prices = prices[:len(run)]
+    return list(zip(*runs)), error
+
+
 def _log_round(log, round_no, price, emissions, closed, r_star):
     """Log one tick: its record holds the emissions themselves (see
     :mod:`cmra.roundlog`)."""
@@ -359,15 +390,15 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     """Up to ``size`` clock ticks of the active members from tick ``t``.
 
     ``state`` holds the books on the clock as rows in seat order.  The
-    block makes every row's emission for each tick, up to the first
-    emission that raises, then records them all in one
-    ``BookRows.record`` call, which keeps the ticks before a fault and
-    fills ``(rows, K, n+1)`` value and mask arrays for one closing test
-    of the member rows against the opponent's.  So the exception that
-    surfaces is the first one a tick-by-tick loop meets.  The block
-    stops at the clock's last tick, and ends at the first tick where
-    some member closes; each member's log gets a tick record per tick up
-    to it.
+    block makes every row's emissions (:func:`_emissions`) up to the first
+    tick where one raises, then records them all in one ``BookRows.record``
+    call, which keeps the ticks before a fault and fills ``(rows, K,
+    n+1)`` value and mask arrays for one closing test of the member rows
+    against the opponent's.  The block stops at the clock's last tick,
+    and ends at the first tick where some member closes; each member's
+    log gets a tick record per tick up to it.  An exception surfaces only
+    when no tick of the block closes, and it is the first one a
+    tick-by-tick loop meets.
 
     Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
     :class:`_Closer` per member that closed at the last of them, and the
@@ -377,8 +408,6 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     tick, are rebuilt from the copy by one record of the ticks before
     the close and one of the closing tick, so the block is exact for any
     length and number of members.
-    An exception that a round raises surfaces only when no tick of the
-    block closes, as in a tick-by-tick loop.
     """
     width = len(active)
     opp = width if seat == 0 else 0  # members' rows start at ``seat``
@@ -387,16 +416,9 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     shape = (width + 1, size, config.grid.n + 1)
     values, mask = np.empty(shape, np.int64), np.empty(shape, bool)
     base = state.copy()
-    prices, emitted = [], []
-    error = None
-    for j in range(min(size, config.ticks - t)):
-        price = config.price(t + j)
-        try:
-            emitted.append([_emit(bidder, price) for bidder in bidders])
-        except Exception as exc:  # raised below unless an earlier tick closes
-            error = exc
-            break
-        prices.append(price)
+    prices = [config.price(t + j) for j in range(min(size, config.ticks - t))]
+    emitted, error = _emissions(bidders, prices)
+    del prices[len(emitted):]
     if prices:
         try:
             state.record(prices, emitted, out=(values, mask))

@@ -21,11 +21,12 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from itertools import count, takewhile
 from pathlib import Path
 
 from .audit import AuctionAuditRecord, audit_linear_prices
 from .bidbook import BidBook, BookRows, MICRO, QuantityGrid
-from .mechanism import (AuctionConfig, _emit, revenue_curve, run_clock,
+from .mechanism import (AuctionConfig, _emissions, revenue_curve, run_clock,
                         run_cmra)
 from .roundlog import RoundLog
 from .strategies import STRATEGY_TAGS
@@ -388,13 +389,12 @@ def _books_at_price(scenario: Scenario, price: float):
     clock round below the price, then the price; rows of one state."""
     cfg = scenario.config
     state = BookRows(cfg.grid, cfg.money_scale, 2)
-    prices, t = [], 0
-    while (p := cfg.price(t)) < price - 1e-15:
-        prices.append(p)
-        t += 1
-    prices.append(price)
-    state.record(prices, [[_emit(s, p) for s in scenario.strategies]
-                          for p in prices])
+    below = takewhile(lambda p: p < price - 1e-15, map(cfg.price, count()))
+    prices = [*below, price]
+    emissions, error = _emissions(scenario.strategies, prices)
+    if error is not None:
+        raise error
+    state.record(prices, emissions)
     return tuple(BidBook.__new__(BidBook)._bind(state.take([r]))
                  for r in (0, 1))
 

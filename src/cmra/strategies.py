@@ -2,9 +2,10 @@
 
 A proxy strategy commits, in advance, a headline demand for every clock
 price and a set of additional package bids for every clock price.  The
-engine queries both at each round; emissions are pure functions of the
-price, so re-querying (e.g. while bisecting a closing price) is
-idempotent; the bid book keeps running maxima.
+engine queries both at a price, or all of a run of prices in one
+``emissions`` call; emissions are pure functions of the price, so
+re-querying (e.g. while bisecting a closing price) is idempotent; the
+bid book keeps running maxima.
 
 The four families:
 
@@ -66,6 +67,11 @@ class ProxyStrategy:
     def additional_bid_arrays(self, p: float):
         return _EMPTY_KS, _EMPTY_AMTS
 
+    def emissions(self, prices) -> list:
+        """Each price's emission ``(headline_k, ks, amounts)``, in order."""
+        return [(self.headline_index(p), *self.additional_bid_arrays(p))
+                for p in prices]
+
     def _snap(self, x: float) -> int:
         k = int(math.floor(x * self.grid.n + 0.5))
         return min(k, self.grid.cap_index)
@@ -85,12 +91,20 @@ class ClockTruthful(ProxyStrategy):
 
     def headline_index(self, p: float) -> int:
         if p not in self._h_memo:
-            self._solve(p)
+            self._solve_run([p])
         return self._h_memo[p]
 
-    def _solve(self, p: float) -> None:
-        """Fill the price-keyed memos at p from one demand solve."""
-        self._h_memo[p] = self._snap(self.model.truthful_demand(p))
+    def emissions(self, prices) -> list:
+        """One solve per distinct price of the run not yet memoized."""
+        missing = [p for p in dict.fromkeys(prices) if p not in self._h_memo]
+        if missing:
+            self._solve_run(missing)
+        return super().emissions(prices)
+
+    def _solve_run(self, prices) -> None:
+        """Fill the price-keyed memos at distinct, unmemoized prices."""
+        for p in prices:
+            self._h_memo[p] = self._snap(self.model.truthful_demand(p))
 
 
 class CmraTruthful(ClockTruthful):
@@ -101,6 +115,7 @@ class CmraTruthful(ClockTruthful):
     def __init__(self, model, grid):
         super().__init__(model, grid)
         ks = np.arange(grid.cap_index + 1, dtype=np.int64)
+        ks.setflags(write=False)  # emissions are views of it
         self._ks = ks
         self._shares = ks / grid.n
         self._values = np.array([model.value(x) for x in self._shares])
@@ -112,18 +127,25 @@ class CmraTruthful(ClockTruthful):
 
     def additional_bid_arrays(self, p: float):
         if p not in self._a_memo:
-            self._solve(p)
+            self._solve_run([p])
         return self._a_memo[p]
 
-    def _solve(self, p: float) -> None:
-        h = self.model.truthful_demand(p)
-        v = self.model.value(h) - p * h  # indirect_surplus(p)
-        i = int(np.searchsorted(self._values, v - 1e-12))
-        # Indifference amounts, kept under the linear price rule; the
+    def _solve_run(self, prices) -> None:
+        # Demands and V(p) = indirect_surplus(p) are scalar per price; the
+        # run's bids are one block of a lone price's float operations.  The
         # tiny slack only guards float noise at the domain edge.
-        amounts = np.minimum(self._values[i:] - v, p * self._shares[i:])
-        self._h_memo[p] = self._snap(h)
-        self._a_memo[p] = _read_only(self._ks[i:], np.maximum(amounts, 0.0))
+        model, values = self.model, self._values
+        demands = [model.truthful_demand(p) for p in prices]
+        v = np.array([model.value(h) - p * h for p, h in zip(prices, demands)])
+        starts = values.searchsorted(v - 1e-12).tolist()
+        lo = min(starts)
+        block = values[lo:] - v[:, None]
+        np.minimum(block, np.array(prices)[:, None] * self._shares[lo:],
+                   out=block)
+        np.maximum(block, 0.0, out=block).setflags(write=False)
+        for p, h, i, row in zip(prices, demands, starts, block):
+            self._h_memo[p] = self._snap(h)
+            self._a_memo[p] = (self._ks[i:], row[i - lo:])
 
 
 class ConstantBidding(ProxyStrategy):

@@ -265,14 +265,12 @@ class ValuationModel:
     def _validate(self, check_regime: bool = True) -> None:
         if not 0.0 < self.cap < 1.0:
             raise ValueError("cap must lie in (0, 1)")
-        step = 1e-3
-        n = int(self.cap / step)
-        xs = [min(i * step, self.cap) for i in range(1, n + 1)]
-        if any(self.marginal(x) <= 0.0 for x in xs):
+        ms = [self.marginal(min(i * 1e-3, self.cap))
+              for i in range(1, int(self.cap / 1e-3) + 1)]
+        if any(m <= 0.0 for m in ms):
             raise AssumptionViolation("marginal values must be strictly positive on (0, cap]")
         if not check_regime:
             return
-        ms = [self.marginal(x) for x in xs]
         if self.regime == DECREASING:
             ok = all(b < a + 1e-12 for a, b in zip(ms, ms[1:]))
         else:

@@ -22,8 +22,8 @@ from reference_engine import (ReferenceBidBook, reference_log_round,
                               reference_round, reference_run_cmra)
 from test_refine import FAMILIES, to_rows
 
-from cmra import (AuctionConfig, AuctionOutcome, QuantityGrid, mechanism,
-                  run_cmra)
+from cmra import (AuctionConfig, AuctionOutcome, QuantityGrid, ValuationModel,
+                  mechanism, run_cmra)
 from cmra.bidbook import _ARRAYS, BidError, BookRows
 from cmra.equilibrium import DropPolicy, SingleBidDeviation
 from cmra.mechanism import _run_lockstep
@@ -383,13 +383,18 @@ def run_several_members(rng, i, refine, count=6):
     return config, seat, bidders, got
 
 
+class EmissionFault(Exception):
+    """What a strategy with the ``raise`` fault raises."""
+
+
 class _Faulty(ProxyStrategy):
     """A strategy's emissions, made illegal from ``bad_price`` on.
 
     ``rise`` keeps the headline below the cap before ``bad_price`` and
     lifts it to the cap there; ``bid-cap`` adds a bid above the quantity
     cap; ``negative`` adds a bid with a negative amount.  The clamp of
-    the engine repairs none of these.
+    the engine repairs none of these.  ``raise`` makes no emission there:
+    it raises ``EmissionFault``.
     """
 
     def __init__(self, base, bad_price, fault):
@@ -397,6 +402,9 @@ class _Faulty(ProxyStrategy):
         self.base, self.bad_price, self.fault = base, bad_price, fault
 
     def headline_index(self, p):
+        if self.fault == "raise" and p >= self.bad_price:
+            raise EmissionFault(f"theta {self.model.theta}: no emission "
+                                f"at {p!r}")
         k = self.base.headline_index(p)
         if self.fault == "rise":
             cap = self.grid.cap_index
@@ -424,26 +432,28 @@ def faulty_auction(profile="clock-truthful", n=20):
 
 
 def run_both(members, opponent, seat, config):
-    """The engine's and the reference's outcome or ``BidError``."""
+    """The engine's and the reference's outcome, ``BidError`` or
+    ``EmissionFault``."""
     got = want = None
     bidders = (members[0](), opponent())
     try:
         want = reference_run_cmra(
             *(bidders if seat == 0 else bidders[::-1]), config)
-    except BidError as exc:
+    except (BidError, EmissionFault) as exc:
         want = exc
     try:
         fresh = {0: BookRows(config.grid, config.money_scale)}
         got = _run_lockstep([m() for m in members], [0] * len(members),
                             opponent(), fresh, [0] * len(members), 0, seat,
                             config)[0]
-    except BidError as exc:
+    except (BidError, EmissionFault) as exc:
         got = exc
     return got, want
 
 
 class TestIllegalEmissions:
-    @pytest.mark.parametrize("fault", ["rise", "bid-cap", "negative"])
+    @pytest.mark.parametrize("fault", ["rise", "bid-cap", "negative",
+                                       "raise"])
     @pytest.mark.parametrize("seat", [0, 1])
     def test_error_before_at_and_after_close(self, fault, seat, blocks):
         make, models, config, close = faulty_auction()
@@ -459,7 +469,7 @@ class TestIllegalEmissions:
                     [lambda: _Faulty(make(models[0], grid), bad_price, fault)],
                     lambda: make(models[1], grid), seat,
                     replace(config, refine=refine))
-                if isinstance(want, BidError):
+                if isinstance(want, Exception):
                     assert type(got) is type(want)
                     assert str(got) == str(want)
                     seen["raised"] += 1
@@ -483,13 +493,14 @@ class TestIllegalEmissions:
             grid = config.grid
             bad_price = config.start + (close + 0.5) * config.eps
             for seat, fault, refine in itertools.product(
-                    (0, 1), ("rise", "bid-cap", "negative"), (True, False)):
+                    (0, 1), ("rise", "bid-cap", "negative", "raise"),
+                    (True, False)):
                 del blocks[:]
                 got, want = run_both(
                     [lambda: _Faulty(make(models[0], grid), bad_price, fault)],
                     lambda: make(models[1], grid), seat,
                     replace(config, refine=refine))
-                if isinstance(want, BidError):
+                if isinstance(want, Exception):
                     assert type(got) is type(want) and str(got) == str(want)
                     continue
                 assert_same_outcome(got, want, (n, seat, fault, refine))
@@ -534,3 +545,84 @@ class TestIllegalEmissions:
                 got, _ = run_both([member(name) for name in order], opponent,
                                   seat, config)
                 assert type(got) is type(early) and str(got) == str(early)
+
+    def test_raise_on_the_opponent(self, blocks):
+        """The opponent's emission raises before, at or after the close."""
+        make, models, config, close = faulty_auction("cmra-truthful")
+        grid = config.grid
+        seen = {"raised": 0, "after close": 0, "inside closing block": 0}
+        for seat, refine, bad in itertools.product(
+                (0, 1), (True, False), (1, close - 1, close, close + 2,
+                                        close + 40)):
+            bad_price = config.start + (bad - 0.5) * config.eps
+            del blocks[:]
+            got, want = run_both(
+                [lambda: make(models[0], grid)],
+                lambda: _Faulty(make(models[1], grid), bad_price, "raise"),
+                seat, replace(config, refine=refine))
+            if isinstance(want, Exception):
+                assert type(got) is type(want) and str(got) == str(want)
+                seen["raised"] += 1
+                continue
+            assert_same_outcome(got, want)
+            seen["after close"] += 1
+            t, size, _, closed_at = blocks[-1]
+            seen["inside closing block"] += closed_at < bad < t + size
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("where", ["member", "opponent", "both",
+                                       "demand"])
+    def test_raise_inside_a_block(self, where, monkeypatch):
+        """An emission that raises inside a block of a lone member: the
+        block records the ticks before it, as a tick-by-tick loop does,
+        and raises the first error in (tick, bidder) order.  ``both``
+        faults the opponent one tick earlier or on the same tick;
+        ``demand`` raises inside cmra-truthful's own run call."""
+        make, models, config, close = faulty_auction("cmra-truthful")
+        grid, size = config.grid, mechanism._BLOCK_MAX
+        last = min(close, size)
+        bad_price = None
+        solve = ValuationModel.truthful_demand
+
+        def raising(model, p):
+            if model.theta == models[0].theta and p >= bad_price:
+                raise EmissionFault(f"no demand at {p!r}")
+            return solve(model, p)
+        if where == "demand":
+            monkeypatch.setattr(ValuationModel, "truthful_demand", raising)
+        for bad, early, seat in itertools.product(
+                (2, last // 2, last - 1), (0, 1), (0, 1)):
+            bad_price = config.start + (bad - 0.5) * config.eps
+            member, opponent = make(models[0], grid), make(models[1], grid)
+            if where in ("member", "both"):
+                member = _Faulty(member, bad_price, "raise")
+            if where in ("opponent", "both"):
+                opponent = _Faulty(opponent, bad_price - early * config.eps,
+                                   "raise")
+            state = BookRows(grid, config.money_scale, 2)
+            with pytest.raises(EmissionFault) as got:
+                mechanism._block([0], [member], state, opponent, seat, 0,
+                                 size, config, [[]])
+            books, want = tick_by_tick(
+                (member, opponent) if seat == 0 else (opponent, member),
+                config, size)
+            assert str(got.value) == str(want)
+            assert books[0].last_price < bad_price
+            assert_same_rows(state, to_rows(*books))
+
+
+def tick_by_tick(bidders, config, ticks):
+    """Books of ``bidders``, in seat order, over up to ``ticks`` ticks from
+    the start price, each tick emitted by every bidder before it is
+    recorded, and the ``EmissionFault`` that stopped them."""
+    books = [ReferenceBidBook(config.grid, config.money_scale)
+             for _ in bidders]
+    for t in range(ticks):
+        price = config.price(t)
+        try:
+            emissions = [mechanism._emit(b, price) for b in bidders]
+        except EmissionFault as exc:
+            return books, exc
+        for book, emission in zip(books, emissions):
+            book.record_round_indexed(price, *emission, clamp=True)
+    return books, None

@@ -169,6 +169,69 @@ class TestCmraTruthfulSolves:
                     assert np.array_equal(emitted[1], amounts)
                     assert emitted[1].dtype == amounts.dtype
 
+    def test_runs_match_reference_and_single_prices(self, monkeypatch):
+        """``emissions`` over random runs of ticks, with repeated prices,
+        off-grid probes and prices asked before, mixed with single-price
+        queries: every emission equals the reference's and a lone price's
+        query on a fresh strategy, every array is read-only, and each
+        distinct price is solved once."""
+        rng = random.Random(13)
+        solve = ValuationModel.truthful_demand
+        solved = []
+
+        def counted(model, p):
+            solved.append(p)
+            return solve(model, p)
+
+        for m in self.MODELS:
+            grid = QuantityGrid(20, m.cap)
+            eps = 1.5 * m.marginal(0.5 * m.cap) / 60
+            s = cmra_truthful(m, grid)
+            asked, got = [], []
+            solved.clear()
+            monkeypatch.setattr(ValuationModel, "truthful_demand", counted)
+            t = 0
+            while t < 60:
+                if rng.random() < 0.3:
+                    p = (t + rng.choice((0, 0.5))) * eps
+                    kind = rng.choice("ha")
+                    asked.append([p])
+                    got.append([(s.headline_index(p), None, None)
+                                if kind == "h" else
+                                (None, *s.additional_bid_arrays(p))])
+                    continue
+                size = rng.randint(1, 9)
+                prices = [(t + j) * eps for j in range(size)]
+                if rng.random() < 0.3:
+                    prices.insert(rng.randrange(size + 1), rng.choice(prices))
+                if rng.random() < 0.3:
+                    prices.append((t + size - 0.5) * eps)  # a probe
+                if t > 2 and rng.random() < 0.3:
+                    prices.insert(0, (t - 2) * eps)         # asked before
+                asked.append(prices)
+                got.append(s.emissions(prices))
+                t += size
+            monkeypatch.undo()
+            distinct = {p for prices in asked for p in prices}
+            assert sorted(solved) == sorted(distinct)
+            ref = ReferenceCmraTruthful(m, grid)
+            lone = {p: cmra_truthful(m, grid) for p in distinct}
+            for prices, emitted in zip(asked, got):
+                assert len(emitted) == len(prices)
+                for p, (k, *bids) in zip(prices, emitted):
+                    if k is not None:
+                        assert k == ref.headline_index(p)
+                        assert k == lone[p].headline_index(p)
+                    if bids[0] is None:
+                        continue
+                    for want in (ref.additional_bid_arrays(p),
+                                 lone[p].additional_bid_arrays(p)):
+                        for array, expected in zip(bids, want):
+                            assert np.array_equal(array, expected)
+                            assert array.dtype == expected.dtype
+                    for array in bids:
+                        assert not array.flags.writeable
+
 
 class TestCmraTruthfulSuffix:
     def test_value_falling_on_the_grid_is_refused(self):
