@@ -74,7 +74,7 @@ from scipy import integrate
 from .bidbook import BookRows, QuantityGrid
 from .mechanism import (AuctionConfig, _closing_rows, _emissions,
                         _run_lockstep, run_cmra)
-from .strategies import STRATEGY_TAGS, ProxyStrategy, _read_only
+from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
 __all__ = [
@@ -151,7 +151,10 @@ class SingleBidDeviation(ProxyStrategy):
         self.quantity_k = quantity_k
         self.amount = amount
         self.submit_price = submit_price
-        self._ks, self._amts = _read_only([quantity_k], [amount])
+        self._ks = np.array([quantity_k], dtype=np.int64)
+        self._amts = np.array([amount], dtype=float)
+        self._ks.setflags(write=False)   # round logs keep references
+        self._amts.setflags(write=False)
 
     def headline_index(self, p: float) -> int:
         return self._base.headline_index(p)

@@ -20,12 +20,12 @@ are rows of one ``BookRows`` state, the opponent's included, and one
 block clock, :func:`_block`, makes their emissions for a block of ticks,
 records the block in one ``BookRows.record`` call and runs one batched
 closing test over it.  A block is one tick long while several members are on
-the clock and up to ``_BLOCK_MAX`` ticks while one is, when each bidder
-emits the whole block in one run call, ``ProxyStrategy.emissions``.
-:func:`run_cmra` is the loop's one-member call from the start price; the
-deviation search enters it with many members, each at its own resume
-tick.  A member that closes leaves the clock, and the loop refines every
-closer at its end in one batched bisection, :func:`_refine_closers`: the
+the clock and up to ``_BLOCK_MAX`` ticks while one is; a bidder emits a
+longer block in one ``ProxyStrategy.emissions`` call.  :func:`run_cmra`
+is the loop's one-member call from the start price; the deviation
+search enters it with many members, each at its own resume tick.  A
+member that closes leaves the clock, and the loop refines every closer
+at its end in one batched bisection, :func:`_refine_closers`: the
 closers' books are rows of one ``BookRows`` state, and each step records
 one probe round on every closer still bisecting and runs one batched
 closing test.  A closer whose last probe closed keeps that probe's books.
@@ -251,10 +251,10 @@ def _emit(strategy, price: float):
 def _emissions(bidders, prices) -> tuple:
     """``(emitted, error)``: bidder r's emission at ``prices[j]`` is
     ``emitted[j][r]`` up to the first tick where one raises, and ``error``
-    the first exception in (tick, bidder) order, or None.  Each bidder
-    makes one run call, ``ProxyStrategy.emissions``, and one that raises
-    is emitted again tick by tick, as pure emissions allow; one tick is
-    one ``_emit`` per bidder."""
+    the first exception in (tick, bidder) order, or None.  A bidder emits
+    a run in one ``ProxyStrategy.emissions`` call, tick by tick if it
+    raises (emissions are pure); one tick, which many members share, is
+    one ``_emit`` each (run calls made the replays 4.5 % slower)."""
     if len(prices) == 1:
         try:
             return [[_emit(bidder, prices[0]) for bidder in bidders]], None
@@ -271,10 +271,9 @@ def _emissions(bidders, prices) -> tuple:
             try:
                 run.append(_emit(bidder, price))
             except Exception as exc:
-                error = exc
+                error, prices = exc, prices[:len(run)]
                 break
         runs.append(run)
-        prices = prices[:len(run)]
     return list(zip(*runs)), error
 
 
@@ -390,15 +389,14 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     """Up to ``size`` clock ticks of the active members from tick ``t``.
 
     ``state`` holds the books on the clock as rows in seat order.  The
-    block makes every row's emissions (:func:`_emissions`) up to the first
-    tick where one raises, then records them all in one ``BookRows.record``
-    call, which keeps the ticks before a fault and fills ``(rows, K,
-    n+1)`` value and mask arrays for one closing test of the member rows
-    against the opponent's.  The block stops at the clock's last tick,
-    and ends at the first tick where some member closes; each member's
-    log gets a tick record per tick up to it.  An exception surfaces only
-    when no tick of the block closes, and it is the first one a
-    tick-by-tick loop meets.
+    block makes every row's emissions (:func:`_emissions`) to the first
+    tick where one raises, records them in one ``BookRows.record`` call,
+    which keeps the ticks before a fault and fills ``(rows, K, n+1)``
+    value and mask arrays for one closing test of the member rows against
+    the opponent's, and ends at the clock's last tick or the first tick
+    where some member closes; each member's log gets a tick record per
+    tick up to it.  An exception surfaces only when no tick of the block
+    closes, and it is the first one a tick-by-tick loop meets.
 
     Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
     :class:`_Closer` per member that closed at the last of them, and the

@@ -21,7 +21,6 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from itertools import count, takewhile
 from pathlib import Path
 
 from .audit import AuctionAuditRecord, audit_linear_prices
@@ -389,8 +388,11 @@ def _books_at_price(scenario: Scenario, price: float):
     clock round below the price, then the price; rows of one state."""
     cfg = scenario.config
     state = BookRows(cfg.grid, cfg.money_scale, 2)
-    below = takewhile(lambda p: p < price - 1e-15, map(cfg.price, count()))
-    prices = [*below, price]
+    prices, t = [], 0
+    while (p := cfg.price(t)) < price - 1e-15:
+        prices.append(p)
+        t += 1
+    prices.append(price)
     emissions, error = _emissions(scenario.strategies, prices)
     if error is not None:
         raise error

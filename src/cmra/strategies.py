@@ -2,10 +2,9 @@
 
 A proxy strategy commits, in advance, a headline demand for every clock
 price and a set of additional package bids for every clock price.  The
-engine queries both at a price, or all of a run of prices in one
-``emissions`` call; emissions are pure functions of the price, so
-re-querying (e.g. while bisecting a closing price) is idempotent; the
-bid book keeps running maxima.
+engine queries both at a price or a run of prices (``emissions``);
+emissions are pure functions of the price, so re-querying (e.g. while
+bisecting a closing price) is idempotent; the bid book keeps running maxima.
 
 The four families:
 
@@ -95,14 +94,13 @@ class ClockTruthful(ProxyStrategy):
         return self._h_memo[p]
 
     def emissions(self, prices) -> list:
-        """One solve per distinct price of the run not yet memoized."""
+        """One ``_solve_run`` of the run's distinct unmemoized prices."""
         missing = [p for p in dict.fromkeys(prices) if p not in self._h_memo]
         if missing:
             self._solve_run(missing)
         return super().emissions(prices)
 
     def _solve_run(self, prices) -> None:
-        """Fill the price-keyed memos at distinct, unmemoized prices."""
         for p in prices:
             self._h_memo[p] = self._snap(self.model.truthful_demand(p))
 
@@ -131,9 +129,8 @@ class CmraTruthful(ClockTruthful):
         return self._a_memo[p]
 
     def _solve_run(self, prices) -> None:
-        # Demands and V(p) = indirect_surplus(p) are scalar per price; the
-        # run's bids are one block of a lone price's float operations.  The
-        # tiny slack only guards float noise at the domain edge.
+        # Demands and V(p) = indirect_surplus(p) stay scalar; each row of the
+        # bid block is a lone price's float operations; the slack guards noise.
         model, values = self.model, self._values
         demands = [model.truthful_demand(p) for p in prices]
         v = np.array([model.value(h) - p * h for p, h in zip(prices, demands)])
