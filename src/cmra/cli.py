@@ -34,11 +34,18 @@ from .verify import CLAIMS, run_claim
 __all__ = ["main"]
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
-    return value
+def _checked(kind, holds, what: str):
+    """An argparse type: ``kind(text)``, rejected unless ``holds`` it."""
+    def parse(text: str):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type on a ValueError
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 
 
 def _outdir(args) -> str:
@@ -133,12 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--theta-grid", type=_positive_int, default=None,
                        help="type-grid points per bidder of a deviation "
                             "search (expost-battery, strategy-matrix)")
-    p_ver.add_argument("--grid-n", type=int, default=None,
+    p_ver.add_argument("--grid-n", type=_positive_int, default=None,
                        help="quantity-grid size (truthful-decreasing)")
-    p_ver.add_argument("--eps", type=float, default=None,
-                       help="clock increment")
-    p_ver.add_argument("--tol", type=float, default=None,
-                       help="no-gain tolerance")
+    p_ver.add_argument("--eps", default=None, help="clock increment",
+                       type=_checked(float, lambda v: 0 < v < float("inf"),
+                                     "a positive finite number"))
+    p_ver.add_argument("--tol", default=None, help="no-gain tolerance",
+                       type=_checked(float, lambda v: 0 <= v < float("inf"),
+                                     "a finite number >= 0"))
     p_ver.add_argument("--seed", type=int, default=None)
     p_ver.add_argument("--out", default=None)
     p_ver.set_defaults(func=cmd_verify)

@@ -19,9 +19,9 @@ of strategies in one seat against one opponent.  The books on the clock
 are rows of one ``BookRows`` state, the opponent's included, and one
 block clock, :func:`_block`, makes their emissions for a block of ticks,
 records the block in one ``BookRows.record`` call and runs one batched
-closing test over it.  A block is one tick long while several members are on
-the clock and up to ``_BLOCK_MAX`` ticks while one is; a bidder emits a
-longer block in one ``ProxyStrategy.emissions`` call.  :func:`run_cmra`
+closing test over it.  A block is one tick after each join and each close,
+then doubles up to ``_BLOCK_MAX`` ticks within ``_BLOCK_CELLS`` cells; each
+bidder emits a longer block in one ``emissions`` call.  :func:`run_cmra`
 is the loop's one-member call from the start price; the deviation
 search enters it with many members, each at its own resume tick.  A
 member that closes leaves the clock, and the loop refines every closer
@@ -57,9 +57,10 @@ __all__ = [
     "revenue_curve",
 ]
 
-# The longest block of clock ticks a lone member records ahead of one
-# closing test; several members on the clock record one tick per block.
+# The longest block of clock ticks recorded ahead of one closing test,
+# and the most cells its ``(rows, ticks, n+1)`` arrays may hold.
 _BLOCK_MAX = 32
+_BLOCK_CELLS = 2 ** 15
 
 CLOSED = "closed"
 MAX_PRICE_HIT = "max-price-hit"
@@ -250,11 +251,11 @@ def _emit(strategy, price: float):
 
 def _emissions(bidders, prices) -> tuple:
     """``(emitted, error)``: bidder r's emission at ``prices[j]`` is
-    ``emitted[j][r]`` up to the first tick where one raises, and ``error``
-    the first exception in (tick, bidder) order, or None.  A bidder emits
-    a run in one ``ProxyStrategy.emissions`` call, tick by tick if it
-    raises (emissions are pure); one tick, which many members share, is
-    one ``_emit`` each (run calls made the replays 4.5 % slower)."""
+    ``emitted[j][r]`` to the first tick where one raises, and ``error`` the
+    first exception in (tick, bidder) order, or None.  A bidder emits a run
+    in one ``emissions`` call, tick by tick if it raises (emissions are
+    pure); a one-tick block is one ``_emit`` each, as run calls cost three
+    times as much there and made replays 1.5 % and screens 5 % slower."""
     if len(prices) == 1:
         try:
             return [[_emit(bidder, prices[0]) for bidder in bidders]], None
@@ -317,10 +318,10 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
     member: its row is recorded once per tick.  The clock runs in blocks
     (:func:`_block`): the state is recorded ahead for up to ``size``
     ticks, which never reach the next member's start tick, and one
-    closing test covers the block.  While two or more members are on the
-    clock a block is one tick long.  While one is, its length starts at 1
-    and doubles up to ``_BLOCK_MAX`` while the member stays alone, so a
-    close soon after a join wastes few ticks.
+    closing test covers the block.  A block is 1 tick long after each join
+    and each close, so a close soon after one wastes few ticks, and doubles
+    after each block up to ``_BLOCK_MAX``; unless it is one tick, its values
+    and masks hold at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
 
     A member that closes leaves the clock; when it refines, it keeps its
     own pre-tick book and the opponent's, and all closers refine
@@ -355,16 +356,16 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
                 outcomes[i] = _outcome(config, logs[i])
             active = []
             continue
-        if len(active) > 1:
-            size = block = 1
-        else:
-            size = min(block, starts[pending[-1]] - t) if pending else block
-            block = min(2 * block, _BLOCK_MAX)
+        cells = (len(active) + 1) * (config.grid.n + 1)  # per tick
+        size = min(block, max(1, _BLOCK_CELLS // cells),
+                   starts[pending[-1]] - t if pending else block)
+        block = min(2 * block, _BLOCK_MAX)
         ticks, closed, state = _block(active, strategies, state, opponent,
                                       seat, t, size, config, logs)
         t += ticks
         if not closed:
             continue
+        block = 1
         gone = {c.member for c in closed}
         active = [i for i in active if i not in gone]
         for c in closed:

@@ -4,8 +4,9 @@
 also replays the deviation search's families.  The books on its clock
 are rows of one ``BookRows`` state, recorded with one record per block
 of ticks; its one block clock runs blocks of ticks with one closing test
-per block, one tick long while several members are on the clock, and every
-closer of one loop refines in one batched bisection.
+per block, whose length doubles from one tick after each join and close
+within a cell budget, and every closer of one loop refines in one batched
+bisection.
 ``reference_run_cmra`` is the plain loop it replaced: two books, one
 full closing solve per tick, and one bisection per auction on two book
 copies per probe.  It records on ``ReferenceBidBook``, one book at a

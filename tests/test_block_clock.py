@@ -3,16 +3,19 @@
 ``mechanism._run_lockstep`` runs its clock in blocks
 (``mechanism._block``): every book on the clock is recorded ahead for a
 block of ticks and one closing test runs over the block.  A block is one
-tick long while several members are on the clock.  These tests compare
-whole outcomes, round logs included, with
+tick long after each join and each close and doubles after each block up
+to ``_BLOCK_MAX``, within ``_BLOCK_CELLS`` cells, for any number of
+members.  These tests compare whole outcomes, round logs included, with
 ``tests/reference_engine.py::reference_run_cmra``, spy on the blocks to
-check that closes fell on the first and on the last tick of a block,
-that the maximum price cut a block short and that members closed
-together, and pin what happens when a strategy makes an illegal
-emission before, at or after its close.
+check that rule, that closes fell on the first and on the last tick of a
+block, that the maximum price cut a block short and that members closed
+together, bound the memory of a block of many members, and pin what
+happens when a strategy makes an illegal emission before, at or after
+its close.
 """
 
 import itertools
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -34,11 +37,14 @@ from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
 class BlockLog(list):
     """Every lone-member block as ``(first tick, length, ticks recorded,
     close tick or None)``, in call order.  ``joint`` holds, per block of
-    several members, ``(members, length, ticks recorded, closers)``."""
+    several members, ``(members, length, ticks recorded, closers)``, and
+    ``calls`` every block as ``(first tick, members, length, ticks
+    recorded, closers)``."""
 
     def __init__(self):
         super().__init__()
         self.joint = []
+        self.calls = []
 
 
 @pytest.fixture
@@ -49,6 +55,7 @@ def blocks(monkeypatch):
     def spy(active, strategies, state, opponent, seat, t, size, *rest):
         ticks, closers, state = real(active, strategies, state, opponent,
                                      seat, t, size, *rest)
+        seen.calls.append((t, tuple(active), size, ticks, len(closers)))
         if len(active) == 1:
             seen.append((t, size, ticks,
                          closers[0].tick if closers else None))
@@ -57,6 +64,27 @@ def blocks(monkeypatch):
         return ticks, closers, state
     monkeypatch.setattr(mechanism, "_block", spy)
     return seen
+
+
+def assert_block_rule(calls, starts, n, seen):
+    """The blocks of one lockstep run: 1 tick after each join and each
+    close and otherwise twice the last, up to ``_BLOCK_MAX``, cut at the
+    next start tick and at ``_BLOCK_CELLS`` cells.  ``seen`` counts the
+    blocks of several members longer than one tick, and those that closed
+    before their last tick with other members left on the clock."""
+    block, before = 1, None  # the last block's members and closers
+    for t, members, size, ticks, closers in calls:
+        reset = before is None or before[1] or not set(members) <= before[0]
+        block = 1 if reset else min(2 * block, mechanism._BLOCK_MAX)
+        cells = (len(members) + 1) * (n + 1)  # per tick
+        assert size == 1 or cells * size <= mechanism._BLOCK_CELLS
+        assert size == min([block, max(1, mechanism._BLOCK_CELLS // cells)]
+                           + [s - t for s in starts if s > t])
+        if len(members) > 1 and size > 1:
+            seen["long"] += 1
+            seen["closed inside"] += 0 < closers < len(members) and \
+                ticks < size
+        before = set(members), closers
 
 
 def assert_same_outcome(got, want, context=None, rounds_from=0):
@@ -173,7 +201,7 @@ class TestBlockClock:
         """Blocks stop short of the next start tick, where members join
         with their books and the opponent's snapshot."""
         rng = np.random.default_rng(89)
-        joined = 0
+        joined, rule = 0, {"long": 0, "closed inside": 0}
         for i in range(12):
             profile = list(STRATEGY_TAGS)[i % 4]
             family = ("power", "quadratic")[i % 2]
@@ -199,12 +227,13 @@ class TestBlockClock:
             opponent = make(model(opp_theta), grid)
             # Member i's book is row i, the opponent's the last row.
             snaps = snapshots(members + [opponent], max(starts) + 1, config)
-            del blocks[:]
+            del blocks[:], blocks.calls[:]
             got = _run_lockstep(members, starts, opponent, snaps,
                                 list(range(len(members))), len(members),
                                 seat, config)
             for out, want, start in zip(got, wants, starts):
                 assert_same_outcome(out, want, (i, profile), start)
+            assert_block_rule(blocks.calls, starts, grid.n, rule)
             for t, size, ticks, _ in blocks:
                 later = [s for s in starts if s > t]
                 if later:
@@ -212,22 +241,75 @@ class TestBlockClock:
                     joined += t + size == min(later)
         assert joined > 0
         assert blocks.joint
-        assert all(size == 1 for _, size, _, _ in blocks.joint)
+        assert rule["long"] > 0, rule
 
     def test_members_close_together(self, blocks):
-        """Several members on the clock run blocks of one tick, and members
-        that close at one tick each keep their own outcome and log."""
+        """Several members on the clock run blocks of the one block rule,
+        and members that close at one tick each keep their own outcome and
+        log."""
         rng = np.random.default_rng(97)
         seen = {"refined": 0, "unrefined": 0, "seat 0": 0, "seat 1": 0}
+        rule = {"long": 0, "closed inside": 0}
         for i in range(24):
-            del blocks.joint[:]
+            del blocks.joint[:], blocks.calls[:]
             config, seat, _, _ = run_several_members(rng, i,
                                                      refine=bool(i % 2))
-            assert all(size == 1 for _, size, _, _ in blocks.joint)
+            assert_block_rule(blocks.calls, [0], config.grid.n, rule)
             together = sum(closers >= 2 for *_, closers in blocks.joint)
             seen["refined" if config.refine else "unrefined"] += together
             seen[f"seat {seat}"] += together
         assert min(seen.values()) > 0, seen
+        assert min(rule.values()) > 0, rule
+
+    def test_lone_member_blocks_double(self, blocks):
+        """A lone member from the start price runs blocks of 1, 2, 4 ...
+        ``_BLOCK_MAX`` ticks on every grid up to n = 511, where its two rows
+        of ``_BLOCK_MAX`` ticks fill ``_BLOCK_CELLS``; on larger grids the
+        cell budget cuts them."""
+        seen = {True: 0, False: 0}
+        for (family, (model, (lo, hi), cap, top)), profile, n in \
+                itertools.product(FAMILIES.items(), STRATEGY_TAGS,
+                                  (20, 500, 600)):
+            make = STRATEGY_TAGS[profile]
+            grid = QuantityGrid(n, cap)
+            config = AuctionConfig(grid=grid, eps=5e-3, max_price=top,
+                                   log_rounds=False)
+            del blocks[:]
+            run_cmra(make(model(lo + 0.7 * (hi - lo)), grid),
+                     make(model(hi), grid), None, config)
+            sizes = [size for _, size, _, _ in blocks]
+            cut = mechanism._BLOCK_CELLS // (2 * (grid.n + 1))
+            assert (cut >= mechanism._BLOCK_MAX) == (grid.n <= 511)
+            assert sizes == [min(2 ** k, mechanism._BLOCK_MAX, cut)
+                             for k in range(len(sizes))], (family, profile)
+            seen[grid.n <= 511] += min(mechanism._BLOCK_MAX, cut) in sizes
+        assert min(seen.values()) > 0, seen
+
+    def test_block_cells_bound_memory(self, monkeypatch):
+        """A lockstep run of 100 members at n = 500 peaks within 10 % of
+        the same run in one-tick blocks: ``_BLOCK_CELLS`` keeps blocks of
+        many members short."""
+        model, _, cap, top = FAMILIES["power"]
+        make = STRATEGY_TAGS["clock-truthful"]
+        grid, count = QuantityGrid(500, cap), 100
+        config = AuctionConfig(grid=grid, eps=1e-2, max_price=top,
+                               log_rounds=False)
+
+        def peak():
+            # Two member types that close late, so blocks grow long.
+            types = [make(model(th), grid) for th in (0.8, 0.9)]
+            members = [types[k % 2] for k in range(count)]
+            fresh = {0: BookRows(grid, config.money_scale)}
+            tracemalloc.start()
+            try:
+                _run_lockstep(members, [0] * count, make(model(0.95), grid),
+                              fresh, [0] * count, 0, 0, config)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        blocks = peak()
+        monkeypatch.setattr(mechanism, "_BLOCK_MAX", 1)
+        assert blocks <= 1.1 * peak()
 
     def test_long_blocks_of_several_members(self, monkeypatch):
         """A block of several members over many ticks is exact too: the

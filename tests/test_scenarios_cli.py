@@ -265,6 +265,41 @@ class TestCli:
         assert exc.value.code == 2
         assert "--theta-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, value", [
+        ("--grid-n", "0"), ("--grid-n", "-3"), ("--grid-n", "two"),
+        ("--eps", "0"), ("--eps", "-1"), ("--eps", "nan"), ("--eps", "inf"),
+        ("--eps", "fast"), ("--tol", "-1e-05"), ("--tol", "nan"),
+        ("--tol", "inf"), ("--tol", "-inf"),
+    ])
+    def test_verify_rejects_a_bad_number(self, tmp_path, monkeypatch, capsys,
+                                         option, value):
+        """Each bad value exits with code 2 and names its option, before
+        any claim runs (``AuctionConfig`` would raise on a bad eps)."""
+        monkeypatch.setattr(cli, "run_claim", pytest.fail)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "expost-battery", f"{option}={value}",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert f"argument {option}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, forwarded", [
+        (["--eps", "1e-300"], {"eps": 1e-300}),
+        (["--tol", "0"], {"tol": 0.0}),
+        (["--tol", "0.5", "--grid-n", "1"], {"tol": 0.5, "grid_n": 1}),
+    ])
+    def test_verify_takes_edge_numbers(self, tmp_path, monkeypatch, flags,
+                                       forwarded):
+        calls = []
+
+        def fake(name, **options):
+            calls.append(options)
+            return ClaimResult(name, True, elapsed=0.0)
+
+        monkeypatch.setattr(cli, "run_claim", fake)
+        assert main(["verify", "expost-battery", *flags,
+                     "--out", str(tmp_path)]) == 0
+        assert calls == [forwarded]
+
     def test_output_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CMRA_OUTPUT_DIR", str(tmp_path))
         path = tmp_path / "s.json"
