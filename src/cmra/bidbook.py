@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import compress, groupby
 from operator import itemgetter
 
 import numpy as np
@@ -300,8 +300,10 @@ class BookRows:
         All checks run before any write, so a record is atomic per tick:
         the ``BidError`` raised is the first a tick-by-tick, row-by-row
         record raises, the ticks before it are recorded, its ``tick`` is
-        its index and its tick changes no row.  One tick is folded in
-        place, a longer run by a running maximum over its points' ticks.
+        its index and its tick changes no row; the fault is built only
+        on failure.  One tick keeps no run bookkeeping and is folded in
+        place, a run by a running maximum over its points' ticks; rows
+        that bid their headline only stay out of the bid arrays.
         """
         grid, scale = self.grid, self.scale
         n, cap, width = grid.n, grid.cap_index, grid.n + 1
@@ -311,21 +313,22 @@ class BookRows:
         price = price.repeat(count) if price.ndim == 1 else price.ravel()
         entries = (emissions[0] if ticks == 1
                    else [e for tick in emissions for e in tick])
-        size = len(entries)
-        heads = np.array([e[0] for e in entries], dtype=np.int64)
+        heads, ks, amounts = zip(*entries) if entries else ((), (), ())
+        heads = np.array(heads, dtype=np.int64)
         # Each entry's previous price and headline, NaN before any round.
-        last, top = self.last.T if ticks == 1 else (
+        last, top = (self.last[:, 0], self.last[:, 1]) if ticks == 1 else (
             np.concatenate((self.last[:, 0], price[:-count])),
             np.concatenate((self.last[:, 1], heads[:-count])))
         # A negative index read as unsigned is above any cap.
         bad = ((price <= last) | ~np.isfinite(price)
                | (heads.view(np.uint64) > np.fmin(top, cap)))
-        sizes = [len(e[1]) for e in entries]
+        # Headline-only entries take no part in the bids' arrays.
+        sizes = list(map(len, ks))
         bids = any(sizes)
         if bids:
-            ks = np.concatenate([e[1] for e in entries]).astype(
+            ks = np.concatenate(list(compress(ks, sizes))).astype(
                 np.int64, copy=False)
-            amounts = np.concatenate([e[2] for e in entries]).astype(
+            amounts = np.concatenate(list(compress(amounts, sizes))).astype(
                 float, copy=False)
             # In place where it can be: a run's bids can be many.
             lin = price.repeat(sizes)
@@ -346,7 +349,7 @@ class BookRows:
                 wrong = (ks.view(np.uint64) > cap) | ~(amounts >= 0)
                 if not clamp:
                     wrong |= units > np.floor(lin + 0.5)
-                bad[np.arange(size).repeat(sizes)[wrong]] = True
+                bad[np.arange(len(sizes)).repeat(sizes)[wrong]] = True
             del lin
             if clamp:
                 amounts = None  # only an unclamped bid's fault reports it
@@ -354,10 +357,10 @@ class BookRows:
             e = int(bad.argmax())
             self._fail(price, emissions, clamp, out, e, _fault(
                 entries[e], price[e], last[e], top[e], grid, scale))
-        values, has_bid, kinds = (getattr(self, a).reshape(-1)
-                                  for a in _ARRAYS[:3])
+        values, has_bid = self.values.reshape(-1), self.has_bid.reshape(-1)
+        kinds = self.kinds.reshape(-1)
         row = (np.arange(0, count * width, width) if ticks == 1
-               else np.arange(size) % count * width)  # each entry's row
+               else np.arange(len(entries)) % count * width)  # entry's row
         at_head = row + heads
         head_units = _money_units(price * heads / n, scale)
         # A drop puts a segment on every point strictly between the new
@@ -379,7 +382,7 @@ class BookRows:
                 ks = None  # nor its index
             low = self.seg_lo.reshape(-1)[at]
             if len(seg) or low.max() >= 0:
-                owner = np.arange(size).repeat(sizes)
+                owner = np.arange(len(sizes)).repeat(sizes)  # bid's entry
                 base = self.seg_base.reshape(-1)[at]
                 if len(seg):
                     # Segments never overlap: new ones lie below the old
@@ -539,10 +542,10 @@ def _fold_run(pre, ticks, cell_head, head_units, cell_bid=None,
 
 
 def _money_units(amount, scale: int) -> np.ndarray:
-    """``money_units`` of each amount of an array: the cast truncates
-    toward zero, so it floors the magnitude."""
-    return np.copysign(np.abs(amount) * scale + 0.5, amount).astype(
-        np.int64)
+    """``money_units`` of each amount of an array: half a unit away from
+    zero, then the cast truncates toward zero, so it floors the magnitude
+    (rounding is symmetric in sign, so this is exact)."""
+    return (amount * scale + np.copysign(0.5, amount)).astype(np.int64)
 
 
 def _fault(emission, price, last, top, grid, scale) -> BidError:

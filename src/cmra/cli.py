@@ -11,7 +11,8 @@ Subcommands::
 ``verify`` forwards each option it is given to the claim under its own
 name: ``--theta-grid`` sets the type-grid points per bidder of the
 deviation searches (``expost-battery``, ``strategy-matrix``) and
-``--grid-n`` the quantity-grid size (``truthful-decreasing``).  A claim
+``--grid-n`` the quantity-grid size (``truthful-decreasing``, which
+prints a ``[NOTE]`` line when the grid rounds the size up).  A claim
 ignores options it does not take.
 
 The output directory defaults to $CMRA_OUTPUT_DIR, then the working

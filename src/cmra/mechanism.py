@@ -193,14 +193,40 @@ def solve_closing(book1: BidBook, book2: BidBook) -> ClosingResult:
 
 
 def closing_from_arrays(b1, m1, b2, m2, n: int) -> ClosingResult:
-    """Array core of the closing solver; values in money units, BOTTOM masked."""
+    """Array core of the closing solver; values in money units, BOTTOM masked.
+
+    The allocation takes O(n).  At a close r* is the best pair's revenue,
+    so side-1 point k1 is in a revenue-maximizing pair exactly when
+    ``b1[k1]`` plus side 2's best bid at or below n - k1 equals r*, and its
+    largest partner k2 is the last point at or below n - k1 where side 2's
+    running maximum is set: later points bid less.  A larger k2 never
+    lowers (min(k1, k2), k1, k2), so the candidates' key (min(k1, k2), k1)
+    picks the pair that enumerating every pair picks.
+    """
+    return _closing_results(*(np.asarray(a)[None] for a in (b1, m1, b2, m2)),
+                            n)[0]
+
+
+def _closing_results(b1, m1, b2, m2, n: int) -> list:
+    """``closing_from_arrays`` of each row of ``(rows, n+1)`` arrays."""
     best_pair, best_single, closed = _closing_rows(b1, m1, b2, m2)
-    best_pair = int(best_pair)
-    r_star = max(best_pair, int(best_single))
-    r_star = r_star if r_star >= 0 else None
-    allocation = _choose_allocation(b1, m1, b2, m2, n, r_star) if closed else None
-    return ClosingResult(r_star, bool(closed), allocation,
-                         best_pair if best_pair >= 0 else None)
+    r_star = np.maximum(best_pair, best_single)
+    masked2 = np.where(m2, b2, _NOTHING)
+    run = np.maximum.accumulate(masked2, axis=-1)
+    points = np.arange(n + 1)
+    # partner[k1]: the last point at or below n - k1 that sets the maximum.
+    partner = np.maximum.accumulate(np.where(masked2 == run, points, -1),
+                                    axis=-1)[..., ::-1]
+    key = np.where(m1 & (b1 + run[..., ::-1] == r_star[:, None]),
+                   np.minimum(points, partner) * (n + 1) + points, -1)
+    rows, k1 = np.arange(len(key)), key.argmax(axis=-1)
+    if ((key[rows, k1] < 0) & closed).any():
+        raise RuntimeError("closing flagged but no maximizing pair found")
+    return [ClosingResult(r if r >= 0 else None, c, k if c else None,
+                          pair if pair >= 0 else None)
+            for pair, r, c, k in zip(
+                best_pair.tolist(), r_star.tolist(), closed.tolist(),
+                zip(k1.tolist(), partner[rows, k1].tolist()))]
 
 
 def _closing_rows(b1, m1, b2, m2):
@@ -213,34 +239,15 @@ def _closing_rows(b1, m1, b2, m2):
     all).  The test is symmetric in the two sides; only the allocation
     is not.
     """
-    masked2 = np.where(m2, b2, _NOTHING)
+    masked1 = np.where(m1, b1, _NOTHING)
     # Best partner value with x2 <= 1 - x1, indexed by x1.
-    partner = np.maximum.accumulate(masked2, axis=-1)[..., ::-1]
+    partner = np.maximum.accumulate(np.where(m2, b2, _NOTHING),
+                                    axis=-1)[..., ::-1]
     best_pair = np.where(m1, b1 + partner, _NOTHING).max(axis=-1)
-    best_single = np.maximum(np.where(m1, b1, _NOTHING).max(axis=-1),
-                             masked2.max(axis=-1))
+    best_single = np.maximum(masked1.max(axis=-1), partner[..., 0])
     # Closed: some pair exists and no single acceptance beats it.
     closed = best_pair >= np.maximum(best_single, 0)
     return best_pair, best_single, closed
-
-
-def _choose_allocation(b1, m1, b2, m2, n, r_star) -> tuple:
-    """Tie-break among revenue-maximizing feasible pairs."""
-    best = None  # (min_share, k1, k2)
-    idx2 = np.arange(n + 1)
-    for k1 in np.nonzero(m1)[0]:
-        needed = r_star - int(b1[k1])
-        limit = n - int(k1)
-        sel = m2[: limit + 1] & (b2[: limit + 1] == needed)
-        if not sel.any():
-            continue
-        k2 = int(idx2[: limit + 1][sel].max())
-        key = (min(int(k1), k2), int(k1), k2)
-        if best is None or key > best:
-            best = key
-    if best is None:  # pragma: no cover - guarded by the closed flag
-        raise RuntimeError("closing flagged but no maximizing pair found")
-    return (best[1], best[2])
 
 
 def _emit(strategy, price: float):
@@ -372,9 +379,10 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
             if config.refine and c.tick > 0:
                 closers.append(c)
                 continue
+            (pair, result), = _solve_rows(c.hi, [c.own], [c.opp], seat)
             outcomes[c.member] = _build_outcome(
-                config.price(c.tick), *_solve_rows(c.hi, c.own, c.opp, seat),
-                config, logs[c.member])
+                config.price(c.tick), c.hi, pair, result, config,
+                logs[c.member])
     if closers:
         for c, (price, books, pair, result, fallback) in zip(
                 closers, _refine_closers(closers, strategies, opponent, seat,
@@ -489,12 +497,14 @@ class _Closer(NamedTuple):
     opp: int
 
 
-def _solve_rows(state: BookRows, own: int, opp: int, seat: int):
-    """``(state, pair, result)``: rows ``own`` and ``opp`` of ``state`` in
-    seat order, and their closing solve."""
-    pair = (own, opp) if seat == 0 else (opp, own)
-    (v1, m1), (v2, m2) = ((state.values[r], state.has_bid[r]) for r in pair)
-    return state, pair, closing_from_arrays(v1, m1, v2, m2, state.grid.n)
+def _solve_rows(state: BookRows, own, opp, seat: int) -> list:
+    """``(pair, result)`` per row pair: rows ``own[i]`` and ``opp[i]`` of
+    ``state`` in seat order, and their closing solve, all in one."""
+    pairs = list(zip(own, opp) if seat == 0 else zip(opp, own))
+    first, second = (list(rows) for rows in zip(*pairs))
+    return list(zip(pairs, _closing_results(
+        state.values[first], state.has_bid[first], state.values[second],
+        state.has_bid[second], state.grid.n)))
 
 
 def _refine_closers(closers, strategies, opponent, seat: int,
@@ -514,7 +524,8 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     Returns ``(price, state, seat-ordered rows, ClosingResult, fallback)``
     per closer.  The books at the final price are the trial rows of the
     closer's last probe when it closed, and are recorded from its books
-    at the lower end otherwise.  They must close; when a
+    at the lower end otherwise; every closer's final books are rows of
+    one state, solved in one batched closing solve.  They must close; when a
     non-monotone strategy makes them not close, the closer falls back to
     the tick's books at that price and ``fallback`` is set.
     """
@@ -543,12 +554,8 @@ def _refine_closers(closers, strategies, opponent, seat: int,
             bidders if rows is None else [bidders[r] for r in rows],
             prices)]])
         values, has_bid = trial.values, trial.has_bid
-        if size == 1:
-            closed = [bool(_closing_rows(values[0], has_bid[0],
-                                         values[1], has_bid[1])[2])]
-        else:
-            closed = _closing_rows(values[:size], has_bid[:size],
-                                   values[size:], has_bid[size:])[2].tolist()
+        closed = _closing_rows(values[:size], has_bid[:size],
+                               values[size:], has_bid[size:])[2].tolist()
         # Rows that did not close keep the probe's round.
         if rows is None and not any(closed):
             state = trial
@@ -578,13 +585,17 @@ def _refine_closers(closers, strategies, opponent, seat: int,
                                  for r, p in zip(rows, prices)]])
         for s, j in enumerate(rest):
             final[j] = (books, s, s + len(rest))
+    # One solve of every closer's final books, as rows of one state.
+    books = BookRows.join([(src, [r]) for src, r, _ in final]
+                          + [(src, [r]) for src, _, r in final])
     refined = []
-    for j, c in enumerate(closers):
-        books, pair, result = _solve_rows(*final[j], seat)
+    for j, (c, (pair, result)) in enumerate(zip(closers, _solve_rows(
+            books, range(m), range(m, 2 * m), seat))):
         fallback = not result.closed
         if fallback:
-            books, pair, result = _solve_rows(c.hi, c.own, c.opp, seat)
-        refined.append((hi[j], books, pair, result, fallback))
+            (pair, result), = _solve_rows(c.hi, [c.own], [c.opp], seat)
+        refined.append((hi[j], c.hi if fallback else books, pair, result,
+                        fallback))
     return refined
 
 

@@ -136,6 +136,10 @@ def claim_truthful_decreasing(grid_n: int = 500, eps: float = 1e-3, **kw
     """Decreasing marginals: market clearing vs early efficient closing."""
     res = ClaimResult("truthful-decreasing", True)
     env, grid, config = dec_fixture(grid_n, eps)
+    if grid.n != grid_n:
+        res.lines.append(f"[NOTE] quantity grid n = {grid.n}, not --grid-n "
+                         f"{grid_n}: the grid puts the cap 0.9 and 1/2 on "
+                         f"grid points")
     m1, m2 = env.models
     x_star = efficient_allocation(env)
     p_star = m1.marginal(x_star[0])

@@ -29,6 +29,14 @@ demand with a bisection that writes u(x) - p out per family.
 ``reference_truthful_demand`` is the solve it replaced: ``_bisect`` on
 ``marginal(x) - p``, one lambda and one ``marginal`` call per step.
 
+``cmra.mechanism.closing_from_arrays`` picks a closed book's allocation
+in O(n) from side 2's running maximum.  ``reference_choose_allocation``
+is the loop it replaced: for every side-1 bid, the largest side-2 point
+that completes a revenue-maximizing pair, and the best key over them.
+``reference_closing_rows`` is the closing test as it was before it read
+side 2's best single bid from its running maximum; both return the same
+values, the negative "does not exist" ones included.
+
 ``cmra.strategies.CmraTruthful`` fills its headline and bid memos at a
 price from one demand solve.  ``ReferenceCmraTruthful`` is the strategy
 it replaced: the headline from ``truthful_demand``, the bids from
@@ -250,6 +258,38 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
     if not final_result.closed:
         return hi, hi_books, solve_closing(*hi_books)
     return hi, final_books, final_result
+
+
+def reference_closing_rows(b1, m1, b2, m2):
+    """``(best_pair, best_single, closed)`` of side-1 rows against side 2."""
+    nothing = -(2 ** 62)
+    masked2 = np.where(m2, b2, nothing)
+    partner = np.maximum.accumulate(masked2, axis=-1)[..., ::-1]
+    best_pair = np.where(m1, b1 + partner, nothing).max(axis=-1)
+    best_single = np.maximum(np.where(m1, b1, nothing).max(axis=-1),
+                             masked2.max(axis=-1))
+    closed = best_pair >= np.maximum(best_single, 0)
+    return best_pair, best_single, closed
+
+
+def reference_choose_allocation(b1, m1, b2, m2, n, r_star):
+    """Tie-break among revenue-maximizing feasible pairs: the largest
+    (min(k1, k2), k1, k2), with each k1's largest partner k2."""
+    best = None  # (min_share, k1, k2)
+    idx2 = np.arange(n + 1)
+    for k1 in np.nonzero(m1)[0]:
+        needed = r_star - int(b1[k1])
+        limit = n - int(k1)
+        sel = m2[: limit + 1] & (b2[: limit + 1] == needed)
+        if not sel.any():
+            continue
+        k2 = int(idx2[: limit + 1][sel].max())
+        key = (min(int(k1), k2), int(k1), k2)
+        if best is None or key > best:
+            best = key
+    if best is None:
+        raise RuntimeError("closing flagged but no maximizing pair found")
+    return (best[1], best[2])
 
 
 def reference_truthful_demand(m, p):

@@ -3,6 +3,8 @@
 import math
 
 import numpy as np
+from reference_engine import (reference_choose_allocation,
+                              reference_closing_rows)
 
 from cmra import (AuctionConfig, BidBook, MarketEnv, QuantityGrid,
                   ValuationModel, closing_from_arrays, run_clock, run_cmra,
@@ -147,6 +149,70 @@ class TestClosingSolverEquivalence:
                 seen["tie"] += want.best_pair is not None and \
                     singles.size > 0 and want.best_pair == singles.max()
                 seen["closed" if want.closed else "open"] += 1
+        assert min(seen.values()) > 0, seen
+
+    def test_allocation_matches_loop_and_brute_force(self):
+        # Raw random books: the O(n) allocation choice against the loop
+        # it replaced and against enumeration, with value ranges small
+        # enough to force ties, grids up to n = 500, and masks from one
+        # point to full.  The closing test's values, negative ones
+        # included, equal the old formula's.
+        rng = np.random.default_rng(19)
+        seen = {"one point": 0, "full": 0, "tie": 0, "large n": 0,
+                "no partner for some k1": 0, "closed": 0, "open": 0}
+
+        def random_mask(size):
+            mode = rng.choice(["one", "random", "full"], p=[.2, .6, .2])
+            if mode == "one":
+                mask = np.zeros(size, dtype=bool)
+                mask[rng.integers(0, size)] = True
+            elif mode == "full":
+                mask = np.ones(size, dtype=bool)
+            else:
+                mask = rng.random(size) < rng.uniform(0.05, 0.95)
+            return mask
+
+        for trial in range(1500):
+            n = int(rng.integers(1, 25)) if trial % 50 else int(
+                rng.choice([100, 257, 500]))
+            top = int(rng.choice([2, 3, 10, 10 ** 7]))
+            b1, b2 = rng.integers(0, top, (2, n + 1))
+            m1, m2 = random_mask(n + 1), random_mask(n + 1)
+            got = closing_from_arrays(b1, m1, b2, m2, n)
+            for a, b in zip(_closing_rows(b1, m1, b2, m2),
+                            reference_closing_rows(b1, m1, b2, m2)):
+                assert a == b
+            seen["closed" if got.closed else "open"] += 1
+            if not got.closed:
+                assert got.allocation is None
+                continue
+            assert got.allocation == reference_choose_allocation(
+                b1, m1, b2, m2, n, got.r_star)
+            if n <= 100:
+                assert (got.r_star, got.closed, got.allocation) == \
+                    brute_force_arrays(b1, m1, b2, m2, n)
+            pairs = sum(int(b1[k1] + b2[k2]) == got.r_star
+                        for k1 in np.nonzero(m1)[0]
+                        for k2 in np.nonzero(m2[:n + 1 - k1])[0]) \
+                if n <= 24 else 0
+            seen["tie"] += pairs > 1
+            seen["one point"] += int(m1.sum() == 1 or m2.sum() == 1)
+            seen["full"] += int(m1.all() or m2.all())
+            seen["large n"] += n >= 100
+            seen["no partner for some k1"] += any(
+                not m2[:n + 1 - k1].any() for k1 in np.nonzero(m1)[0])
+        # Rows against one side-2 book, and rows against rows.
+        for _ in range(200):
+            n, rows = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            top = int(rng.choice([2, 10, 10 ** 7]))
+            b1 = rng.integers(0, top, (rows, n + 1))
+            m1 = np.array([random_mask(n + 1) for _ in range(rows)])
+            b2 = rng.integers(0, top, (rows, n + 1)[rng.integers(0, 2):])
+            m2 = np.array([random_mask(n + 1) for _ in range(rows)])
+            m2 = m2.reshape(b2.shape) if b2.ndim == 2 else m2[0]
+            for a, b in zip(_closing_rows(b1, m1, b2, m2),
+                            reference_closing_rows(b1, m1, b2, m2)):
+                assert np.array_equal(a, b)
         assert min(seen.values()) > 0, seen
 
 

@@ -148,16 +148,45 @@ def bid_points(fold, args):
     return fold, "repeated" if len(np.unique(at)) < len(at) else "distinct"
 
 
+def one_tick_rows(args):
+    """The branches a one-tick fold takes over its rows: ``"rows with
+    bids"`` and ``"headline-only rows"``, by whether some row bids or
+    bids its headline only, and ``"mixed rows"`` when both do."""
+    values, at_head, at = args[0], args[3], args[5]
+    width = len(values) // len(at_head)
+    with_bids = set() if at is None else set((at // width).tolist())
+    branches = ((["rows with bids"] if with_bids else [])
+                + (["headline-only rows"] if len(with_bids) < len(at_head)
+                   else []))
+    return branches + (["mixed rows"] if len(branches) == 2 else [])
+
+
 def count_folds(monkeypatch, seen, caller):
     """Count the folds of one tick and of a run that fold additional
-    bids, by whether bid points repeat and by ``caller[0]``."""
+    bids, by whether bid points repeat and by ``caller[0]``, and the rows
+    of a one-tick fold, by whether they bid."""
+    def bump(*key):
+        key = (caller[0],) + key
+        seen[key] = seen.get(key, 0) + 1
+
     for name in ("_fold_tick", "_fold_run"):
         def counted(*args, fold=getattr(bidbook, name), name=name):
             key = bid_points(name, args + (None, None))
             if key is not None:
-                seen[(caller[0],) + key] += 1
+                bump(*key)
+            if name == "_fold_tick":
+                for branch in one_tick_rows(args + (None, None)):
+                    bump("one tick", branch)
             return fold(*args)
         monkeypatch.setattr(bidbook, name, counted)
+
+
+def count_one_tick(seen, who, error, clamp, new_segments):
+    """Count a one-tick record that raised nothing, by whether it was
+    clamped and whether it wrote new segments."""
+    if error is None:
+        seen[who, "one tick", "clamped" if clamp else "unclamped"] += 1
+        seen[who, "one tick", "new segments"] += bool(new_segments.any())
 
 
 def assert_same_error(got, want):
@@ -175,6 +204,13 @@ class TestBookRows:
         seen.update({(who, "_fold_tick", branch): 0
                      for who in ("BidBook", "BookRows")
                      for branch in ("distinct", "repeated")})
+        # The one-tick branches, for one-row books (BidBook) and for rows
+        # recorded at once (BookRows).
+        seen.update({(who, "one tick", branch): 0
+                     for who in ("BidBook", "BookRows")
+                     for branch in ("headline-only rows", "rows with bids",
+                                    "new segments", "clamped", "unclamped")})
+        seen["BookRows", "one tick", "mixed rows"] = 0
         count_folds(monkeypatch, seen, caller)
         for _ in range(150):
             grid = QuantityGrid(int(rng.integers(4, 30)),
@@ -202,8 +238,11 @@ class TestBookRows:
                                                  seen)
                 want = record_one_by_one(row_refs, prices, emissions, clamp)
                 caller[0] = "BookRows"
+                segments = rows.seg_lo.copy()
                 got = raised(rows.record, [prices], [emissions], clamp)
                 caller[0] = "BidBook"
+                count_one_tick(seen, "BookRows", got, clamp,
+                               rows.seg_lo != segments)
                 assert_same_error(got, want)
                 assert want is None or not clamp  # clamped rounds are legal
                 for r, ref in enumerate(row_refs):
@@ -221,8 +260,11 @@ class TestBookRows:
                 for book, ref, price, emission in zip(books, refs, prices,
                                                       emissions):
                     want = record_one_by_one([ref], [price], [emission], clamp)
+                    segments = book.rows.seg_lo.copy()
                     got = raised(book.record_round_indexed, price, *emission,
                                  clamp)
+                    count_one_tick(seen, "BidBook", got, clamp,
+                                   book.rows.seg_lo != segments)
                     assert_same_error(got, want)
                     assert_row_equals_book(book.rows, 0, ref)
                     assert np.array_equal(book.activity_caps_array(-1),

@@ -246,6 +246,22 @@ class TestCli:
                      "--out", str(tmp_path)]) == 0
         assert calls == [("expost-battery", forwarded)]
 
+    @pytest.mark.parametrize("flags, note", [
+        (["--grid-n", "1"],
+         "[NOTE] quantity grid n = 10, not --grid-n 1: the grid puts the "
+         "cap 0.9 and 1/2 on grid points"),
+        ([], None),
+    ], ids=["rounded up", "default"])
+    def test_verify_names_the_grid_size_it_used(self, tmp_path, capsys,
+                                                flags, note):
+        """A ``--grid-n`` that the quantity grid rounds up gets one line
+        naming both sizes; the default size is used as given."""
+        main(["verify", "truthful-decreasing", *flags, "--out",
+              str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        notes = [line for line in lines if line.startswith("[NOTE]")]
+        assert notes == ([note] if note else [])
+
     def test_verify_rejects_retired_grid_flag(self, tmp_path, monkeypatch,
                                               capsys):
         monkeypatch.setattr(cli, "run_claim", pytest.fail)
