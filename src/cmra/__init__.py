@@ -8,6 +8,9 @@ and numerically verifies equilibrium, efficiency and revenue claims
 about the format at desk scale.
 """
 
+import ctypes
+import sys
+
 from .valuation import (
     AssumptionViolation, MarketEnv, TypeDistribution, ValuationModel,
     VcgOutcome, efficient_allocation, vcg_outcome,
@@ -37,3 +40,16 @@ from .scenarios import (Scenario, ScenarioError, bundled_audit_record,
 from .verify import CLAIMS, ClaimResult, format_matrix, run_claim, strategy_matrix
 
 __version__ = "0.1.0"
+
+# glibc's malloc adapts its trim and mmap thresholds, so whether a clock
+# block's freed numpy temporaries (up to a few hundred kB) hand their
+# pages back, to be faulted in again by the next block, depends on where
+# they lie in the heap: some processes spent up to 40 % of an n = 500
+# auction in page faults.  Fixed thresholds keep the pages mapped.
+if sys.platform.startswith("linux"):
+    try:
+        _mallopt = ctypes.CDLL(None).mallopt
+        _mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+        _mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    except (OSError, AttributeError):
+        pass

@@ -28,21 +28,10 @@ from operator import itemgetter
 
 import numpy as np
 
-__all__ = [
-    "MICRO",
-    "money_units",
-    "BidError",
-    "NonMonotoneHeadline",
-    "OverLinearPrice",
-    "ActivityCapViolation",
-    "CapExceeded",
-    "QuantityGrid",
-    "AdditionalBid",
-    "BidBook",
-    "KIND_NONE",
-    "KIND_HEADLINE",
-    "KIND_ADDITIONAL",
-]
+__all__ = ["MICRO", "money_units", "BidError", "NonMonotoneHeadline",
+           "OverLinearPrice", "ActivityCapViolation", "CapExceeded",
+           "QuantityGrid", "AdditionalBid", "BidBook", "KIND_NONE",
+           "KIND_HEADLINE", "KIND_ADDITIONAL"]
 
 MICRO = 10 ** 6
 

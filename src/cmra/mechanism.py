@@ -46,16 +46,8 @@ from .bidbook import (_NOTHING, MICRO, BidBook, BidError, BookRows,
 from .roundlog import RoundLog
 from .strategies import _EMPTY_AMTS, _EMPTY_KS
 
-__all__ = [
-    "AuctionConfig",
-    "ClosingResult",
-    "AuctionOutcome",
-    "solve_closing",
-    "closing_from_arrays",
-    "run_cmra",
-    "run_clock",
-    "revenue_curve",
-]
+__all__ = ["AuctionConfig", "ClosingResult", "AuctionOutcome", "solve_closing",
+           "closing_from_arrays", "run_cmra", "run_clock", "revenue_curve"]
 
 # The longest block of clock ticks recorded ahead of one closing test,
 # and the most cells its ``(rows, ticks, n+1)`` arrays may hold.

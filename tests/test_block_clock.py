@@ -9,12 +9,14 @@ members.  These tests compare whole outcomes, round logs included, with
 ``tests/reference_engine.py::reference_run_cmra``, spy on the blocks to
 check that rule, that closes fell on the first and on the last tick of a
 block, that the maximum price cut a block short and that members closed
-together, bound the memory of a block of many members, and pin what
+together, bound the memory of a block of many members, check that a
+repeated auction faults in no new heap pages, and pin what
 happens when a strategy makes an illegal emission before, at or after
 its close.
 """
 
 import itertools
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -310,6 +312,29 @@ class TestBlockClock:
         blocks = peak()
         monkeypatch.setattr(mechanism, "_BLOCK_MAX", 1)
         assert blocks <= 1.1 * peak()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="the malloc thresholds are set under glibc")
+    def test_blocks_reuse_heap_pages(self):
+        """Once an n = 500 auction has run, running it again faults in
+        almost no new pages: the blocks' freed temporaries keep theirs."""
+        resource = pytest.importorskip("resource")
+        model, (lo, hi), cap, top = FAMILIES["power"]
+        grid = QuantityGrid(500, cap)
+        config = AuctionConfig(grid=grid, eps=1e-3, max_price=top,
+                               log_rounds=False)
+        for profile in ("constant", "clock-truthful", "cmra-truthful"):
+            make = STRATEGY_TAGS[profile]
+
+            def auction():
+                run_cmra(make(model(lo + 0.4 * (hi - lo)), grid),
+                         make(model(hi), grid), None, config)
+            auction()
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                auction()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            assert faults - before < 100, profile
 
     def test_long_blocks_of_several_members(self, monkeypatch):
         """A block of several members over many ticks is exact too: the
