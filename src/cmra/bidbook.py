@@ -21,6 +21,7 @@ never a negative sentinel that could leak into arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, groupby
@@ -43,6 +44,13 @@ SENTINEL_UNITS = np.int64(2 ** 62)
 KIND_NONE = 0
 KIND_HEADLINE = 1
 KIND_ADDITIONAL = 2
+
+
+def _require_count(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least 1."""
+    if isinstance(value, bool) or not isinstance(
+            value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer of at least 1")
 
 
 def money_units(amount: float, scale: int = MICRO) -> int:
@@ -78,11 +86,12 @@ class CapExceeded(BidError):
 class QuantityGrid:
     """Uniform grid x_k = k/N on [0, 1] with the cap, 1-cap and 1/2 exact.
 
-    The constructor raises N to the nearest multiple that makes those
-    three shares exact grid points; N is at least 4.
+    The constructor takes an integer N >= 1 and raises it to the nearest
+    multiple that makes those three shares exact grid points, at least 4.
     """
 
     def __init__(self, n: int, cap: float):
+        _require_count("grid size", n)
         frac = Fraction(cap).limit_denominator(10 ** 4)
         if abs(float(frac) - cap) > 1e-12:
             raise ValueError(f"cap {cap} is not a small rational")

@@ -65,13 +65,12 @@ check.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 
-from .bidbook import BookRows, QuantityGrid
+from .bidbook import BookRows, QuantityGrid, _require_count
 from .mechanism import (AuctionConfig, _closing_rows, _emissions,
                         _run_lockstep, run_cmra)
 from .strategies import STRATEGY_TAGS, ProxyStrategy
@@ -206,10 +205,7 @@ class DeviationFamily:
 
     def __post_init__(self):
         for name in ("n_amounts", "n_submit_prices", "n_drop_prices"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(
-                    value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1")
+            _require_count(name, getattr(self, name))
 
 
 @dataclass
@@ -651,6 +647,9 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     grid = config.grid
     if theta_grid < 1:
         raise ValueError("theta_grid must be at least 1")
+    _require_count("replay_cap", replay_cap)
+    if sorted(seats) not in ([0], [1], [0, 1]):
+        raise ValueError(f"seats {seats!r} must be 0, 1 or both, once each")
     for name, legal in (("bid_quantities", range(1, grid.cap_index + 1)),
                         ("drop_quantities", range(grid.cap_index))):
         bad = [k for k in getattr(family, name) or () if k not in legal]

@@ -24,17 +24,18 @@ then doubles up to ``_BLOCK_MAX`` ticks within ``_BLOCK_CELLS`` cells; each
 bidder emits a longer block in one ``emissions`` call.  :func:`run_cmra`
 is the loop's one-member call from the start price; the deviation
 search enters it with many members, each at its own resume tick.  A
-member that closes leaves the clock, and the loop refines every closer
-at its end in one batched bisection, :func:`_refine_closers`: the
-closers' books are rows of one ``BookRows`` state, and each step records
-one probe round on every closer still bisecting and runs one batched
-closing test.  A closer whose last probe closed keeps that probe's books.
+member that closes leaves the clock, and every closer finishes at the
+loop's end in :func:`_refine_closers`: the closers' books are rows of one
+``BookRows`` state, each bisection step records one probe round on every
+closer still bisecting and runs one batched closing test, and then one
+record makes every closer's books at its final price and one batched
+solve allocates them.  A closer that does not bisect (at tick 0 or with
+refinement off) takes the same path with no probe.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -42,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bidbook import (_NOTHING, MICRO, BidBook, BidError, BookRows,
-                      QuantityGrid, money_units)
+                      QuantityGrid, _require_count, money_units)
 from .roundlog import RoundLog
 from .strategies import _EMPTY_AMTS, _EMPTY_KS
 
@@ -94,9 +95,7 @@ class AuctionConfig:
         if self.refine_tol < spacing:
             raise ValueError(f"refine_tol {self.refine_tol} is below the "
                              f"float spacing {spacing} of the clock prices")
-        if isinstance(self.money_scale, bool) or not isinstance(
-                self.money_scale, numbers.Integral) or self.money_scale <= 0:
-            raise ValueError("money_scale must be a positive integer")
+        _require_count("money_scale", self.money_scale)
 
     def price(self, t):
         """The clock price of tick ``t``, or of each tick in an array."""
@@ -322,10 +321,11 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
     after each block up to ``_BLOCK_MAX``; unless it is one tick, its values
     and masks hold at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
 
-    A member that closes leaves the clock; when it refines, it keeps its
-    own pre-tick book and the opponent's, and all closers refine
-    together once the clock stops.  While no member is on the clock,
-    the clock jumps to the next start tick.
+    A member that closes leaves the clock with its own pre-tick book and
+    the opponent's, and all closers finish together once the clock stops
+    (:func:`_refine_closers`): the loop makes no closing solve itself.
+    While no member is on the clock, the clock jumps to the next start
+    tick.
     """
     outcomes = [None] * len(strategies)
     logs = [[] for _ in strategies]
@@ -367,14 +367,7 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
         block = 1
         gone = {c.member for c in closed}
         active = [i for i in active if i not in gone]
-        for c in closed:
-            if config.refine and c.tick > 0:
-                closers.append(c)
-                continue
-            (pair, result), = _solve_rows(c.hi, [c.own], [c.opp], seat)
-            outcomes[c.member] = _build_outcome(
-                config.price(c.tick), c.hi, pair, result, config,
-                logs[c.member])
+        closers += closed
     if closers:
         for c, (price, books, pair, result, fallback) in zip(
                 closers, _refine_closers(closers, strategies, opponent, seat,
@@ -501,25 +494,27 @@ def _solve_rows(state: BookRows, own, opp, seat: int) -> list:
 
 def _refine_closers(closers, strategies, opponent, seat: int,
                     config: AuctionConfig) -> list:
-    """Bisect every closer's continuous closing price, all in one loop.
+    """Bisect every closer's continuous closing price, all in one loop, and
+    solve every closer's books at its final price in one batched solve.
 
-    Closer j closed at clock tick t_j and bisects on (price of t_j - 1,
-    price of t_j] from its books before that tick.  Probes that do not
-    close keep their round, so recorded bids converge to their
-    continuous-clock suprema below the closing price; a probe needs only
-    the closing flag.  A closer's probes depend on its own books and
-    interval alone, so bisecting all at once gives each closer the
-    probes it would make by itself.  The books of all closers live in
-    one ``BookRows``, members' rows first, and each step makes one
-    record on the closers still bisecting and one batched closing test.
+    Closer j closed at clock tick t_j and, when ``config.refine`` is set
+    and t_j > 0, bisects on (price of t_j - 1, price of t_j] from its books
+    before that tick.  Probes that do not close keep their round, so
+    recorded bids converge to their continuous-clock suprema below the
+    closing price; a probe needs only the closing flag.  A closer's probes
+    depend on its own books and interval alone, so bisecting all at once
+    gives each closer the probes it would make by itself.  The books of
+    all closers live in one ``BookRows``, members' rows first, and each
+    step makes one record on the closers still bisecting and one batched
+    closing test.
 
     Returns ``(price, state, seat-ordered rows, ClosingResult, fallback)``
-    per closer.  The books at the final price are the trial rows of the
-    closer's last probe when it closed, and are recorded from its books
-    at the lower end otherwise; every closer's final books are rows of
-    one state, solved in one batched closing solve.  They must close; when a
-    non-monotone strategy makes them not close, the closer falls back to
-    the tick's books at that price and ``fallback`` is set.
+    per closer.  One record on the state makes every closer's books at its
+    final price from its books at the lower end (before its tick when it
+    did not bisect), and one batched closing solve allocates them all.
+    They must close; when a non-monotone strategy makes them not close,
+    the closer falls back to the tick's books at that price and
+    ``fallback`` is set.
     """
     m = len(closers)
     tol = config.refine_tol
@@ -528,10 +523,8 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     bidders = [strategies[c.member] for c in closers] + [opponent] * m
     lo = [config.price(c.tick - 1) for c in closers]
     hi = [config.price(c.tick) for c in closers]
-    # Per closer, its books recorded at ``hi`` from its books at ``lo``:
-    # rows taken from the trial of its last probe when that probe closed.
-    final = [None] * m
-    live = [j for j in range(m) if hi[j] - lo[j] > tol]
+    live = [j for j, c in enumerate(closers) if config.refine and c.tick > 0
+            and hi[j] - lo[j] > tol]
     while live:
         size = len(live)
         if size == m:
@@ -561,32 +554,16 @@ def _refine_closers(closers, strategies, opponent, seat: int,
                 hi[j] = mid
             else:
                 lo[j] = mid
-        kept = [s for s, (j, done) in enumerate(zip(live, closed))
-                if done and hi[j] - lo[j] <= tol]
-        if kept:
-            books = trial.take(kept + [s + size for s in kept])
-            for i, s in enumerate(kept):
-                final[live[s]] = (books, i, i + len(kept))
         live = [j for j in live if hi[j] - lo[j] > tol]
-    rest = [j for j in range(m) if final[j] is None]
-    if rest:
-        rows = rest + [m + j for j in rest]
-        books = state if len(rest) == m else state.take(rows)
-        prices = [hi[j] for j in rest] * 2
-        books.record([prices], [[_emit(bidders[r], p)
-                                 for r, p in zip(rows, prices)]])
-        for s, j in enumerate(rest):
-            final[j] = (books, s, s + len(rest))
-    # One solve of every closer's final books, as rows of one state.
-    books = BookRows.join([(src, [r]) for src, r, _ in final]
-                          + [(src, [r]) for src, _, r in final])
+    prices = hi * 2
+    state.record([prices], [[_emit(b, p) for b, p in zip(bidders, prices)]])
     refined = []
-    for j, (c, (pair, result)) in enumerate(zip(closers, _solve_rows(
-            books, range(m), range(m, 2 * m), seat))):
+    for c, price, (pair, result) in zip(closers, hi, _solve_rows(
+            state, range(m), range(m, 2 * m), seat)):
         fallback = not result.closed
         if fallback:
             (pair, result), = _solve_rows(c.hi, [c.own], [c.opp], seat)
-        refined.append((hi[j], c.hi if fallback else books, pair, result,
+        refined.append((price, c.hi if fallback else state, pair, result,
                         fallback))
     return refined
 

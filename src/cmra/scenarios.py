@@ -151,7 +151,7 @@ def _parse_env(spec: dict) -> MarketEnv:
 
 
 def _parse_config(spec: dict, cap: float) -> AuctionConfig:
-    grid = QuantityGrid(int(spec.get("grid_n", 20)), cap)
+    grid = QuantityGrid(spec.get("grid_n", 20), cap)
     return AuctionConfig(
         grid=grid,
         eps=float(spec.get("eps", 1e-3)),

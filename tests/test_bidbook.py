@@ -22,6 +22,13 @@ class TestQuantityGrid:
 
     def test_minimum_resolution(self):
         assert QuantityGrid(1, 0.75).n >= 4
+        assert QuantityGrid(np.int64(3), 0.75).n == 4
+
+    @pytest.mark.parametrize("n", [0, -7, 2.9, 20.0, True, None, "20"])
+    def test_size_must_be_an_integer_of_at_least_one(self, n):
+        # Sizes are refused rather than clamped or truncated to a grid.
+        with pytest.raises(ValueError, match="grid size"):
+            QuantityGrid(n, 0.75)
 
     def test_published_cap_fraction(self):
         # The 2016 sale capped winners at four of seven lots, a 0.57 share

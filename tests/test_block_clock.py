@@ -248,18 +248,23 @@ class TestBlockClock:
     def test_members_close_together(self, blocks):
         """Several members on the clock run blocks of the one block rule,
         and members that close at one tick each keep their own outcome and
-        log."""
+        log.  With refinement on, a member that closes at tick 0 finishes
+        unrefined beside members that close later and bisect."""
         rng = np.random.default_rng(97)
-        seen = {"refined": 0, "unrefined": 0, "seat 0": 0, "seat 1": 0}
+        seen = {"refined": 0, "unrefined": 0, "seat 0": 0, "seat 1": 0,
+                "tick 0 beside refined": 0}
         rule = {"long": 0, "closed inside": 0}
-        for i in range(24):
+        for i in range(26):
             del blocks.joint[:], blocks.calls[:]
-            config, seat, _, _ = run_several_members(rng, i,
-                                                     refine=bool(i % 2))
+            config, seat, _, got = run_several_members(
+                rng, i, refine=bool(i % 2) or i >= 24, drop_at_start=i >= 24)
             assert_block_rule(blocks.calls, [0], config.grid.n, rule)
             together = sum(closers >= 2 for *_, closers in blocks.joint)
             seen["refined" if config.refine else "unrefined"] += together
             seen[f"seat {seat}"] += together
+            ticks = [out.rounds[-1][0] for out in got if out.closed]
+            seen["tick 0 beside refined"] += config.refine and \
+                0 in ticks and max(ticks) > 0
         assert min(seen.values()) > 0, seen
         assert min(rule.values()) > 0, rule
 
@@ -457,10 +462,11 @@ def assert_same_rows(rows, want):
         (want.last_price, want.last_headline)
 
 
-def run_several_members(rng, i, refine, count=6):
+def run_several_members(rng, i, refine, count=6, drop_at_start=False):
     """``count`` members of two types from tick 0 in one lockstep run, each
     checked against its own reference run; returns the config, the seat,
-    the members and their outcomes."""
+    the members and their outcomes.  With ``drop_at_start``, member 0
+    drops to nothing at the start price, so it closes at tick 0."""
     profile = list(STRATEGY_TAGS)[i % 4]
     family = ("power", "quadratic")[(i // 4) % 2]
     model, (lo, hi), cap, top = FAMILIES[family]
@@ -473,8 +479,12 @@ def run_several_members(rng, i, refine, count=6):
     seat = int(rng.integers(0, 2))
 
     def members():
-        return [random_strategy(100 * i + k, make, model(thetas[k % 2]),
-                                config) for k in range(count)]
+        out = [random_strategy(100 * i + k, make, model(thetas[k % 2]),
+                               config) for k in range(count)]
+        if drop_at_start:
+            out[0] = DropPolicy(make(model(thetas[0]), config.grid),
+                                config.start, 0)
+        return out
 
     def opponent():
         return make(model(opp_theta), config.grid)

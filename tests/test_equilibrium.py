@@ -331,14 +331,18 @@ class TestExPostSearch:
 
 
 class TestSearchArguments:
-    """A search whose grids are empty, negative or off the quantity grid
-    is refused rather than run on a different grid."""
+    """A search whose grids, replay cap or seats are empty, negative,
+    repeated or off the quantity grid is refused rather than run on a
+    different grid or reported verified without its replays."""
 
-    @pytest.mark.parametrize("theta_grid", [0, -3])
-    def test_type_grid_must_be_positive(self, theta_grid):
-        with pytest.raises(ValueError, match="theta_grid"):
+    @pytest.mark.parametrize("kw", [
+        {"theta_grid": 0}, {"theta_grid": -3}, {"replay_cap": 0},
+        {"replay_cap": -1}, {"replay_cap": 2.5}, {"seats": ()},
+        {"seats": (0, 0)}, {"seats": (2,)}])
+    def test_type_grid_replay_cap_and_seats_must_be_legal(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
             check_expost("constant", quad_env(), small_config(0.9, 1.5),
-                         theta_grid=theta_grid,
+                         **{"theta_grid": 2, **kw},
                          family=DeviationFamily(n_amounts=2,
                                                 n_submit_prices=2,
                                                 n_drop_prices=2))

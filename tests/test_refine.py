@@ -664,8 +664,8 @@ class TestBatchedRefine:
         sizes = [1, 2, 3, 5, 9, 17, 33, 64]
         seen = {"seats": set(), "sizes": set(), "mixed ticks": 0,
                 "profiles": set(), "takes": 0}
-        # A closer whose last probe closed keeps that probe's books; the
-        # others record their final price once more.
+        # Every closer's final books are recorded at its final price from
+        # its books at the lower end, whether its last probe closed or not.
         last_probes = {}
         take = BookRows.take
 

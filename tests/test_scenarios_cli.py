@@ -65,6 +65,12 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("grid_n", [-3, 0, 20.9, True])
+    def test_grid_size_must_be_an_integer_of_at_least_one(self, grid_n):
+        # Not run on n = 4 or n = 20 in its place.
+        with pytest.raises(ScenarioError, match="grid size"):
+            Scenario.from_dict(pow_scenario(grid_n=grid_n))
+
     @pytest.mark.parametrize("theta_grid", [0, -3])
     def test_sweep_type_grid_must_be_positive(self, theta_grid):
         data = pow_scenario()

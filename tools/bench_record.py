@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Micro-benchmark of the one-tick engine step: a book's record and the
-closing solve.  Prints one JSON line of microseconds per call.
+closing solve, and of the refine that finishes every close.  Prints one
+JSON line of microseconds per call.
 
     python3 tools/bench_record.py
 
@@ -17,6 +18,10 @@ Measured, each as the minimum over 7 runs:
   11 bids, as a refine probe records.
 - ``closing_us``: ``closing_from_arrays`` on two linear-price books at
   n = 20 and n = 500 that close with every split pair tied.
+- ``refine_us``: one ``mechanism._refine_closers`` call on the closers
+  of a lockstep run of 1 and of 64 cmra-truthful members at n = 20
+  (power valuations, cap 0.75, clock step 0.005) against one opponent:
+  their bisections, the record at their final prices and the solve.
 
 The engine is imported from the ``src`` directory beside this one.
 """
@@ -33,8 +38,10 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cmra import BidBook, QuantityGrid, closing_from_arrays  # noqa: E402
+from cmra import (AuctionConfig, BidBook, QuantityGrid,  # noqa: E402
+                  ValuationModel, closing_from_arrays, mechanism)
 from cmra.bidbook import BookRows  # noqa: E402
+from cmra.strategies import STRATEGY_TAGS  # noqa: E402
 
 RUNS = 7
 ROUNDS = 60
@@ -119,6 +126,40 @@ def closing_us(n: int, calls: int = 50) -> float:
     return _best(run, calls)
 
 
+def refine_us(count: int) -> float:
+    grid = QuantityGrid(20, 0.75)
+    config = AuctionConfig(grid=grid, eps=5e-3, max_price=2.0,
+                           log_rounds=False)
+
+    def truthful(theta):
+        return STRATEGY_TAGS["cmra-truthful"](
+            ValuationModel.power(2.0, 0.75, float(theta), (0.1, 1.0)), grid)
+    members = [truthful(th) for th in np.linspace(0.2, 0.9, count)]
+    # The closers are those the loop hands to its one refine call.
+    captured = []
+    refine = mechanism._refine_closers
+
+    def capture(*args):
+        captured.append(args)
+        return refine(*args)
+    mechanism._refine_closers = capture
+    try:
+        mechanism._run_lockstep(members, [0] * count, truthful(0.5),
+                                {0: BookRows(grid, config.money_scale)},
+                                [0] * count, 0, 0, config)
+    finally:
+        mechanism._refine_closers = refine
+    (closers, *rest), = captured
+    assert len(closers) == count
+
+    def run(ready):
+        if ready is None:
+            return True
+        refine(closers, *rest)
+
+    return _best(run, 1)
+
+
 def main() -> int:
     result = {
         "bidbook_round_us": {"headline": bidbook_round_us(0),
@@ -126,6 +167,7 @@ def main() -> int:
         "record_one_tick_us": {str(r): record_one_tick_us(r)
                                for r in (2, 30)},
         "closing_us": {str(n): closing_us(n) for n in (20, 500)},
+        "refine_us": {str(c): refine_us(c) for c in (1, 64)},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
