@@ -14,8 +14,10 @@ bidder's book, is a handle on a one-row state.
 
 Money is held internally as integers in small fixed units (micro-units
 of the currency by default) so that ties in the closing rule are exact.
-An absent bid is an explicit BOTTOM marker (None / a False mask entry),
-never a negative sentinel that could leak into arithmetic.
+Inside a state an absent bid is ``_NOTHING`` (-2**62), below any bid, so
+maxima and the closing test read one array; the sum of two such values
+is -2**63, still inside int64.  ``BidBook`` turns it back into BOTTOM
+at its boundary: None, or 0 with a False mask entry.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ __all__ = ["MICRO", "money_units", "BidError", "NonMonotoneHeadline",
 
 MICRO = 10 ** 6
 
-# Magnitude of the money-unit sentinels: "no activity cap" here, and
-# negated, "no bid" in the engine's closing test.  It exceeds any bid
-# value, and a value plus the negated sentinel stays inside int64.
-SENTINEL_UNITS = np.int64(2 ** 62)
+# Money units of "no bid" in a state's values: below any bid, and two
+# of them sum to -2**63, still inside int64.
+_NOTHING = np.int64(-(2 ** 62))
 
 KIND_NONE = 0
 KIND_HEADLINE = 1
@@ -128,8 +129,9 @@ class AdditionalBid:
 class BidBook:
     """One bidder's book: a handle on the one-row ``BookRows`` ``rows``.
 
-    Its arrays are views of the row, and ``BookRows.record`` records its
-    rounds, so a rejected round leaves the book as it was.
+    ``values`` (0 where no bid) and ``has_bid`` are read from the row's
+    values; the other arrays are views of the row.  ``BookRows.record``
+    records its rounds, so a rejected round leaves the book as it was.
     """
 
     def __init__(self, grid: QuantityGrid, scale: int = MICRO):
@@ -138,19 +140,21 @@ class BidBook:
     def _bind(self, rows: "BookRows") -> "BidBook":
         self.rows = rows
         self.grid, self.scale = rows.grid, rows.scale
-        self.values, self.has_bid = rows.values[0], rows.has_bid[0]
         self.kinds = rows.kinds[0]
         self._seg_lo, self._seg_base = rows.seg_lo[0], rows.seg_base[0]
         return self
 
     last_price = property(lambda self: self.rows.last_price[0])
     last_headline = property(lambda self: self.rows.last_headline[0])
+    values = property(lambda self: np.maximum(self.rows.values[0], 0))
+    has_bid = property(lambda self: self.rows.values[0] > _NOTHING)
 
     # -- queries ------------------------------------------------------
 
     def bid_at_index(self, k: int):
         """Recorded maximum at grid index k, or None if never bid (BOTTOM)."""
-        return int(self.values[k]) if self.has_bid[k] else None
+        units = int(self.rows.values[0, k])
+        return units if units > _NOTHING else None
 
     def bid_at(self, x: float):
         return self.bid_at_index(self.grid.index(x))
@@ -166,8 +170,9 @@ class BidBook:
         q times the quantity increment.  Caps from distinct drops apply
         per segment.
         """
-        cap = int(self.activity_caps_array(SENTINEL_UNITS)[k])
-        return math.inf if cap == SENTINEL_UNITS else cap
+        lo = int(self._seg_lo[k])
+        return math.inf if lo < 0 else int(
+            self.rows.values[0, lo] + self._seg_base[k])
 
     def activity_caps_array(self, unbounded: int) -> np.ndarray:
         """All per-point caps at once, with ``unbounded`` where no cap binds."""
@@ -177,7 +182,7 @@ class BidBook:
         return self.activity_cap_index(self.grid.index(x))
 
     def arrays(self):
-        """(values, mask) view for the closing solver; treat as read only."""
+        """(values, mask) for the closing solver: 0 and False where no bid."""
         return self.values, self.has_bid
 
     def copy(self) -> "BidBook":
@@ -205,7 +210,7 @@ class BidBook:
 
 # The per-point arrays of a ``BookRows``, one row per book, and all of
 # its per-row arrays.
-_ARRAYS = ("values", "has_bid", "kinds", "seg_lo", "seg_base")
+_ARRAYS = ("values", "kinds", "seg_lo", "seg_base")
 _ROWS = _ARRAYS + ("last",)
 
 
@@ -213,8 +218,8 @@ class BookRows:
     """Bid books as rows: per-grid-point arrays of shape ``(R, n+1)``.
 
     ``values[r, k]`` is book r's highest amount (in money units) on grid
-    point k, by a linearly priced headline or an additional bid;
-    ``has_bid`` marks the points bid on and ``kinds`` how.  Where the
+    point k, by a linearly priced headline or an additional bid, and
+    ``_NOTHING`` where it never bid; ``kinds`` tells how.  Where the
     headline fell from hi to lo, the points strictly between hold
     ``seg_lo`` = lo and, in ``seg_base``, the linear price of their
     increment then: segments never overlap, so a cap is one lookup.
@@ -229,8 +234,7 @@ class BookRows:
         """``count`` rows on which no round has been recorded."""
         shape = (count, grid.n + 1)
         self.grid, self.scale = grid, scale
-        self.values = np.zeros(shape, np.int64)
-        self.has_bid = np.zeros(shape, bool)
+        self.values = np.full(shape, _NOTHING)
         self.kinds = np.zeros(shape, np.int8)
         self.seg_lo = np.full(shape, -1, np.int64)
         self.seg_base = np.zeros(shape, np.int64)
@@ -247,8 +251,7 @@ class BookRows:
         """A state on this one's grid holding ``arrays``, as ``_ROWS``."""
         new = BookRows.__new__(BookRows)
         new.grid, new.scale = self.grid, self.scale
-        (new.values, new.has_bid, new.kinds, new.seg_lo, new.seg_base,
-         new.last) = arrays
+        new.values, new.kinds, new.seg_lo, new.seg_base, new.last = arrays
         return new
 
     def copy(self) -> "BookRows":
@@ -292,8 +295,9 @@ class BookRows:
         the linear price; a drop writes its segment first, so the tick's
         caps see its base value.  Additional bids must be non-negative and
         within the linear price and the activity cap; ``clamp`` reduces
-        them to that limit instead, as the engine needs.  ``out``, value
-        and mask arrays ``(rows, K or more, n+1)``, gets each tick's books.
+        them to that limit instead, as the engine needs.  ``out``, an
+        int64 array ``(rows, K or more, n+1)``, gets in ``out[:, j]`` every
+        row's ``values`` after tick j, ``_NOTHING`` where no bid.
 
         All checks run before any write, so a record is atomic per tick:
         the ``BidError`` raised is the first a tick-by-tick, row-by-row
@@ -355,8 +359,7 @@ class BookRows:
             e = int(bad.argmax())
             self._fail(price, emissions, clamp, out, e, _fault(
                 entries[e], price[e], last[e], top[e], grid, scale))
-        values, has_bid = self.values.reshape(-1), self.has_bid.reshape(-1)
-        kinds = self.kinds.reshape(-1)
+        values, kinds = self.values.reshape(-1), self.kinds.reshape(-1)
         row = (np.arange(0, count * width, width) if ticks == 1
                else np.arange(len(entries)) % count * width)  # entry's row
         at_head = row + heads
@@ -421,11 +424,11 @@ class BookRows:
                 return True
         if ticks == 1:
             if len(capped):
-                limit(np.where(has_bid[lo_at], values[lo_at], _NOTHING))
-            _fold_tick(values, has_bid, kinds, at_head, head_units,
+                limit(values[lo_at])
+            _fold_tick(values, kinds, at_head, head_units,
                        *((at, units) if bids else ()))
             if out is not None:
-                out[0][:, 0], out[1][:, 0] = self.values, self.has_bid
+                out[:, 0] = self.values
         else:
             touched = np.zeros(len(values), bool)
             touched[at_head] = True
@@ -439,7 +442,7 @@ class BookRows:
             # Cell (c, j + 1) of a point's run holds what tick j bids on it.
             tick = np.arange(ticks).repeat(count)
             cell_head = column[at_head] * (ticks + 1) + tick + 1
-            pre = np.where(has_bid[cols], values[cols], _NOTHING)
+            pre = values[cols]
             bid_cells = ()
             if bids:
                 cell, at = column[at], None
@@ -467,14 +470,9 @@ class BookRows:
             kinds[cols[up]] = kind
             if out is not None:
                 r, k = np.divmod(cols, width)
-                held = run[:, 1:] > _NOTHING
-                run[run == _NOTHING] = 0  # as the state holds no bid
-                out[0][:, :ticks] = self.values[:, None]
-                out[1][:, :ticks] = self.has_bid[:, None]
-                out[0][r, :ticks, k] = run[:, 1:]
-                out[1][r, :ticks, k] = held
+                out[:, :ticks] = self.values[:, None]
+                out[r, :ticks, k] = run[:, 1:]
             values[cols] = final
-            has_bid[cols] = True
         if len(seg):
             self.seg_lo.reshape(-1)[seg_at] = heads[seg]
             self.seg_base.reshape(-1)[seg_at] = seg_units
@@ -499,26 +497,19 @@ class BookRows:
         raise error
 
 
-# Money units of "no bid", below any bid's value (folds, closing tests).
-_NOTHING = -SENTINEL_UNITS
-
-
-def _fold_tick(values, has_bid, kinds, at_head, head_units, at=None,
+def _fold_tick(values, kinds, at_head, head_units, at=None,
                units=None) -> None:
     """Fold one tick into flat book arrays: raise the maxima at the
     headline points ``at_head``, then at the bid points ``at``, where a
     repeated point keeps its largest bid."""
-    up = head_units > np.where(has_bid[at_head], values[at_head], _NOTHING)
+    up = head_units > values[at_head]
     at_up = at_head[up]
     values[at_up] = head_units[up]
-    has_bid[at_up] = True
     kinds[at_up] = KIND_HEADLINE
     if at is not None:
-        old = np.where(has_bid[at], values[at], _NOTHING)
-        values[at] = old
+        old = values[at]
         np.maximum.at(values, at, units)
         kinds[at[values[at] > old]] = KIND_ADDITIONAL
-        has_bid[at] = True
 
 
 def _fold_run(pre, ticks, cell_head, head_units, cell_bid=None,

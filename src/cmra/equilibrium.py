@@ -65,12 +65,13 @@ check.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import integrate
 
-from .bidbook import BookRows, QuantityGrid, _require_count
+from .bidbook import _NOTHING, BookRows, QuantityGrid, _require_count
 from .mechanism import (AuctionConfig, _closing_rows, _emissions,
                         _run_lockstep, run_cmra)
 from .strategies import STRATEGY_TAGS, ProxyStrategy
@@ -94,7 +95,7 @@ __all__ = [
 ]
 
 # Masked money values of the screens, kept at +-2**53 rather than the
-# engine's bidbook.SENTINEL_UNITS (2**62).  The screens add masked
+# books' "no bid", bidbook._NOTHING (-2**62).  The screens add masked
 # entries to amounts and to the engine's closing-test results, e.g.
 # ``np.maximum(self.hd[t, k], a) + self.po_rev[t, k]`` and
 # ``self.s - self.po_rev``: distinct magnitudes keep a screen sentinel
@@ -313,8 +314,8 @@ class _Ladder:
     """Books of several strategies at every clock tick, as rows of one
     state that one ``BookRows.record`` per run of ticks records.
 
-    ``values[r, t]`` and ``mask[r, t]`` hold the book of
-    ``strategies[r]`` after tick t's round, ``kpath[r, t]`` its headline.
+    ``values[r, t]`` holds the book of ``strategies[r]`` after tick t's
+    round, ``_NOTHING`` where no bid, and ``kpath[r, t]`` its headline.
     ``caps[t]`` holds every row's activity caps after the round of tick
     t in ``cap_ticks``, ``_BIG`` where none binds; ``snaps[t]`` a copy of
     the state before the round of tick t in ``snap_ticks``: the books a
@@ -326,7 +327,6 @@ class _Ladder:
         count, t_n = len(strategies), len(prices)
         state = BookRows(grid, scale, count)
         self.values = np.empty((count, t_n, grid.n + 1), dtype=np.int64)
-        self.mask = np.empty((count, t_n, grid.n + 1), dtype=bool)
         self.caps, self.snaps, heads = {}, {}, []
         prices = prices.tolist()
         cuts = sorted({0, t_n} | {t for t in snap_ticks if 0 <= t < t_n}
@@ -338,7 +338,7 @@ class _Ladder:
             if error is not None:
                 raise error
             state.record(prices[a:b], emissions,
-                         out=(self.values[:, a:b], self.mask[:, a:b]))
+                         out=self.values[:, a:b])
             heads += [[k for k, _, _ in tick] for tick in emissions]
             if b - 1 in cap_ticks:
                 self.caps[b - 1] = state.activity_caps_array(_BIG)
@@ -371,17 +371,15 @@ class _PairScreen:
         n = grid.n
 
         # Row ``dev``: the deviator's headline-only ladder.
-        self.md = ladder.mask[dev]
         self.dev_vals = ladder.values[dev]
-        self.hd = np.where(self.md, self.dev_vals, _NEG)
+        self.md = self.dev_vals > _NOTHING
+        self.hd = np.maximum(self.dev_vals, _NEG)
         self.dev_caps = {t: caps[dev] for t, caps in ladder.caps.items()}
         self.kpath = ladder.kpath[dev]
 
-        self.bo = ladder.values[opp]
-        self.mo = ladder.mask[opp]
-        om = np.where(self.mo, self.bo, _NEG)
+        om = np.maximum(ladder.values[opp], _NEG)
         self.po = np.maximum.accumulate(om, axis=1)
-        self.po_has = np.logical_or.accumulate(self.mo, axis=1)
+        self.po_has = self.po > _NEG
         self.po_rev = self.po[:, ::-1]
         self.po_has_rev = self.po_has[:, ::-1]
         self.max_o = om.max(axis=1)
@@ -393,7 +391,7 @@ class _PairScreen:
         # The engine's closing test on the two ladders, tick by tick: the
         # best pair, the best single acceptance, and the first close.
         self.hh, self.s, self.closed = _closing_rows(
-            self.dev_vals, self.md, self.bo, self.mo)
+            self.dev_vals, ladder.values[opp])
         self.t0 = _first_true(self.closed)
 
         # Ceiling on the deviator's surplus when a pair closes at tick t.
@@ -645,10 +643,10 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     family = family or DeviationFamily()
     make = STRATEGY_TAGS[profile]
     grid = config.grid
-    if theta_grid < 1:
-        raise ValueError("theta_grid must be at least 1")
+    _require_count("theta_grid", theta_grid)
     _require_count("replay_cap", replay_cap)
-    if sorted(seats) not in ([0], [1], [0, 1]):
+    if any(isinstance(s, bool) or not isinstance(s, numbers.Integral)
+           for s in seats) or sorted(seats) not in ([0], [1], [0, 1]):
         raise ValueError(f"seats {seats!r} must be 0, 1 or both, once each")
     for name, legal in (("bid_quantities", range(1, grid.cap_index + 1)),
                         ("drop_quantities", range(grid.cap_index))):
@@ -694,8 +692,8 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
         # their last snapshot not past that tick.
         if (th1, th2) not in baselines:
             rows, r2 = [full[th] for th in thetas], full[th2]
-            closed = _closing_rows(ladder.values[rows], ladder.mask[rows],
-                                   ladder.values[r2], ladder.mask[r2])[2]
+            closed = _closing_rows(ladder.values[rows],
+                                   ladder.values[r2])[2]
             starts = [_resume_tick(ladder, _first_true(c)) for c in closed]
             outs = _run_lockstep([strat[th] for th in thetas], starts,
                                  strat[th2], ladder.snaps, rows, r2, 0,

@@ -184,7 +184,8 @@ def solve_closing(book1: BidBook, book2: BidBook) -> ClosingResult:
 
 
 def closing_from_arrays(b1, m1, b2, m2, n: int) -> ClosingResult:
-    """Array core of the closing solver; values in money units, BOTTOM masked.
+    """The closing solver on two books given as values in money units and
+    masks of the points bid on; the mask is applied once, as ``_NOTHING``.
 
     The allocation takes O(n).  At a close r* is the best pair's revenue,
     so side-1 point k1 is in a revenue-maximizing pair exactly when
@@ -194,21 +195,22 @@ def closing_from_arrays(b1, m1, b2, m2, n: int) -> ClosingResult:
     lowers (min(k1, k2), k1, k2), so the candidates' key (min(k1, k2), k1)
     picks the pair that enumerating every pair picks.
     """
-    return _closing_results(*(np.asarray(a)[None] for a in (b1, m1, b2, m2)),
-                            n)[0]
+    return _closing_results(np.where(m1, b1, _NOTHING)[None],
+                            np.where(m2, b2, _NOTHING)[None], n)[0]
 
 
-def _closing_results(b1, m1, b2, m2, n: int) -> list:
-    """``closing_from_arrays`` of each row of ``(rows, n+1)`` arrays."""
-    best_pair, best_single, closed = _closing_rows(b1, m1, b2, m2)
+def _closing_results(b1, b2, n: int) -> list:
+    """``closing_from_arrays`` of each row of ``(rows, n+1)`` values,
+    ``_NOTHING`` where no bid.  At a close r* >= 0, so no sum with a
+    ``_NOTHING`` equals it."""
+    best_pair, best_single, closed = _closing_rows(b1, b2)
     r_star = np.maximum(best_pair, best_single)
-    masked2 = np.where(m2, b2, _NOTHING)
-    run = np.maximum.accumulate(masked2, axis=-1)
+    run = np.maximum.accumulate(b2, axis=-1)
     points = np.arange(n + 1)
     # partner[k1]: the last point at or below n - k1 that sets the maximum.
-    partner = np.maximum.accumulate(np.where(masked2 == run, points, -1),
+    partner = np.maximum.accumulate(np.where(b2 == run, points, -1),
                                     axis=-1)[..., ::-1]
-    key = np.where(m1 & (b1 + run[..., ::-1] == r_star[:, None]),
+    key = np.where(b1 + run[..., ::-1] == r_star[:, None],
                    np.minimum(points, partner) * (n + 1) + points, -1)
     rows, k1 = np.arange(len(key)), key.argmax(axis=-1)
     if ((key[rows, k1] < 0) & closed).any():
@@ -220,22 +222,23 @@ def _closing_results(b1, m1, b2, m2, n: int) -> list:
                 zip(k1.tolist(), partner[rows, k1].tolist()))]
 
 
-def _closing_rows(b1, m1, b2, m2):
-    """The closing test of side-1 rows ``(..., n+1)`` against side-2 rows.
+def _closing_rows(b1, b2):
+    """The closing test of side-1 rows ``(..., n+1)`` against side-2 rows,
+    values in money units with ``_NOTHING`` where no bid.
 
     Side 2 is one book or rows that broadcast against side 1's, such as
     two ladders tick by tick.  Returns ``(best_pair, best_single,
-    closed)`` per row.  Bid values are non-negative, so a revenue is
-    negative exactly when it does not exist (no feasible pair, no bid at
-    all).  The test is symmetric in the two sides; only the allocation
-    is not.
+    closed)`` per row.  Bid values are non-negative and a sum with a
+    ``_NOTHING`` is negative (at least -2**63), so a revenue is negative
+    exactly when it does not exist (no feasible pair, no bid at all);
+    ``best_single`` is then ``_NOTHING``, and a missing ``best_pair`` is
+    some negative value.  The test is symmetric in the two sides; only
+    the allocation is not.
     """
-    masked1 = np.where(m1, b1, _NOTHING)
     # Best partner value with x2 <= 1 - x1, indexed by x1.
-    partner = np.maximum.accumulate(np.where(m2, b2, _NOTHING),
-                                    axis=-1)[..., ::-1]
-    best_pair = np.where(m1, b1 + partner, _NOTHING).max(axis=-1)
-    best_single = np.maximum(masked1.max(axis=-1), partner[..., 0])
+    partner = np.maximum.accumulate(b2, axis=-1)[..., ::-1]
+    best_pair = (b1 + partner).max(axis=-1)
+    best_single = np.maximum(b1.max(axis=-1), partner[..., 0])
     # Closed: some pair exists and no single acceptance beats it.
     closed = best_pair >= np.maximum(best_single, 0)
     return best_pair, best_single, closed
@@ -319,7 +322,7 @@ def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
     closing test covers the block.  A block is 1 tick long after each join
     and each close, so a close soon after one wastes few ticks, and doubles
     after each block up to ``_BLOCK_MAX``; unless it is one tick, its values
-    and masks hold at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
+    hold at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
 
     A member that closes leaves the clock with its own pre-tick book and
     the opponent's, and all closers finish together once the clock stops
@@ -385,9 +388,9 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     ``state`` holds the books on the clock as rows in seat order.  The
     block makes every row's emissions (:func:`_emissions`) to the first
     tick where one raises, records them in one ``BookRows.record`` call,
-    which keeps the ticks before a fault and fills ``(rows, K, n+1)``
-    value and mask arrays for one closing test of the member rows against
-    the opponent's, and ends at the clock's last tick or the first tick
+    which keeps the ticks before a fault and fills one ``(rows, K, n+1)``
+    values array for one closing test of the member rows against the
+    opponent's, and ends at the clock's last tick or the first tick
     where some member closes; each member's log gets a tick record per
     tick up to it.  An exception surfaces only when no tick of the block
     closes, and it is the first one a tick-by-tick loop meets.
@@ -406,14 +409,14 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     bidders = [strategies[i] for i in active]
     bidders.insert(opp, opponent)
     shape = (width + 1, size, config.grid.n + 1)
-    values, mask = np.empty(shape, np.int64), np.empty(shape, bool)
+    values = np.empty(shape, np.int64)
     base = state.copy()
     prices = [config.price(t + j) for j in range(min(size, config.ticks - t))]
     emitted, error = _emissions(bidders, prices)
     del prices[len(emitted):]
     if prices:
         try:
-            state.record(prices, emitted, out=(values, mask))
+            state.record(prices, emitted, out=values)
         except BidError as exc:
             # The ticks before the fault are recorded, and a fault beats
             # an emission error of a later tick.
@@ -422,8 +425,7 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
     ticks = len(prices)
     own, opp_rows = slice(seat, seat + width), slice(opp, opp + 1)
     best_pair, best_single, closed = _closing_rows(
-        values[own, :ticks], mask[own, :ticks],
-        values[opp_rows, :ticks], mask[opp_rows, :ticks])
+        values[own, :ticks], values[opp_rows, :ticks])
     closed = closed.T.ravel().tolist()  # member r at tick j: [j * width + r]
     first = closed.index(True) // width if True in closed else None
     if first is not None:
@@ -488,8 +490,7 @@ def _solve_rows(state: BookRows, own, opp, seat: int) -> list:
     pairs = list(zip(own, opp) if seat == 0 else zip(opp, own))
     first, second = (list(rows) for rows in zip(*pairs))
     return list(zip(pairs, _closing_results(
-        state.values[first], state.has_bid[first], state.values[second],
-        state.has_bid[second], state.grid.n)))
+        state.values[first], state.values[second], state.grid.n)))
 
 
 def _refine_closers(closers, strategies, opponent, seat: int,
@@ -538,9 +539,8 @@ def _refine_closers(closers, strategies, opponent, seat: int,
         trial.record([prices], [[_emit(b, p) for b, p in zip(
             bidders if rows is None else [bidders[r] for r in rows],
             prices)]])
-        values, has_bid = trial.values, trial.has_bid
-        closed = _closing_rows(values[:size], has_bid[:size],
-                               values[size:], has_bid[size:])[2].tolist()
+        closed = _closing_rows(trial.values[:size],
+                               trial.values[size:])[2].tolist()
         # Rows that did not close keep the probe's round.
         if rows is None and not any(closed):
             state = trial

@@ -34,8 +34,11 @@ in O(n) from side 2's running maximum.  ``reference_choose_allocation``
 is the loop it replaced: for every side-1 bid, the largest side-2 point
 that completes a revenue-maximizing pair, and the best key over them.
 ``reference_closing_rows`` is the closing test as it was before it read
-side 2's best single bid from its running maximum; both return the same
-values, the negative "does not exist" ones included.
+side 2's best single bid from its running maximum and before books held
+``_NOTHING`` where they have no bid: it takes values with masks.  It
+returns the engine's values wherever a revenue exists, and its negative
+"does not exist" values are ``_NOTHING``.  ``sentinel_values`` gives a
+reference book's values as the engine's books hold them.
 
 ``cmra.strategies.CmraTruthful`` fills its headline and bid memos at a
 price from one demand solve.  ``ReferenceCmraTruthful`` is the strategy
@@ -50,7 +53,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from cmra.bidbook import (KIND_ADDITIONAL, KIND_HEADLINE, MICRO,
+from cmra.bidbook import (_NOTHING, KIND_ADDITIONAL, KIND_HEADLINE, MICRO,
                           ActivityCapViolation, BidError, CapExceeded,
                           NonMonotoneHeadline, OverLinearPrice, money_units)
 from cmra.mechanism import (_build_outcome, _closing_rows, _emit, _outcome,
@@ -246,8 +249,8 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
         trial = (lo_books[0].copy(), lo_books[1].copy())
         for b, s in zip(trial, strategies):
             reference_round(b, s, mid)
-        if _closing_rows(trial[0].values, trial[0].has_bid,
-                         trial[1].values, trial[1].has_bid)[2]:
+        if _closing_rows(sentinel_values(trial[0]),
+                         sentinel_values(trial[1]))[2]:
             hi = mid
         else:
             lo, lo_books = mid, trial
@@ -258,6 +261,12 @@ def _refine_close(base_books, strategies, lo, hi, hi_books, config):
     if not final_result.closed:
         return hi, hi_books, solve_closing(*hi_books)
     return hi, final_books, final_result
+
+
+def sentinel_values(book):
+    """A book's values as the engine's books hold them: its amounts, and
+    ``_NOTHING`` where it has no bid."""
+    return np.where(book.has_bid, book.values, _NOTHING)
 
 
 def reference_closing_rows(b1, m1, b2, m2):

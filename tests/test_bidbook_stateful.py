@@ -228,7 +228,7 @@ class TestBidBookAgainstNaive(BidBookMachine.TestCase):
         fold = bidbook._fold_tick
 
         def counted(*args):
-            at = (args + (None, None))[5]
+            at = (args + (None, None))[4]
             if at is not None:
                 seen["repeated" if len(np.unique(at)) < len(at)
                      else "distinct"] += 1

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from reference_engine import (ReferenceBidBook, reference_round,
-                              reference_run_cmra)
+                              reference_run_cmra, sentinel_values)
 
 from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   MarketEnv, QuantityGrid, TypeDistribution, ValuationModel,
                   check_expost, check_rdr_bne, minimal_winning_bid,
                   rdr_threshold, replay_deviation, run_cmra,
                   vcg_equivalence_check, vcg_outcome)
-from cmra.bidbook import money_units
+from cmra.bidbook import _NOTHING, money_units
 from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
                               _Candidates, _Ladder, _PairScreen, _replay_cells)
 from cmra.strategies import STRATEGY_TAGS
@@ -338,7 +338,8 @@ class TestSearchArguments:
     @pytest.mark.parametrize("kw", [
         {"theta_grid": 0}, {"theta_grid": -3}, {"replay_cap": 0},
         {"replay_cap": -1}, {"replay_cap": 2.5}, {"seats": ()},
-        {"seats": (0, 0)}, {"seats": (2,)}])
+        {"seats": (0, 0)}, {"seats": (2,)}, {"seats": (1.0,)},
+        {"theta_grid": 2.5}, {"theta_grid": True}])
     def test_type_grid_replay_cap_and_seats_must_be_legal(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             check_expost("constant", quad_env(), small_config(0.9, 1.5),
@@ -555,16 +556,16 @@ class TestLadderRows:
             for r, strategy in enumerate(strategies()):
                 want = _ReferenceLadder(strategy, prices, grid, scale,
                                         cap_ticks, snap_ticks)
-                assert np.array_equal(got.values[r], want.values)
-                assert np.array_equal(got.mask[r], want.mask)
+                assert np.array_equal(got.values[r], np.where(
+                    want.mask, want.values, _NOTHING))
                 assert np.array_equal(got.kpath[r], want.kpath)
                 for t in cap_ticks:
                     assert np.array_equal(got.caps[t][r], want.caps[t])
                 for t, book in want.snaps.items():
                     snap = got.snaps[t]
-                    for name in ("values", "has_bid", "kinds"):
-                        assert np.array_equal(getattr(snap, name)[r],
-                                              getattr(book, name)), name
+                    assert np.array_equal(snap.values[r],
+                                          sentinel_values(book))
+                    assert np.array_equal(snap.kinds[r], book.kinds)
                     assert np.array_equal(snap.seg_lo[r], book._seg_lo)
                     assert np.array_equal(snap.seg_base[r], book._seg_base)
                     assert (snap.last_price[r], snap.last_headline[r]) == \

@@ -9,6 +9,7 @@ from reference_engine import (reference_choose_allocation,
 from cmra import (AuctionConfig, BidBook, MarketEnv, QuantityGrid,
                   ValuationModel, closing_from_arrays, run_clock, run_cmra,
                   solve_closing)
+from cmra.bidbook import _NOTHING
 from cmra.mechanism import _closing_rows
 from cmra.strategies import STRATEGY_TAGS, cmra_truthful
 
@@ -39,6 +40,29 @@ def brute_force_arrays(b1, m1, b2, m2, n):
         return r_star, False, None
     _, k1, k2 = max(winners)
     return r_star, True, (k1, k2)
+
+
+def sentinel_rows(b1, m1, b2, m2):
+    """Two masked books as the engine's books hold them: ``_NOTHING``
+    where there is no bid."""
+    return np.where(m1, b1, _NOTHING), np.where(m2, b2, _NOTHING)
+
+
+def assert_closing_rows_match(b1, m1, b2, m2):
+    """``_closing_rows`` on the sentinel books against the masked
+    reference: the same closed flags and best singles, the same best pair
+    wherever one exists and a negative one wherever none does.  Returns
+    the best pairs."""
+    pair, single, closed = _closing_rows(*sentinel_rows(b1, m1, b2, m2))
+    want_pair, want_single, want_closed = reference_closing_rows(b1, m1,
+                                                                 b2, m2)
+    assert np.array_equal(closed, want_closed)
+    assert np.array_equal(single, want_single)
+    exists = want_pair >= 0
+    assert np.array_equal(pair >= 0, exists)
+    assert np.array_equal(np.where(exists, pair, 0),
+                          np.where(exists, want_pair, 0))
+    return pair
 
 
 def _legal_limit(book, grid, k, price, headline, prev_headline):
@@ -131,7 +155,8 @@ class TestClosingSolverEquivalence:
             m1 = np.array([random_mask(n + 1) for _ in range(rows)])
             b2 = rng.integers(0, top, n + 1)
             m2 = random_mask(n + 1)
-            pair, single, closed = _closing_rows(b1, m1, b2, m2)
+            pair, single, closed = _closing_rows(
+                *sentinel_rows(b1, m1, b2, m2))
             for r in range(rows):
                 want = closing_from_arrays(b1[r], m1[r], b2, m2, n)
                 got_pair = int(pair[r]) if pair[r] >= 0 else None
@@ -155,8 +180,8 @@ class TestClosingSolverEquivalence:
         # Raw random books: the O(n) allocation choice against the loop
         # it replaced and against enumeration, with value ranges small
         # enough to force ties, grids up to n = 500, and masks from one
-        # point to full.  The closing test's values, negative ones
-        # included, equal the old formula's.
+        # point to full.  The closing test on the sentinel books matches
+        # the old masked formula.
         rng = np.random.default_rng(19)
         seen = {"one point": 0, "full": 0, "tie": 0, "large n": 0,
                 "no partner for some k1": 0, "closed": 0, "open": 0}
@@ -179,9 +204,7 @@ class TestClosingSolverEquivalence:
             b1, b2 = rng.integers(0, top, (2, n + 1))
             m1, m2 = random_mask(n + 1), random_mask(n + 1)
             got = closing_from_arrays(b1, m1, b2, m2, n)
-            for a, b in zip(_closing_rows(b1, m1, b2, m2),
-                            reference_closing_rows(b1, m1, b2, m2)):
-                assert a == b
+            assert_closing_rows_match(b1, m1, b2, m2)
             seen["closed" if got.closed else "open"] += 1
             if not got.closed:
                 assert got.allocation is None
@@ -210,9 +233,39 @@ class TestClosingSolverEquivalence:
             b2 = rng.integers(0, top, (rows, n + 1)[rng.integers(0, 2):])
             m2 = np.array([random_mask(n + 1) for _ in range(rows)])
             m2 = m2.reshape(b2.shape) if b2.ndim == 2 else m2[0]
-            for a, b in zip(_closing_rows(b1, m1, b2, m2),
-                            reference_closing_rows(b1, m1, b2, m2)):
-                assert np.array_equal(a, b)
+            assert_closing_rows_match(b1, m1, b2, m2)
+        assert min(seen.values()) > 0, seen
+
+    def test_sentinel_rows_match_reference_without_wrapping(self):
+        # Books holding _NOTHING where they have no bid, with rows empty
+        # on both sides or on one, and values up to 2**53, against the
+        # masked reference.  Each best pair must also equal the exact
+        # integer maximum of its sums, which a sum wrapped past -2**63
+        # would miss: two _NOTHINGs sum to exactly -2**63.
+        rng = np.random.default_rng(29)
+        seen = {"both empty": 0, "one-sided": 0, "no pair": 0,
+                "2**53": 0, "closed": 0, "open": 0}
+        for _ in range(300):
+            n, rows = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            top = int(rng.choice([3, 10 ** 7, 2 ** 53]))
+            b1, b2 = rng.integers(0, top, (2, rows, n + 1))
+            m1, m2 = (rng.random((2, rows, n + 1))
+                      < rng.uniform(0, 1, (2, rows, 1)))
+            m1[rng.random(rows) < 0.25] = False
+            m2[rng.random(rows) < 0.25] = False
+            pair = assert_closing_rows_match(b1, m1, b2, m2)
+            closed = _closing_rows(*sentinel_rows(b1, m1, b2, m2))[2]
+            s1, s2 = (s.tolist() for s in sentinel_rows(b1, m1, b2, m2))
+            for r in range(rows):
+                exact = max(s1[r][k] + max(s2[r][:n + 1 - k])
+                            for k in range(n + 1))
+                assert int(pair[r]) == exact
+                sides = int(m1[r].any()) + int(m2[r].any())
+                seen["both empty"] += sides == 0 and exact == -2 ** 63
+                seen["one-sided"] += sides == 1
+                seen["no pair"] += sides == 2 and exact < 0
+                seen["2**53"] += top == 2 ** 53 and sides == 2
+                seen["closed" if closed[r] else "open"] += 1
         assert min(seen.values()) > 0, seen
 
 

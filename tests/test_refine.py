@@ -25,22 +25,25 @@ import pytest
 
 import reference_engine
 from reference_engine import (ReferenceBidBook, _refine_close, reference_round,
-                              reference_run_cmra)
+                              reference_run_cmra, sentinel_values)
 
 from cmra import (AuctionConfig, AuctionOutcome, BidBook, QuantityGrid,
                   ValuationModel, bidbook, run_cmra)
-from cmra.bidbook import (MICRO, ActivityCapViolation, BidError, BookRows,
-                          CapExceeded, NonMonotoneHeadline, OverLinearPrice)
+from cmra.bidbook import (_NOTHING, MICRO, ActivityCapViolation, BidError,
+                          BookRows, CapExceeded, NonMonotoneHeadline,
+                          OverLinearPrice)
 from cmra.equilibrium import DropPolicy, SingleBidDeviation
 from cmra.mechanism import _closing_rows, _Closer, _refine_closers
 from cmra.strategies import STRATEGY_TAGS, ProxyStrategy
 
-_BOOK_FIELDS = (("values", "values"), ("has_bid", "has_bid"),
-                ("kinds", "kinds"), ("_seg_lo", "seg_lo"),
+# A reference book's arrays and a state's, besides the values, which a
+# state holds as ``sentinel_values``.
+_BOOK_FIELDS = (("kinds", "kinds"), ("_seg_lo", "seg_lo"),
                 ("_seg_base", "seg_base"))
 
 
 def assert_row_equals_book(rows, r, book):
+    assert np.array_equal(rows.values[r], sentinel_values(book)), "values"
     for book_name, row_name in _BOOK_FIELDS:
         assert np.array_equal(getattr(rows, row_name)[r],
                               getattr(book, book_name)), row_name
@@ -52,6 +55,7 @@ def to_rows(*books):
     """Copies of reference books as the rows of one state."""
     rows = BookRows(books[0].grid, books[0].scale, len(books))
     for r, book in enumerate(books):
+        rows.values[r] = sentinel_values(book)
         for book_name, row_name in _BOOK_FIELDS:
             getattr(rows, row_name)[r] = getattr(book, book_name)
         rows.last[r] = [math.nan if x is None else x
@@ -62,6 +66,8 @@ def to_rows(*books):
 def to_reference(rows, r):
     """A copy of row ``r`` as a reference book."""
     book = ReferenceBidBook(rows.grid, rows.scale)
+    book.has_bid = rows.values[r] > _NOTHING
+    book.values = np.where(book.has_bid, rows.values[r], 0)
     for book_name, row_name in _BOOK_FIELDS:
         setattr(book, book_name, getattr(rows, row_name)[r].copy())
     book.last_price = rows.last_price[r]
@@ -142,7 +148,7 @@ def random_round(rng, grid, books, clamp, seen):
 def bid_points(fold, args):
     """``(fold, "distinct" or "repeated")`` of a call of one of the folds
     of ``BookRows.record`` with additional bids, or None without them."""
-    at = args[5] if fold == "_fold_tick" else args[4]
+    at = args[4]
     if at is None:
         return None
     return fold, "repeated" if len(np.unique(at)) < len(at) else "distinct"
@@ -152,7 +158,7 @@ def one_tick_rows(args):
     """The branches a one-tick fold takes over its rows: ``"rows with
     bids"`` and ``"headline-only rows"``, by whether some row bids or
     bids its headline only, and ``"mixed rows"`` when both do."""
-    values, at_head, at = args[0], args[3], args[5]
+    values, at_head, at = args[0], args[2], args[4]
     width = len(values) // len(at_head)
     with_bids = set() if at is None else set((at // width).tolist())
     branches = ((["rows with bids"] if with_bids else [])
@@ -417,12 +423,12 @@ class TestBookRows:
             rows.record([0.0], [emissions])
         assert type(got.value) is type(want.value) is BidError
         assert str(got.value) == str(want.value)
-        assert not rows.has_bid[:, grid.n].any()
+        assert (rows.values[:, grid.n] == _NOTHING).all()
 
 
 def record_ticks(books, prices, emissions, clamp):
     """Record reference ``books`` tick by tick, row by row, at
-    ``prices[j]``, one price or one per row: the ``(values, has_bid)`` of
+    ``prices[j]``, one price or one per row: the ``sentinel_values`` of
     every book after each tick recorded, and the first error or None; at
     the error's tick the books recorded before it are put back."""
     after = []
@@ -431,7 +437,7 @@ def record_ticks(books, prices, emissions, clamp):
             tick_prices, len(books)).tolist(), tick, clamp)
         if error is not None:
             return after, error
-        after.append([(b.values.copy(), b.has_bid.copy()) for b in books])
+        after.append([sentinel_values(b) for b in books])
     return after, None
 
 
@@ -440,8 +446,7 @@ def assert_run_matches(rows, refs, prices, emissions, clamp):
     tick: the same error and tick, the same books, and ``out`` holding
     every recorded tick's books.  Returns the error or None."""
     width = rows.grid.n + 1
-    out = (np.full((len(refs), len(prices), width), -7, np.int64),
-           np.zeros((len(refs), len(prices), width), bool))
+    out = np.full((len(refs), len(prices), width), -7, np.int64)
     after, want = record_ticks(refs, prices, emissions, clamp)
     got = raised(rows.record, prices, emissions, clamp, out)
     assert_same_error(got, want)
@@ -450,9 +455,8 @@ def assert_run_matches(rows, refs, prices, emissions, clamp):
     for r, ref in enumerate(refs):
         assert_row_equals_book(rows, r, ref)
     for j, books in enumerate(after):
-        for r, (values, has_bid) in enumerate(books):
-            assert np.array_equal(out[0][r, j], values), (j, r)
-            assert np.array_equal(out[1][r, j], has_bid), (j, r)
+        for r, values in enumerate(books):
+            assert np.array_equal(out[r, j], values), (j, r)
     return got
 
 
@@ -598,8 +602,8 @@ def run_to_close(member, opponent, config):
         base = (books[0].copy(), books[1].copy())
         reference_round(books[0], member, price)
         reference_round(books[1], opponent, price)
-        if _closing_rows(books[0].values, books[0].has_bid,
-                         books[1].values, books[1].has_bid)[2]:
+        if _closing_rows(sentinel_values(books[0]),
+                         sentinel_values(books[1]))[2]:
             return _Closer(None, t, to_rows(*base), to_rows(*books), 0,
                            1) if t > 0 else None
         t += 1

@@ -18,6 +18,11 @@ Measured, each as the minimum over 7 runs:
   11 bids, as a refine probe records.
 - ``closing_us``: ``closing_from_arrays`` on two linear-price books at
   n = 20 and n = 500 that close with every split pair tied.
+- ``block_us``: one 32-tick ``mechanism._block`` of one cmra-truthful
+  member against its opponent, as ``auction-batch`` runs them: power
+  valuations at n = 20 (cap 0.75) and quadratic ones at n = 500 (cap
+  0.9), clock step 0.001, from tick 128 on books of the ticks before,
+  with warm emission memos; the block closes on none of its ticks.
 - ``refine_us``: one ``mechanism._refine_closers`` call on the closers
   of a lockstep run of 1 and of 64 cmra-truthful members at n = 20
   (power valuations, cap 0.75, clock step 0.005) against one opponent:
@@ -126,6 +131,35 @@ def closing_us(n: int, calls: int = 50) -> float:
     return _best(run, calls)
 
 
+def block_us(n: int, calls: int = 5, start: int = 128) -> float:
+    if n == 20:
+        grid, top = QuantityGrid(20, 0.75), 2.0
+        models = [ValuationModel.power(2.0, 0.75, th, (0.1, 1.0))
+                  for th in (0.4, 0.7)]
+    else:
+        grid, top = QuantityGrid(n, 0.9), 1.4
+        models = [ValuationModel.quadratic(th, 0.5, 0.9, (1.05, 1.25))
+                  for th in (1.1, 1.2)]
+    config = AuctionConfig(grid=grid, eps=1e-3, max_price=top,
+                           log_rounds=False)
+    member, opponent = (STRATEGY_TAGS["cmra-truthful"](m, grid)
+                        for m in models)
+    prices = [config.price(t) for t in range(start)]
+    state = BookRows(grid, config.money_scale, 2)
+    state.record(prices, [[mechanism._emit(member, p),
+                           mechanism._emit(opponent, p)] for p in prices])
+
+    def run(copies):
+        if copies is None:
+            return [state.copy() for _ in range(calls)]
+        for rows in copies:
+            ticks, closers, _ = mechanism._block(
+                [0], [member], rows, opponent, 0, start, 32, config, [[]])
+            assert ticks == 32 and not closers, (ticks, closers)
+
+    return _best(run, calls)
+
+
 def refine_us(count: int) -> float:
     grid = QuantityGrid(20, 0.75)
     config = AuctionConfig(grid=grid, eps=5e-3, max_price=2.0,
@@ -167,6 +201,7 @@ def main() -> int:
         "record_one_tick_us": {str(r): record_one_tick_us(r)
                                for r in (2, 30)},
         "closing_us": {str(n): closing_us(n) for n in (20, 500)},
+        "block_us": {str(n): block_us(n) for n in (20, 500)},
         "refine_us": {str(c): refine_us(c) for c in (1, 64)},
         "python": platform.python_version(),
         "numpy": np.__version__,
