@@ -52,7 +52,7 @@ def assert_closing_rows_match(b1, m1, b2, m2):
     """``_closing_rows`` on the sentinel books against the masked
     reference: the same closed flags and best singles, the same best pair
     wherever one exists and a negative one wherever none does.  Returns
-    the best pairs."""
+    the engine's ``(best_pair, best_single, closed)``."""
     pair, single, closed = _closing_rows(*sentinel_rows(b1, m1, b2, m2))
     want_pair, want_single, want_closed = reference_closing_rows(b1, m1,
                                                                  b2, m2)
@@ -62,7 +62,7 @@ def assert_closing_rows_match(b1, m1, b2, m2):
     assert np.array_equal(pair >= 0, exists)
     assert np.array_equal(np.where(exists, pair, 0),
                           np.where(exists, want_pair, 0))
-    return pair
+    return pair, single, closed
 
 
 def _legal_limit(book, grid, k, price, headline, prev_headline):
@@ -253,8 +253,7 @@ class TestClosingSolverEquivalence:
                       < rng.uniform(0, 1, (2, rows, 1)))
             m1[rng.random(rows) < 0.25] = False
             m2[rng.random(rows) < 0.25] = False
-            pair = assert_closing_rows_match(b1, m1, b2, m2)
-            closed = _closing_rows(*sentinel_rows(b1, m1, b2, m2))[2]
+            pair, _, closed = assert_closing_rows_match(b1, m1, b2, m2)
             s1, s2 = (s.tolist() for s in sentinel_rows(b1, m1, b2, m2))
             for r in range(rows):
                 exact = max(s1[r][k] + max(s2[r][:n + 1 - k])
