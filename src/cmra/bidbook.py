@@ -47,11 +47,11 @@ KIND_HEADLINE = 1
 KIND_ADDITIONAL = 2
 
 
-def _require_count(name: str, value) -> None:
-    """Raise ``ValueError`` unless ``value`` is an integer of at least 1."""
+def _require_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is an integer of at least ``least``."""
     if isinstance(value, bool) or not isinstance(
-            value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be an integer of at least 1")
+            value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}")
 
 
 def money_units(amount: float, scale: int = MICRO) -> int:
@@ -146,7 +146,7 @@ class BidBook:
 
     last_price = property(lambda self: self.rows.last_price[0])
     last_headline = property(lambda self: self.rows.last_headline[0])
-    values = property(lambda self: np.maximum(self.rows.values[0], 0))
+    values = property(lambda self: np.where(self.has_bid, self.rows.values[0], 0))
     has_bid = property(lambda self: self.rows.values[0] > _NOTHING)
 
     # -- queries ------------------------------------------------------

@@ -69,7 +69,6 @@ import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import integrate
 
 from .bidbook import _NOTHING, BookRows, QuantityGrid, _require_count
 from .mechanism import (AuctionConfig, _closing_rows, _emissions,
@@ -864,11 +863,16 @@ class RdrBneReport:
     engine_max_err: float
 
 
+def _uniform_partial_mean(lo: float, hi: float, t: float) -> float:
+    """E[theta; theta <= t] for theta uniform on [lo, hi] and t in it."""
+    return 0.5 * (t - lo) * (t + lo) / (hi - lo)
+
+
 def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
                   config: AuctionConfig | None = None,
                   theta_points: int = 41, engine_samples: int = 200
                   ) -> RdrBneReport:
-    """Collusion incentive check by quadrature and by Monte Carlo.
+    """Collusion incentive check, exact and by Monte Carlo.
 
     For each deviator type the collusive payoff U(1/2) is compared with
     the expected payoff of abandoning the reduction (which reverts play
@@ -881,27 +885,27 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
     _require_normalized_linear(model)
     dist = env.distribution
     if dist.kind != "uniform":
-        raise AssumptionViolation("quadrature check needs a uniform type distribution")
-    if theta_points < 1:
-        raise ValueError("theta_points must be at least 1")
+        raise AssumptionViolation("the collusion check needs a uniform type distribution")
+    _require_count("theta_points", theta_points)
+    _require_count("samples", samples, least=2)
+    _require_count("engine_samples", engine_samples, least=0)
     lo, hi = dist.support
     lam = env.cap
 
+    def deviation(t):
+        partial = _uniform_partial_mean(lo, hi, t)
+        return dist.cdf(t) * t + model.with_theta(t).value(1.0 - lam) - partial
+
     def ic_slack(t):
-        m = model.with_theta(t)
-        partial = integrate.quad(lambda u: u * dist.pdf(u), lo, t)[0]
-        deviation = dist.cdf(t) * t + m.value(1.0 - lam) - partial
-        return m.value(0.5) - deviation
+        return model.with_theta(t).value(0.5) - deviation(t)
 
     thetas = dist.grid(theta_points)
     slacks = [ic_slack(t) for t in thetas]
     # Ties in the minimum go to the strongest type: it is the one whose
     # incentive constraint the threshold condition is built around.
     min_i = len(slacks) - 1 - int(np.argmin(slacks[::-1]))
-    top = hi
-    m_top = model.with_theta(top)
-    quad_dev = dist.cdf(top) * top + m_top.value(1.0 - lam) \
-        - integrate.quad(lambda u: u * dist.pdf(u), lo, top)[0]
+    m_top = model.with_theta(hi)
+    quad_dev = deviation(hi)
 
     # Monte Carlo for the top type: draw opponents, apply the per-draw
     # outcome, and validate the outcome formula on an engine subsample.
@@ -910,7 +914,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
     spread = np.array([model.with_theta(t).value(lam)
                        - model.with_theta(t).value(1.0 - lam) for t in (1.0,)])
     payoff = np.where(
-        draws <= top,
+        draws <= hi,
         m_top.value(lam) - draws * spread[0],
         m_top.value(1.0 - lam))
     mc_mean = float(payoff.mean())
@@ -928,7 +932,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
             out = run_cmra(make_const(m_top, grid), make_rdr(opp, grid),
                            env, run_cfg)
             got = out.surplus((m_top, opp))[0]
-            want = m_top.value(lam) - float(th_j) * spread[0] if th_j <= top \
+            want = m_top.value(lam) - float(th_j) * spread[0] if th_j <= hi \
                 else m_top.value(1.0 - lam)
             engine_max_err = max(engine_max_err, abs(got - want))
             checked += 1
@@ -938,7 +942,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
         mean_type=dist.mean(),
         holds=min(slacks) >= -1e-9,
         binding_theta=thetas[min_i],
-        slack_at_top=ic_slack(top),
+        slack_at_top=ic_slack(hi),
         min_slack=min(slacks),
         quad_deviation_payoff=quad_dev,
         mc_deviation_payoff=mc_mean,

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from cmra import (ActivityCapViolation, AdditionalBid, BidBook, CapExceeded,
-                  NonMonotoneHeadline, OverLinearPrice, QuantityGrid,
-                  money_units)
+                  ClosingResult, NonMonotoneHeadline, OverLinearPrice,
+                  QuantityGrid, money_units, revenue_curve, solve_closing)
 from cmra.bidbook import BidError, KIND_ADDITIONAL, KIND_HEADLINE, MICRO
+from cmra.mechanism import _closing_results
 
 
 class TestQuantityGrid:
@@ -275,3 +276,21 @@ class TestBidAt:
         assert book.bid_at(0.25) is None
         assert book.last_headline == 3
         assert dup.bid_at(0.25) == 2 * MICRO
+
+    def test_negative_bids_are_bids(self):
+        # A negative clock price records negative headline bids.  The
+        # computed views keep them, so the closing solve and the revenue
+        # curve agree with bid_at and with the engine's closing test.
+        grid = QuantityGrid(4, 0.75)
+        book1, book2 = BidBook(grid), BidBook(grid)
+        book1.record_round(-0.5, 0.75, [])
+        book2.record_round(-0.5, 0.25, [])
+        assert (book1.bid_at(0.75), book2.bid_at(0.25)) == (-375_000, -125_000)
+        values, has_bid = book1.arrays()
+        assert values.tolist() == [0, 0, 0, -375_000, 0]
+        assert has_bid.tolist() == [False, False, False, True, False]
+        want = ClosingResult(None, False, None, None)
+        assert solve_closing(book1, book2) == want
+        assert _closing_results(book1.rows.values, book2.rows.values,
+                                grid.n) == [want]
+        assert revenue_curve(book1, book2)[3] == (0.75, -500_000, -125_000)

@@ -13,6 +13,7 @@ checks that it did.  The run is derandomized, so the suite sees the
 same examples every time.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -228,7 +229,10 @@ class TestBidBookAgainstNaive(BidBookMachine.TestCase):
         fold = bidbook._fold_tick
 
         def counted(*args):
-            at = (args + (None, None))[4]
+            # By name, so that a change of the fold's signature fails.
+            bound = inspect.signature(fold).bind(*args)
+            bound.apply_defaults()
+            at = bound.arguments["at"]
             if at is not None:
                 seen["repeated" if len(np.unique(at)) < len(at)
                      else "distinct"] += 1

@@ -1,6 +1,13 @@
 """Deviation oracles, collusion thresholds, VCG equivalence, search soundness."""
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +22,8 @@ from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   vcg_equivalence_check, vcg_outcome)
 from cmra.bidbook import _NOTHING, money_units
 from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
-                              _Candidates, _Ladder, _PairScreen, _replay_cells)
+                              _Candidates, _Ladder, _PairScreen, _replay_cells,
+                              _uniform_partial_mean)
 from cmra.strategies import STRATEGY_TAGS
 
 _NEG = np.int64(-(2 ** 53))  # the screens' marker for an absent bid or pair
@@ -110,9 +118,76 @@ class TestCheckRdrBne:
         env = pow_env(1.0, support=(0.0, 1.0))
         rep = check_rdr_bne(env, samples=1_000, seed=3, theta_points=1)
         assert rep.binding_theta == 0.5
-        for bad in (0, -3):
-            with pytest.raises(ValueError, match="theta_points"):
-                check_rdr_bne(env, samples=1_000, theta_points=bad)
+        for bad in ({"theta_points": 0}, {"theta_points": -3},
+                    {"theta_points": 2.5}, {"theta_points": True},
+                    {"samples": 0}, {"samples": 1}, {"samples": 2.0},
+                    {"samples": True}, {"engine_samples": -1},
+                    {"engine_samples": 1.5}, {"engine_samples": True}):
+            (name, _), = bad.items()
+            with pytest.raises(ValueError, match=f"^{name} "):
+                check_rdr_bne(env, **{"samples": 1_000, **bad})
+
+    @staticmethod
+    def random_supports(seed, count):
+        """``(lo, hi, points)``: random uniform supports, some starting at
+        0 and some narrow, with their ends and a random type grid."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            lo = 0.0 if rng.random() < 0.2 else float(rng.uniform(0.0, 2.0))
+            width = rng.uniform(1e-3, 3.0) if rng.random() < 0.8 \
+                else rng.uniform(1e-6, 1e-2)
+            hi = lo + float(width)
+            grid = TypeDistribution("uniform", (lo, hi)).grid(
+                int(rng.integers(2, 60)))
+            yield lo, hi, (lo, hi, *grid)
+
+    def test_partial_mean_within_3_ulp_of_exact(self):
+        # Exact rational arithmetic on the same float inputs.
+        for lo, hi, points in self.random_supports(23, 300):
+            for t in points:
+                exact = ((Fraction(t) ** 2 - Fraction(lo) ** 2)
+                         / (2 * (Fraction(hi) - Fraction(lo))))
+                err = abs(Fraction(_uniform_partial_mean(lo, hi, t)) - exact)
+                assert err <= 3 * Fraction(math.ulp(float(exact))), (lo, hi, t)
+
+    def test_partial_mean_matches_quadrature(self):
+        # The numerical integral the closed form replaced.
+        integrate = pytest.importorskip("scipy.integrate")
+        for lo, hi, points in self.random_supports(29, 200):
+            dist = TypeDistribution("uniform", (lo, hi))
+            for t in points:
+                want = integrate.quad(lambda u: u * dist.pdf(u), lo, t)[0]
+                assert _uniform_partial_mean(lo, hi, t) == pytest.approx(
+                    want, rel=1e-15, abs=0), (lo, hi, t)
+
+    def test_runs_without_scipy(self):
+        # scipy is a test dependency only: a fresh interpreter that cannot
+        # import it still imports cmra and runs the check, engine
+        # subsample included, loading no scipy module.
+        code = textwrap.dedent("""
+            import sys
+            sys.modules["scipy"] = None
+            from cmra import (AuctionConfig, MarketEnv, QuantityGrid,
+                              TypeDistribution, ValuationModel, check_rdr_bne)
+            models = tuple(ValuationModel.power(1.0, 0.75, t, (0.0, 1.0))
+                           for t in (0.8, 0.5))
+            env = MarketEnv(models, 0.75, TypeDistribution("uniform", (0.0, 1.0)))
+            config = AuctionConfig(grid=QuantityGrid(20, 0.75), eps=1e-2,
+                                   max_price=2.0, log_rounds=False)
+            rep = check_rdr_bne(env, samples=1_000, config=config,
+                                theta_points=5, engine_samples=3)
+            assert rep.holds and rep.engine_checked == 3, rep
+            loaded = [name for name, module in sys.modules.items()
+                      if name.split(".")[0] == "scipy" and module is not None]
+            assert not loaded, loaded
+        """)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(__file__).resolve().parents[1] / "src"),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_engine_subsample_agreement(self):
         cfg = small_config(0.75, 2.0, eps=5e-3)

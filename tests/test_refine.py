@@ -17,6 +17,7 @@ closer against the scalar bisection ``_refine_close``, which records on
 reference books.
 """
 
+import inspect
 import math
 from dataclasses import fields, replace
 
@@ -145,20 +146,33 @@ def random_round(rng, grid, books, clamp, seen):
     return prices, emissions
 
 
-def bid_points(fold, args):
-    """``(fold, "distinct" or "repeated")`` of a call of one of the folds
+def fold_arguments(fold, args):
+    """The arguments of a call ``fold(*args)`` by name, defaults filled
+    in, so that a spy whose fold changed its signature fails loudly."""
+    bound = inspect.signature(fold).bind(*args)
+    bound.apply_defaults()
+    return bound.arguments
+
+
+# The argument of each fold that holds the additional bids' points.
+_BID_POINTS = {"_fold_tick": "at", "_fold_run": "cell_bid"}
+
+
+def bid_points(name, arguments):
+    """``(name, "distinct" or "repeated")`` of a call of the fold ``name``
     of ``BookRows.record`` with additional bids, or None without them."""
-    at = args[4]
+    at = arguments[_BID_POINTS[name]]
     if at is None:
         return None
-    return fold, "repeated" if len(np.unique(at)) < len(at) else "distinct"
+    return name, "repeated" if len(np.unique(at)) < len(at) else "distinct"
 
 
-def one_tick_rows(args):
+def one_tick_rows(arguments):
     """The branches a one-tick fold takes over its rows: ``"rows with
     bids"`` and ``"headline-only rows"``, by whether some row bids or
     bids its headline only, and ``"mixed rows"`` when both do."""
-    values, at_head, at = args[0], args[2], args[4]
+    values, at_head, at = (arguments[name]
+                           for name in ("values", "at_head", "at"))
     width = len(values) // len(at_head)
     with_bids = set() if at is None else set((at // width).tolist())
     branches = ((["rows with bids"] if with_bids else [])
@@ -177,11 +191,12 @@ def count_folds(monkeypatch, seen, caller):
 
     for name in ("_fold_tick", "_fold_run"):
         def counted(*args, fold=getattr(bidbook, name), name=name):
-            key = bid_points(name, args + (None, None))
+            arguments = fold_arguments(fold, args)
+            key = bid_points(name, arguments)
             if key is not None:
                 bump(*key)
             if name == "_fold_tick":
-                for branch in one_tick_rows(args + (None, None)):
+                for branch in one_tick_rows(arguments):
                     bump("one tick", branch)
             return fold(*args)
         monkeypatch.setattr(bidbook, name, counted)
