@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    cmra run <scenario.json> [--out DIR] [--seed N]
+    cmra run <scenario.json or bundled name> [--out DIR]
     cmra verify <claim> [--theta-grid N] [--grid-n N] [--eps E] [--tol T]
                         [--seed S] [--out DIR]
     cmra audit <record.json or bundled name> [--out DIR]
@@ -64,7 +64,7 @@ def _resolve_scenario(path: str):
 
 def cmd_run(args) -> int:
     result = run_scenario(_resolve_scenario(args.scenario),
-                          outdir=_outdir(args), seed=args.seed)
+                          outdir=_outdir(args))
     for label, path in result["outputs"].items():
         print(f"{label}: {path}")
     if hasattr(result["result"], "lines"):
@@ -130,7 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario file")
     p_run.add_argument("scenario", help="scenario JSON path or bundled name")
     p_run.add_argument("--out", default=None, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None)
     p_run.set_defaults(func=cmd_run)
 
     # No prefix matching, so the retired ``--grid`` is rejected rather

@@ -20,7 +20,9 @@ vectorially against those ladders (the screen reproduces the engine's
 per-tick closing test), and every member whose optimistic surplus bound
 clears the tolerance is re-run through the real auction engine.
 Reported gains always come from such engine replays, so any reported
-deviation is reproducible.
+deviation is reproducible.  Screening is per type pair and selection per
+seat: one screen of each pair serves every searched seat, and each seat
+picks the members to replay by its own baseline.
 
 Neither screen builds a book per member.  The headline is
 non-increasing, so from its drop tick td on, a drop policy's book is
@@ -219,7 +221,7 @@ class DeviationReport:
     best_opponent: float | None = None
     best_deviation: Deviation | None = None
     best_surplus: float | None = None
-    by_opponent: dict = field(default_factory=dict)    # opp theta -> gain bound
+    by_opponent: dict = field(default_factory=dict)    # opp theta -> best gain
 
 
 @dataclass
@@ -408,13 +410,15 @@ class _PairScreen:
 
     # -- family screens ------------------------------------------------
 
-    def screen_single_bids(self, family: DeviationFamily, t_hats, baseline,
-                           cutoff, out):
+    def screen_single_bids(self, family: DeviationFamily, t_hats, low,
+                           cutoff):
         """Single-package deviations: quantity x amount x submission price.
 
         Every (quantity, submission tick, amount level) of the family is
         screened at once: the first closing tick of each comes from two
         per-tick amount thresholds, and the surplus bound is vectorized.
+        Returns the member count and ``(bound, deviation)`` for each
+        member whose bound exceeds ``low`` by more than ``cutoff``.
         """
         n = self.grid.n
         quants = (family.bid_quantities if family.bid_quantities is not None
@@ -422,12 +426,11 @@ class _PairScreen:
         k, th = (a.ravel() for a in np.meshgrid(
             np.asarray(quants, dtype=np.int64),
             np.asarray(t_hats, dtype=np.int64), indexing="ij"))
-        if self.t0 is not None:
-            # Closes before the bid is ever submitted: outcome is exactly
-            # the headline-only one, reported once.
-            late = th > self.t0
-            out.members += family.n_amounts * int(late.sum())
-            k, th = k[~late], th[~late]
+        # Closes before the bid is ever submitted: outcome is exactly the
+        # headline-only one, reported once.
+        late = th > (len(self.prices) if self.t0 is None else self.t0)
+        members = family.n_amounts * int(late.sum())
+        k, th = k[~late], th[~late]
         # The legal maximum; prices, hence caps, are non-negative.
         lin = np.floor(self.prices[th] * k / n * self.scale + 0.5)
         caps = np.array([self.dev_caps[t] for t in t_hats])
@@ -443,7 +446,7 @@ class _PairScreen:
         levels = levels.round().astype(np.int64)
         distinct = np.ones(levels.shape, dtype=bool)
         distinct[:, 1:] = levels[:, 1:] != levels[:, :-1]
-        out.members += int(distinct.sum())
+        members += int(distinct.sum())
         # A bid at or below the deviator's recorded headline value never
         # changes the book: identical to headline-only play.
         live = distinct & ~(self.md[th, k][:, None]
@@ -466,11 +469,11 @@ class _PairScreen:
         pay_lb = np.maximum(a, np.where(held, self.dev_vals[prev, k], 0))
         win_opt = self.u_dev[k] - pay_lb / self.scale
         pair_opt = self.hh_opt[tc]
-        gain = np.where(pair_opt > win_opt, pair_opt, win_opt) - baseline
-        for i in np.nonzero(gain > cutoff)[0]:
-            out.add(float(gain[i]), Deviation(
-                "single-bid", quantity_k=int(k[i]), amount=int(a[i]) / self.scale,
-                submit_price=float(self.prices[th[i]])))
+        bound = np.where(pair_opt > win_opt, pair_opt, win_opt)
+        return members, [(float(bound[i]), Deviation(
+            "single-bid", quantity_k=int(k[i]), amount=int(a[i]) / self.scale,
+            submit_price=float(self.prices[th[i]])))
+            for i in np.nonzero(bound - low > cutoff)[0]]
 
     def _single_bid_closes(self, k, t_hat, a):
         """First closing tick of each single bid, ``len(prices)`` if none.
@@ -510,8 +513,7 @@ class _PairScreen:
             at += skip * ((1 << l) * w)
         return tc
 
-    def screen_drops(self, family: DeviationFamily, drop_ticks, baseline,
-                     cutoff, out):
+    def screen_drops(self, family: DeviationFamily, drop_ticks, low, cutoff):
         """Headline-drop policies (y, td): cap the headline at y from tick td.
 
         The headline is non-increasing, so from td on a policy's book is
@@ -526,7 +528,7 @@ class _PairScreen:
         the last tick whose headline is still at least y is the same
         for every such td, and the y entry and everything below it
         form (tick, y) tables built once.  Each drop tick adds only its
-        frozen book above y.
+        frozen book above y.  Returns as :meth:`screen_single_bids` does.
         """
         n = self.grid.n
         t_n = len(self.prices)
@@ -534,8 +536,7 @@ class _PairScreen:
                         if family.drop_quantities is not None
                         else range(0, self.grid.cap_index), dtype=np.int64)
         tq = np.asarray(drop_ticks, dtype=np.int64)
-        out.members += ys.size * tq.size
-        gains = np.full((ys.size, tq.size), -np.inf)
+        bounds = np.full((ys.size, tq.size), -np.inf)
         # Drops after the close leave headline-only outcomes, and a drop
         # binds, before or at the close, exactly when the headline at td
         # is above y; otherwise it is headline-only play.
@@ -543,7 +544,7 @@ class _PairScreen:
                 if (self.t0 is None or td <= self.t0)
                 and (self.kpath[td] > ys).any()]
         if not live:
-            return
+            return ys.size * tq.size, []
         pre_w = _before(self.pair_w, -np.inf)
         # Tables are quantity-major, (y, tick), so a drop tick takes rows.
         # The last tick whose headline is still >= y, and the y entry's
@@ -589,11 +590,12 @@ class _PairScreen:
                            self.u_dev[y] + self.po_rev[tc, y] / self.scale,
                            -np.inf)
             w = np.maximum(np.maximum(pre_w[tc, y], w_y), w_post)
-            gains[cols, j] = w - self.r_floor[tc] - baseline
-        for i, j in zip(*np.nonzero(gains > cutoff)):
-            out.add(float(gains[i, j]), Deviation(
+            bounds[cols, j] = w - self.r_floor[tc]
+        return ys.size * tq.size, [
+            (float(bounds[i, j]), Deviation(
                 "drop", drop_price=float(self.prices[tq[j]]),
                 drop_k=int(ys[i])))
+            for i, j in zip(*np.nonzero(bounds - low > cutoff))]
 
 
 def _before(a, fill):
@@ -606,21 +608,6 @@ def _before(a, fill):
 def _suffix_max(a, axis):
     """Inclusive suffix maximum along ``axis``: max of a[k:] there."""
     return np.flip(np.maximum.accumulate(np.flip(a, axis), axis), axis)
-
-
-class _Candidates:
-    """Collects screened members whose bound clears the cutoff."""
-
-    def __init__(self):
-        self.items = []
-        self.members = 0
-
-    def add(self, opt_gain, deviation):
-        self.items.append((opt_gain, deviation))
-
-    def top(self, cap):
-        ranked = sorted(self.items, key=lambda it: -it[0])
-        return ranked[:cap], len(ranked) > cap
 
 
 # -- the profile check ------------------------------------------------
@@ -647,6 +634,8 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     if any(isinstance(s, bool) or not isinstance(s, numbers.Integral)
            for s in seats) or sorted(seats) not in ([0], [1], [0, 1]):
         raise ValueError(f"seats {seats!r} must be 0, 1 or both, once each")
+    if config.start < 0:  # the screens assume non-negative prices and bids
+        raise ValueError(f"config.start {config.start} must be non-negative")
     for name, legal in (("bid_quantities", range(1, grid.cap_index + 1)),
                         ("drop_quantities", range(grid.cap_index))):
         bad = [k for k in getattr(family, name) or () if k not in legal]
@@ -702,24 +691,32 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
         return baselines[th1, th2]
 
     cutoff = tol / 2
-    replayed = {}
+    by_pair, replayed = {}, {}
 
     def screen_cell(seat, th_dev, th_opp):
-        """``(baseline, members, top, truncated, t0)`` of one cell."""
-        pair = (th_dev, th_opp) if seat == 0 else (th_opp, th_dev)
-        baseline = baseline_run(*pair)[seat]
-        screen = _PairScreen(ladder, head[th_dev], full[th_opp], prices,
-                             grid, scale, u_dev[th_dev])
-        cands = _Candidates()
-        # The bare headline-only deviation.
-        cands.members += 1
-        if screen.t0 is not None:
-            opt0 = float(screen.hh_opt[screen.t0]) - baseline
-            if opt0 > cutoff:
-                cands.add(opt0, Deviation("headline-only"))
-        screen.screen_single_bids(family, t_hats, baseline, cutoff, cands)
-        screen.screen_drops(family, drop_ticks, baseline, cutoff, cands)
-        return (baseline, cands.members, *cands.top(replay_cap), screen.t0)
+        """``(baseline, members, top, truncated, t0)`` of one cell.  Screening
+        is per type pair, against the lowest baseline of the searched seats;
+        selection is per seat, against its own baseline."""
+        if (th_dev, th_opp) not in by_pair:
+            bases = {s: baseline_run(*((th_dev, th_opp) if s == 0
+                                       else (th_opp, th_dev)))[s]
+                     for s in seats}
+            screen = _PairScreen(ladder, head[th_dev], full[th_opp], prices,
+                                 grid, scale, u_dev[th_dev])
+            t0, low = screen.t0, min(bases.values())
+            (singles, bids), (drops, dropped) = (
+                screen.screen_single_bids(family, t_hats, low, cutoff),
+                screen.screen_drops(family, drop_ticks, low, cutoff))
+            # The bare headline-only deviation first.
+            found = [(-math.inf if t0 is None else float(screen.hh_opt[t0]),
+                      Deviation("headline-only")), *bids, *dropped]
+            by_pair[th_dev, th_opp] = cells = {}
+            for s, base in bases.items():
+                ranked = sorted(((b - base, dev) for b, dev in found
+                                 if b - base > cutoff), key=lambda it: -it[0])
+                cells[s] = (base, 1 + singles + drops, ranked[:replay_cap],
+                            len(ranked) > replay_cap, t0)
+        return by_pair[th_dev, th_opp][seat]
 
     def cell(seat, th_dev, th_opp):
         """A cell's screen and the outcomes of its replays.  Every cell
@@ -911,11 +908,11 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
     # outcome, and validate the outcome formula on an engine subsample.
     rng = np.random.default_rng(seed)
     draws = np.asarray(dist.sample(rng, samples), dtype=float)
-    spread = np.array([model.with_theta(t).value(lam)
-                       - model.with_theta(t).value(1.0 - lam) for t in (1.0,)])
+    m_one = model.with_theta(1.0)
+    spread = m_one.value(lam) - m_one.value(1.0 - lam)
     payoff = np.where(
         draws <= hi,
-        m_top.value(lam) - draws * spread[0],
+        m_top.value(lam) - draws * spread,
         m_top.value(1.0 - lam))
     mc_mean = float(payoff.mean())
     mc_se = float(payoff.std(ddof=1) / math.sqrt(samples))
@@ -932,7 +929,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
             out = run_cmra(make_const(m_top, grid), make_rdr(opp, grid),
                            env, run_cfg)
             got = out.surplus((m_top, opp))[0]
-            want = m_top.value(lam) - float(th_j) * spread[0] if th_j <= hi \
+            want = m_top.value(lam) - float(th_j) * spread if th_j <= hi \
                 else m_top.value(1.0 - lam)
             engine_max_err = max(engine_max_err, abs(got - want))
             checked += 1

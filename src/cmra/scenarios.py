@@ -9,9 +9,9 @@ run mode:
 * ``verify``: a named verification claim; writes its report JSON.
 * ``audit``: a linear-price audit of a published-outcome record.
 
-Artifacts are deterministic byte for byte for a fixed scenario and
-seed.  Bundled example scenarios and the published Danish auction
-records ship with the package under ``cmra/data``.
+Artifacts are deterministic byte for byte for a fixed scenario.
+Bundled example scenarios and the published Danish auction records ship
+with the package under ``cmra/data``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .audit import AuctionAuditRecord, audit_linear_prices
-from .bidbook import BidBook, BookRows, MICRO, QuantityGrid
+from .bidbook import BidBook, BookRows, MICRO, QuantityGrid, _require_count
 from .mechanism import (AuctionConfig, _emissions, revenue_curve, run_clock,
                         run_cmra)
 from .roundlog import RoundLog
@@ -59,7 +59,6 @@ class Scenario:
     config: AuctionConfig
     auction: str = "cmra"
     options: dict = field(default_factory=dict)
-    seed: int = 0
     raw: dict = field(default_factory=dict)
 
     @classmethod
@@ -92,16 +91,16 @@ class Scenario:
         if mode not in ("single", "sweep", "verify", "audit"):
             raise ScenarioError(f"unknown mode {mode!r}")
         options = dict(data.get(mode, {}))
-        if mode == "sweep" and int(options.get("theta_grid", 5)) < 1:
-            raise ScenarioError("sweep theta_grid must be at least 1")
+        if mode == "sweep":
+            _require_count("sweep theta_grid", options.get("theta_grid", 5))
         if mode in ("verify", "audit"):
             env = strategies = config = None
             if mode == "verify" and "claim" not in options:
                 raise ScenarioError("verify mode needs a claim name")
             if mode == "audit" and "record" not in options:
                 raise ScenarioError("audit mode needs a record name or path")
-            return cls(name, mode, env, strategies, config,
-                       options=options, seed=int(data.get("seed", 0)), raw=data)
+            return cls(name, mode, env, strategies, config, options=options,
+                       raw=data)
 
         env = _parse_env(data["environment"])
         tags = data.get("strategies", [])
@@ -117,7 +116,7 @@ class Scenario:
         if auction not in ("cmra", "clock"):
             raise ScenarioError(f"unknown auction kind {auction!r}")
         return cls(name, mode, env, strategies, config, auction,
-                   options, int(data.get("seed", 0)), data)
+                   options, data)
 
     def to_dict(self) -> dict:
         return dict(self.raw)
@@ -152,15 +151,19 @@ def _parse_env(spec: dict) -> MarketEnv:
 
 def _parse_config(spec: dict, cap: float) -> AuctionConfig:
     grid = QuantityGrid(spec.get("grid_n", 20), cap)
+    flags = {name: spec.get(name, True) for name in ("refine", "log_rounds")}
+    for name, value in flags.items():
+        if not isinstance(value, bool):
+            raise ScenarioError(f"config {name} must be true or false, "
+                                f"not {value!r}")
     return AuctionConfig(
         grid=grid,
         eps=float(spec.get("eps", 1e-3)),
         max_price=float(spec.get("max_price", 10.0)),
         start=float(spec.get("start", 0.0)),
-        refine=bool(spec.get("refine", True)),
         refine_tol=float(spec.get("refine_tol", 1e-7)),
-        money_scale=int(spec.get("money_scale", MICRO)),
-        log_rounds=bool(spec.get("log_rounds", True)),
+        money_scale=spec.get("money_scale", MICRO),
+        **flags,
     )
 
 
@@ -249,7 +252,7 @@ def write_verify_report(path, result) -> None:
                        "elapsed_s": round(result.elapsed, 3)})
 
 
-def run_scenario(source, outdir=None, seed=None) -> dict:
+def run_scenario(source, outdir=None) -> dict:
     """Execute a scenario file (path, dict or Scenario); write artifacts.
 
     Returns {"ok": bool, "scenario": name, "outputs": {label: path},
@@ -257,8 +260,6 @@ def run_scenario(source, outdir=None, seed=None) -> dict:
     input; engine errors propagate.
     """
     scenario = Scenario.load(source)
-    if seed is not None:
-        scenario.seed = seed
     outdir = Path(outdir or os.environ.get("CMRA_OUTPUT_DIR", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = {}
@@ -313,7 +314,7 @@ def run_scenario(source, outdir=None, seed=None) -> dict:
 
 def _run_sweep(scenario: Scenario):
     spec = scenario.options
-    thetas = scenario.env.distribution.grid(int(spec.get("theta_grid", 5)))
+    thetas = scenario.env.distribution.grid(spec.get("theta_grid", 5))
     runner = run_cmra if scenario.auction == "cmra" else run_clock
     tags = [type(s).tag for s in scenario.strategies]
     rows = []

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,7 +22,7 @@ from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   vcg_equivalence_check, vcg_outcome)
 from cmra.bidbook import _NOTHING, money_units
 from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
-                              _Candidates, _Ladder, _PairScreen, _replay_cells,
+                              _Ladder, _PairScreen, _replay_cells,
                               _uniform_partial_mean)
 from cmra.strategies import STRATEGY_TAGS
 
@@ -44,6 +44,10 @@ def quad_env(thetas=(1.25, 1.05), support=(1.05, 1.25)):
 def small_config(cap, max_price, eps=1e-2):
     return AuctionConfig(grid=QuantityGrid(20, cap), eps=eps,
                          max_price=max_price, log_rounds=False)
+
+
+def unrefined(cap, max_price, eps):
+    return replace(small_config(cap, max_price, eps), refine=False)
 
 
 class TestMinimalWinningBid:
@@ -340,19 +344,72 @@ class TestExPostSearch:
                     screen = _PairScreen(ladder, 0, 1, prices, grid, scale,
                                          u_dev)
                     base = _baseline(profile, env, cfg, th_d, th_o, seat)
-                    cands = _Candidates()
+                    found = []
                     if screen.t0 is not None:
-                        cands.add(float(screen.hh_opt[screen.t0]) - base,
-                                  Deviation("headline-only"))
-                    screen.screen_single_bids(fam, ticks, base, -np.inf, cands)
-                    screen.screen_drops(fam, ticks, base, -np.inf, cands)
-                    for bound, dev in cands.items:
+                        found.append((float(screen.hh_opt[screen.t0]),
+                                      Deviation("headline-only")))
+                    for fast in (screen.screen_single_bids,
+                                 screen.screen_drops):
+                        found += fast(fam, ticks, base, -np.inf)[1]
+                    for bound, dev in found:
                         _, surplus = replay_deviation(profile, env, seat, dev,
                                                       cfg, (th_d, th_o))
-                        assert surplus - base <= bound + 1e-12, \
+                        assert surplus - base <= bound - base + 1e-12, \
                             (seat, th_d, th_o, dev)
                         replayed[dev.kind] += 1
         assert min(replayed.values()) > 0, replayed
+
+    def test_one_screen_per_type_pair(self, monkeypatch):
+        # A pair's screen serves both seats: a two-seat search on a grid
+        # of 3 types builds 9 screens, one per (deviator, opponent) pair.
+        built = []
+        init = _PairScreen.__init__
+
+        def spy(screen, ladder, dev, opp, *args):
+            built.append((dev, opp))
+            init(screen, ladder, dev, opp, *args)
+        monkeypatch.setattr(_PairScreen, "__init__", spy)
+        fam = DeviationFamily(n_amounts=4, n_submit_prices=4, n_drop_prices=4)
+        res = check_expost("cmra-truthful", pow_env(), small_config(0.75, 1.6),
+                           theta_grid=3, family=fam)
+        assert len(res.reports) == 6
+        assert len(built) == len(set(built)) == 9
+
+    def test_one_seat_searches_match_the_two_seat_search(self):
+        # The shared screen lists members over the lower of the two seats'
+        # baselines; each seat's pick from it must be what a search of that
+        # seat alone replays and reports.
+        fam = DeviationFamily(n_amounts=8, n_submit_prices=5, n_drop_prices=5)
+        seen = {"asymmetric": 0, "truncated": 0}
+        for profile, env, cfg, cap in [
+                ("cmra-truthful", pow_env(), small_config(0.75, 1.6), 400),
+                ("constant", quad_env(), small_config(0.9, 1.5), 400),
+                ("clock-truthful", quad_env(), small_config(0.9, 1.5), 400),
+                ("clock-truthful", quad_env(), small_config(0.9, 1.5), 3),
+                # Without the refine, seat tie-breaks at the closing tick
+                # give the seats baselines that differ by cents.
+                ("constant", quad_env(), unrefined(0.9, 1.5, 0.05), 400),
+                ("clock-truthful", quad_env(), unrefined(0.9, 1.5, 0.1), 400)]:
+            both = check_expost(profile, env, cfg, theta_grid=3, family=fam,
+                                replay_cap=cap)
+            alone = [check_expost(profile, env, cfg, theta_grid=3,
+                                  family=fam, replay_cap=cap, seats=(seat,))
+                     for seat in (0, 1)]
+            for seat, res in enumerate(alone):
+                assert res.reports == {key: report for key, report
+                                       in both.reports.items()
+                                       if key[1] == seat}, (profile, seat)
+            assert both.replays == sum(res.replays for res in alone) > 0
+            assert both.members == sum(res.members for res in alone)
+            assert both.truncated == any(res.truncated for res in alone)
+            seen["truncated"] += both.truncated
+            # Cells whose seats' baselines differ: there the shared
+            # screen's cut is below one seat's own.
+            seen["asymmetric"] += any(
+                abs(base - both.reports[th, 1 - seat].baseline[opp]) > 1e-3
+                for (th, seat), report in both.reports.items()
+                for opp, base in report.baseline.items())
+        assert min(seen.values()) > 0, seen
 
     def test_search_dominates_random_members_decreasing(self):
         # In the refuted decreasing regime the search's best replayed
@@ -422,6 +479,16 @@ class TestSearchArguments:
                          family=DeviationFamily(n_amounts=2,
                                                 n_submit_prices=2,
                                                 n_drop_prices=2))
+
+    def test_start_price_must_be_non_negative(self):
+        # The screens assume non-negative prices and bids: at a negative
+        # start the legal maximum of a single bid is negative, and the
+        # engine would refuse such amounts deep inside a replay.
+        cfg = AuctionConfig(grid=QuantityGrid(8, 0.75), eps=0.02,
+                            max_price=1.6, start=-0.05)
+        with pytest.raises(ValueError, match=r"^config\.start -0\.05 "):
+            check_expost("constant", pow_env(), cfg, theta_grid=3,
+                         family=DeviationFamily(8, 6, 6))
 
     @pytest.mark.parametrize("name", ["n_amounts", "n_submit_prices",
                                       "n_drop_prices"])
@@ -693,22 +760,20 @@ class TestScreenEquivalence:
                     screen = _PairScreen(ladder, 0, 1, prices, grid, scale,
                                          u_dev)
                     drop_ticks = sorted({0, *rng.choice(t_n, 6).tolist()})
-                    # Baselines low enough that many members are candidates;
+                    # Baselines low enough that many members are listed;
                     # with no cutoff every member that closes is one.
-                    baseline = float(rng.uniform(-0.3, 0.2))
+                    low = float(rng.uniform(-0.3, 0.2))
                     cutoff = -np.inf if rng.random() < 0.5 else 5e-5
                     for name, fast, loop, ticks in (
                             ("single", _PairScreen.screen_single_bids,
                              _loop_single_bids, t_hats),
                             ("drop", _PairScreen.screen_drops, _loop_drops,
                              drop_ticks)):
-                        got, want = _Candidates(), _Candidates()
-                        fast(screen, fam, ticks, baseline, cutoff, got)
-                        loop(screen, fam, ticks, baseline, cutoff, want)
-                        assert got.members == want.members
-                        assert got.items == want.items
-                        assert all(type(g) is float for g, _ in got.items)
-                        seen[name] += len(want.items)
+                        got = fast(screen, fam, ticks, low, cutoff)
+                        want = loop(screen, fam, ticks, low, cutoff)
+                        assert got == want
+                        assert all(type(b) is float for b, _ in got[1])
+                        seen[name] += len(want[1])
                     seen["seats"].add(seat)
                     seen["regimes"].add(env.regime)
                     seen["no t0" if screen.t0 is None else "t0"] += 1
@@ -767,10 +832,11 @@ class TestScreenEquivalence:
         assert (on_edge & ~never).any()
 
 
-def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
+def _loop_single_bids(screen, family, t_hats, low, cutoff):
     """Reference single-bid screen: one (level x tick) scan per quantity
     and submission tick, one Python step per level."""
     n = screen.grid.n
+    members, found = 0, []
     quants = (family.bid_quantities if family.bid_quantities is not None
               else range(1, screen.grid.cap_index + 1))
     for k_hat in quants:
@@ -780,7 +846,7 @@ def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
         u_k = screen.u_dev[k_hat]
         for t_hat in t_hats:
             if screen.t0 is not None and screen.t0 < t_hat:
-                out.members += family.n_amounts
+                members += family.n_amounts
                 continue
             cap = min(money_units(screen.prices[t_hat] * k_hat / n,
                                   screen.scale),
@@ -789,7 +855,7 @@ def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
                 continue
             levels = np.unique(np.linspace(0, cap, family.n_amounts)
                                .round().astype(np.int64))
-            out.members += levels.size
+            members += levels.size
             if screen.md[t_hat, k_hat]:
                 levels = levels[levels > screen.dev_vals[t_hat, k_hat]]
                 if not levels.size:
@@ -815,14 +881,15 @@ def _loop_single_bids(screen, family, t_hats, baseline, cutoff, out):
                              if tc > 0 and screen.md[tc - 1, k_hat] else 0)
                 win_opt = u_k - pay_lb / screen.scale
                 opt = max(win_opt, float(screen.hh_opt[tc]))
-                if opt - baseline > cutoff:
-                    out.add(opt - baseline, Deviation(
+                if opt - low > cutoff:
+                    found.append((opt, Deviation(
                         "single-bid", quantity_k=k_hat,
                         amount=int(amt_units) / screen.scale,
-                        submit_price=float(screen.prices[t_hat])))
+                        submit_price=float(screen.prices[t_hat]))))
+    return members, found
 
 
-def _loop_drops(screen, family, drop_ticks, baseline, cutoff, out):
+def _loop_drops(screen, family, drop_ticks, low, cutoff):
     """Reference drop screen: every policy's book advanced tick by tick."""
     n = screen.grid.n
     t_n = len(screen.prices)
@@ -833,7 +900,6 @@ def _loop_drops(screen, family, drop_ticks, baseline, cutoff, out):
     d_y, d_t = np.meshgrid(ys, tq, indexing="ij")
     d_y, d_t = d_y.ravel(), d_t.ravel()
     n_pol = d_y.size
-    out.members += n_pol
 
     steps = np.arange(t_n)
     mp = np.where(steps[None, :] >= d_t[:, None],
@@ -864,6 +930,7 @@ def _loop_drops(screen, family, drop_ticks, baseline, cutoff, out):
     any_close = closed.any(axis=1)
     t_close = np.argmax(closed, axis=1)
 
+    found = []
     for j in range(n_pol):
         if not any_close[j]:
             continue
@@ -871,10 +938,11 @@ def _loop_drops(screen, family, drop_ticks, baseline, cutoff, out):
         if np.array_equal(mp[j, : tc + 1], screen.kpath[: tc + 1]):
             continue
         opt = float(w_d[j, tc]) - float(screen.r_floor[tc])
-        if opt - baseline > cutoff:
-            out.add(opt - baseline, Deviation(
+        if opt - low > cutoff:
+            found.append((opt, Deviation(
                 "drop", drop_price=float(screen.prices[d_t[j]]),
-                drop_k=int(d_y[j])))
+                drop_k=int(d_y[j]))))
+    return n_pol, found
 
 
 

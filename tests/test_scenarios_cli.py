@@ -71,8 +71,29 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="grid size"):
             Scenario.from_dict(pow_scenario(grid_n=grid_n))
 
-    @pytest.mark.parametrize("theta_grid", [0, -3])
+    @pytest.mark.parametrize("money_scale", [2.5, True, 0, "1000000"])
+    def test_money_scale_must_be_an_integer_of_at_least_one(self,
+                                                            money_scale):
+        # Not run at scale 2 or 1 in its place.
+        with pytest.raises(ScenarioError, match="money_scale"):
+            Scenario.from_dict(pow_scenario(money_scale=money_scale))
+
+    @pytest.mark.parametrize("name", ["refine", "log_rounds"])
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_flags_must_be_json_booleans(self, name, value):
+        # "false" is not read as True, nor 0 as False.
+        with pytest.raises(ScenarioError, match=f"config {name} "):
+            Scenario.from_dict(pow_scenario(**{name: value}))
+
+    @pytest.mark.parametrize("name", ["refine", "log_rounds"])
+    def test_flags_are_taken_as_given(self, name):
+        for value in (False, True):
+            cfg = Scenario.from_dict(pow_scenario(**{name: value})).config
+            assert getattr(cfg, name) is value
+
+    @pytest.mark.parametrize("theta_grid", [0, -3, 2.5, True, "3"])
     def test_sweep_type_grid_must_be_positive(self, theta_grid):
+        # Not run on 2, 1 or 3 types in its place.
         data = pow_scenario()
         data["mode"] = "sweep"
         data["sweep"] = {"theta_grid": theta_grid}
@@ -95,8 +116,8 @@ class TestRunScenario:
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
-        run_scenario(pow_scenario(), outdir=a, seed=0)
-        run_scenario(pow_scenario(), outdir=b, seed=0)
+        run_scenario(pow_scenario(), outdir=a)
+        run_scenario(pow_scenario(), outdir=b)
         for fname in ("pow-test_rounds.csv", "pow-test_outcome.json"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes()
 
@@ -187,6 +208,15 @@ class TestCli:
         assert "refine_tol must be positive and finite" in \
             capsys.readouterr().err
         assert not list(tmp_path.glob("pow-test_*"))
+
+    def test_run_takes_no_seed(self, tmp_path, capsys):
+        # No scenario mode reads a seed, so ``run`` offers none.
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "lots-example", "--seed", "3",
+                  "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_scenario(self, tmp_path, capsys):
         assert main(["run", "no-such-scenario", "--out", str(tmp_path)]) == 2
