@@ -157,26 +157,25 @@ def audit_linear_prices(record: AuctionAuditRecord) -> AuditResult:
     result.difference_identities = _difference_identities(record, cats)
     result.flags = _implied_price_flags(record, cats)
 
-    solved, free, cert = _eliminate(rows, len(cats))
+    pivots, free, cert = _eliminate(rows, len(cats))
     if cert is not None:
         result.status = "infeasible"
         result.certificate = cert
         return result
 
+    # Each pivot row reads x_j + sum over free f of c_f * x_f = rhs, so
+    # pinning the free categories at their reserves fixes every x_j.
+    x = {cats[f]: reserves[cats[f]] for f in free}
+    for j, (coeffs, rhs) in pivots.items():
+        x[cats[j]] = rhs - sum(coeffs[f] * x[cats[f]] for f in free)
     if free:
         result.status = "underdetermined"
         result.free_categories = [cats[j] for j in free]
-        rep = _representative(rows, cats, free, reserves)
-        if rep is not None:
-            result.representative = {c: v / _SCALE for c, v in rep.items()}
-            result.representative_ok = all(
-                rep[c] >= reserves[c] for c in cats)
-        else:
-            result.representative_ok = False
+        result.representative = {c: x[c] / _SCALE for c in cats}
+        result.representative_ok = all(x[c] >= reserves[c] for c in cats)
         return result
 
-    prices = {cats[j]: solved[j] / _SCALE for j in range(len(cats))}
-    result.prices = prices
+    result.prices = prices = {c: x[c] / _SCALE for c in cats}
     below = [c for c in cats if prices[c] * _SCALE < reserves[c]]
     if below:
         result.status = "infeasible"
@@ -189,7 +188,9 @@ def audit_linear_prices(record: AuctionAuditRecord) -> AuditResult:
 
 
 def _eliminate(rows, n_vars):
-    """Exact Gauss-Jordan with provenance; returns (solution, free, cert)."""
+    """Exact Gauss-Jordan with provenance; returns (pivots, free, cert):
+    ``pivots`` maps each pivot column to its reduced ``(coeffs, rhs)``
+    row, and ``free`` lists the other columns."""
     work = [([c for c in coeffs], rhs, dict(prov)) for coeffs, rhs, prov in rows]
     pivots = {}
     for j in range(n_vars):
@@ -225,29 +226,7 @@ def _eliminate(rows, n_vars):
                 "note": "no uniform per-lot prices reproduce these payments",
             }
     free = [j for j in range(n_vars) if j not in pivots]
-    if free:
-        return None, free, None
-    solution = [None] * n_vars
-    for j, i in pivots.items():
-        solution[j] = work[i][1]
-    return solution, [], None
-
-
-def _representative(rows, cats, free, reserves):
-    """Pin free categories at their reserves and solve the rest."""
-    fixed = {cats[j]: reserves[cats[j]] for j in free}
-    reduced = []
-    keep = [j for j in range(len(cats)) if j not in free]
-    for coeffs, rhs, prov in rows:
-        new_rhs = rhs - sum(coeffs[j] * fixed[cats[j]] for j in free)
-        reduced.append(([coeffs[j] for j in keep], new_rhs, dict(prov)))
-    solved, still_free, cert = _eliminate(reduced, len(keep))
-    if cert is not None or still_free:
-        return None
-    out = dict(fixed)
-    for idx, j in enumerate(keep):
-        out[cats[j]] = solved[idx]
-    return out
+    return {j: work[i][:2] for j, i in pivots.items()}, free, None
 
 
 def _difference_identities(record, cats):

@@ -54,6 +54,15 @@ def _require_count(name: str, value, least: int = 1) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}")
 
 
+def _require_real(**values) -> None:
+    """Raise ``ValueError`` naming the first value that is not a finite
+    real number; a ``bool`` is not one."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(
+                v, numbers.Real) or not math.isfinite(v):
+            raise ValueError(f"{name} must be a finite real number, not {v!r}")
+
+
 def money_units(amount: float, scale: int = MICRO) -> int:
     """Round a money amount to integer units (half away from zero)."""
     if amount >= 0:
@@ -89,10 +98,14 @@ class QuantityGrid:
 
     The constructor takes an integer N >= 1 and raises it to the nearest
     multiple that makes those three shares exact grid points, at least 4.
+    The cap is a real number in [0, 1].
     """
 
     def __init__(self, n: int, cap: float):
         _require_count("grid size", n)
+        _require_real(cap=cap)
+        if not 0 <= cap <= 1:
+            raise ValueError(f"cap {cap} is outside [0, 1]")
         frac = Fraction(cap).limit_denominator(10 ** 4)
         if abs(float(frac) - cap) > 1e-12:
             raise ValueError(f"cap {cap} is not a small rational")

@@ -881,8 +881,6 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
     model = env.models[0]
     _require_normalized_linear(model)
     dist = env.distribution
-    if dist.kind != "uniform":
-        raise AssumptionViolation("the collusion check needs a uniform type distribution")
     _require_count("theta_points", theta_points)
     _require_count("samples", samples, least=2)
     _require_count("engine_samples", engine_samples, least=0)
@@ -907,7 +905,7 @@ def check_rdr_bne(env: MarketEnv, samples: int = 100_000, seed: int = 0,
     # Monte Carlo for the top type: draw opponents, apply the per-draw
     # outcome, and validate the outcome formula on an engine subsample.
     rng = np.random.default_rng(seed)
-    draws = np.asarray(dist.sample(rng, samples), dtype=float)
+    draws = dist.sample(rng, samples)
     m_one = model.with_theta(1.0)
     spread = m_one.value(lam) - m_one.value(1.0 - lam)
     payoff = np.where(

@@ -43,7 +43,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bidbook import (_NOTHING, MICRO, BidBook, BidError, BookRows,
-                      QuantityGrid, _require_count, money_units)
+                      QuantityGrid, _require_count, _require_real,
+                      money_units)
 from .roundlog import RoundLog
 from .strategies import _EMPTY_AMTS, _EMPTY_KS
 
@@ -80,16 +81,18 @@ class AuctionConfig:
     log_rounds: bool = True
 
     def __post_init__(self):
-        for name in ("start", "eps", "max_price"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        _require_real(start=self.start, eps=self.eps,
+                      max_price=self.max_price, refine_tol=self.refine_tol)
+        for name in ("refine", "log_rounds"):
+            if not isinstance(flag := getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, not {flag!r}")
         if self.eps <= 0:
             raise ValueError("price increment must be positive")
         if self.max_price <= self.start:
             raise ValueError("max price must exceed the start price")
         # The refine bisection ends only when a tolerance at least the
         # float spacing of the clock prices is met.
-        if not (math.isfinite(self.refine_tol) and self.refine_tol > 0):
+        if not self.refine_tol > 0:
             raise ValueError("refine_tol must be positive and finite")
         spacing = math.ulp(2 * max(abs(self.start), abs(self.max_price)))
         if self.refine_tol < spacing:

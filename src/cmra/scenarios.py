@@ -24,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .audit import AuctionAuditRecord, audit_linear_prices
-from .bidbook import BidBook, BookRows, MICRO, QuantityGrid, _require_count
+from .bidbook import BidBook, BookRows, QuantityGrid, _require_count
 from .mechanism import (AuctionConfig, _emissions, revenue_curve, run_clock,
                         run_cmra)
 from .roundlog import RoundLog
@@ -90,17 +90,20 @@ class Scenario:
         mode = data.get("mode", "single")
         if mode not in ("single", "sweep", "verify", "audit"):
             raise ScenarioError(f"unknown mode {mode!r}")
+        read = {"name", "mode", mode}
+        if mode in ("single", "sweep"):
+            read |= {"auction", "environment", "strategies", "config"}
+        if unknown := sorted(set(data) - read):
+            raise ScenarioError(f"unknown {mode} scenario keys {unknown}")
         options = dict(data.get(mode, {}))
         if mode == "sweep":
             _require_count("sweep theta_grid", options.get("theta_grid", 5))
         if mode in ("verify", "audit"):
-            env = strategies = config = None
             if mode == "verify" and "claim" not in options:
                 raise ScenarioError("verify mode needs a claim name")
             if mode == "audit" and "record" not in options:
                 raise ScenarioError("audit mode needs a record name or path")
-            return cls(name, mode, env, strategies, config, options=options,
-                       raw=data)
+            return cls(name, mode, None, None, None, options=options, raw=data)
 
         env = _parse_env(data["environment"])
         tags = data.get("strategies", [])
@@ -122,49 +125,38 @@ class Scenario:
         return dict(self.raw)
 
 
+def _polynomial(coeffs, theta, cap, theta_support, regime=None):
+    return ValuationModel.polynomial(coeffs, theta, cap, regime, theta_support)
+
+
+# Each family's constructor: it takes the ``environment`` keys other than
+# ``family``, ``thetas``, ``theta_support`` and ``distribution``.
+_FAMILIES = {"power": ValuationModel.power,
+             "quadratic": ValuationModel.quadratic,
+             "polynomial": _polynomial}
+
+
 def _parse_env(spec: dict) -> MarketEnv:
-    cap = float(spec["cap"])
-    family = spec["family"]
-    thetas = spec.get("thetas", [1.0, 1.0])
-    support = tuple(spec.get("theta_support", (min(thetas), max(thetas))))
-    models = []
-    for theta in thetas:
-        if family == "power":
-            m = ValuationModel.power(float(spec["alpha"]), cap, float(theta),
-                                     support)
-        elif family == "quadratic":
-            m = ValuationModel.quadratic(float(theta),
-                                         float(spec.get("curvature", 0.5)),
-                                         cap, support)
-        elif family == "polynomial":
-            m = ValuationModel.polynomial(tuple(spec["coeffs"]), float(theta),
-                                          cap, spec.get("regime"), support)
-        else:
-            raise ScenarioError(f"unknown valuation family {family!r}")
-        models.append(m)
-    dist_spec = spec.get("distribution", {})
-    dist = TypeDistribution(dist_spec.get("kind", "uniform"),
-                            tuple(dist_spec.get("support", support)),
-                            tuple(dist_spec.get("points", ())))
-    return MarketEnv(tuple(models), cap, dist)
+    spec = dict(spec)
+    cap, family = spec.pop("cap"), spec.pop("family")
+    if family not in _FAMILIES:
+        raise ScenarioError(f"unknown valuation family {family!r}")
+    thetas = spec.pop("thetas", [1.0, 1.0])
+    support = tuple(spec.pop("theta_support", (min(thetas), max(thetas))))
+    dist = {"support": support, **spec.pop("distribution", {})}
+    models = tuple(_FAMILIES[family](theta=theta, cap=cap,
+                                     theta_support=support, **spec)
+                   for theta in thetas)
+    return MarketEnv(models, cap, TypeDistribution(**dist))
 
 
 def _parse_config(spec: dict, cap: float) -> AuctionConfig:
-    grid = QuantityGrid(spec.get("grid_n", 20), cap)
-    flags = {name: spec.get(name, True) for name in ("refine", "log_rounds")}
-    for name, value in flags.items():
-        if not isinstance(value, bool):
-            raise ScenarioError(f"config {name} must be true or false, "
-                                f"not {value!r}")
-    return AuctionConfig(
-        grid=grid,
-        eps=float(spec.get("eps", 1e-3)),
-        max_price=float(spec.get("max_price", 10.0)),
-        start=float(spec.get("start", 0.0)),
-        refine_tol=float(spec.get("refine_tol", 1e-7)),
-        money_scale=spec.get("money_scale", MICRO),
-        **flags,
-    )
+    """``grid_n`` makes the grid; the other keys are ``AuctionConfig``'s."""
+    spec = {"grid_n": 20, "eps": 1e-3, "max_price": 10.0, **spec}
+    try:
+        return AuctionConfig(QuantityGrid(spec.pop("grid_n"), cap), **spec)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"config {exc}") from exc
 
 
 # -- artifact writers ---------------------------------------------------

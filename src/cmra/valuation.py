@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .bidbook import _require_real
+
 __all__ = [
     "AssumptionViolation",
     "ValuationModel",
@@ -65,7 +67,8 @@ class ValuationModel:
     family is one of 'quadratic-decreasing', 'power' or
     'custom-polynomial'; ``coeffs`` is family specific (see the
     constructors below).  ``regime`` tags whether marginal values are
-    decreasing or non-decreasing on [0, cap].
+    decreasing or non-decreasing on [0, cap].  A ``theta``, ``cap`` or
+    coefficient that is not a finite real number raises ``ValueError``.
     """
 
     family: str
@@ -81,6 +84,7 @@ class ValuationModel:
     def quadratic(cls, theta: float, curvature: float = 0.5, cap: float = 0.9,
                   theta_support: tuple = (0.0, 1.0)) -> "ValuationModel":
         """U(x) = theta*x - curvature*x^2 with strictly decreasing marginals."""
+        _require_real(theta=theta, curvature=curvature, cap=cap)
         if curvature <= 0:
             raise ValueError("curvature must be positive for the quadratic family")
         m = cls("quadratic-decreasing", (curvature,), theta, cap, DECREASING,
@@ -97,6 +101,7 @@ class ValuationModel:
         U(cap) - U(1-cap) = theta.  alpha > 1 gives increasing
         marginals, alpha = 1 constant, alpha < 1 decreasing.
         """
+        _require_real(alpha=alpha, cap=cap, theta=theta)
         if alpha <= 0:
             raise ValueError("alpha must be positive")
         if cap <= 0.5:
@@ -116,9 +121,11 @@ class ValuationModel:
         [0, cap]; pass ``validate_regime=False`` for illustrative shapes
         whose marginals are not monotone there.
         """
-        c = tuple(float(v) for v in coeffs)
-        if len(c) != 3:
+        if len(coeffs) != 3:
             raise ValueError("coeffs must be (c1, c2, c3)")
+        _require_real(**dict(zip(("c1", "c2", "c3"), coeffs)), theta=theta,
+                      cap=cap)
+        c = tuple(float(v) for v in coeffs)
         if regime is None:
             probe = cls("custom-polynomial", c, theta, cap, DECREASING,
                         theta_support)
@@ -133,6 +140,7 @@ class ValuationModel:
         return m
 
     def with_theta(self, theta: float) -> "ValuationModel":
+        _require_real(theta=theta)
         return replace(self, theta=theta)
 
     # -- closed forms ------------------------------------------------
@@ -283,27 +291,38 @@ class ValuationModel:
 
 @dataclass(frozen=True)
 class TypeDistribution:
-    """Distribution of the private type theta: uniform or a discrete grid."""
+    """Uniform type distribution: ``kind`` is "uniform", ``support`` is
+    ``(lo, hi)``, two finite real numbers with lo <= hi (a point mass for
+    lo = hi).  Anything else raises ``ValueError``."""
 
-    kind: str = "uniform"  # 'uniform' | 'grid'
+    kind: str = "uniform"
     support: tuple = (0.0, 1.0)
-    points: tuple = ()
+
+    def __post_init__(self):
+        if self.kind != "uniform":
+            raise ValueError(f"type distribution kind must be 'uniform', "
+                             f"not {self.kind!r}")
+        if not (isinstance(self.support, (tuple, list))
+                and len(self.support) == 2):
+            raise ValueError(f"type support must be (lo, hi), "
+                             f"not {self.support!r}")
+        lo, hi = self.support
+        _require_real(support_lo=lo, support_hi=hi)
+        if lo > hi:
+            raise ValueError(f"type support ({lo}, {hi}) has lo > hi")
+        object.__setattr__(self, "support", (lo, hi))
 
     def mean(self) -> float:
-        if self.kind == "uniform":
-            lo, hi = self.support
-            return 0.5 * (lo + hi)
-        return sum(self.points) / len(self.points)
+        lo, hi = self.support
+        return 0.5 * (lo + hi)
 
     def cdf(self, t: float) -> float:
-        if self.kind == "uniform":
-            lo, hi = self.support
-            if t <= lo:
-                return 0.0
-            if t >= hi:
-                return 1.0
-            return (t - lo) / (hi - lo)
-        return sum(1 for p in self.points if p <= t) / len(self.points)
+        lo, hi = self.support
+        if t <= lo:
+            return 0.0
+        if t >= hi:
+            return 1.0
+        return (t - lo) / (hi - lo)
 
     def grid(self, n: int) -> list:
         """``n`` evenly spaced types over the support; its midpoint for 1."""
@@ -315,17 +334,12 @@ class TypeDistribution:
         return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
 
     def pdf(self, t: float) -> float:
-        if self.kind != "uniform":
-            raise ValueError("pdf defined only for the uniform family")
         lo, hi = self.support
         return 1.0 / (hi - lo) if lo <= t <= hi else 0.0
 
     def sample(self, rng, n: int):
-        if self.kind == "uniform":
-            lo, hi = self.support
-            return lo + (hi - lo) * rng.random(n)
-        idx = rng.integers(0, len(self.points), size=n)
-        return [self.points[i] for i in idx]
+        lo, hi = self.support
+        return lo + (hi - lo) * rng.random(n)
 
 
 @dataclass(frozen=True)

@@ -46,6 +46,18 @@ class TestQuantityGrid:
         with pytest.raises(ValueError):
             QuantityGrid(10, math.pi / 4)
 
+    @pytest.mark.parametrize("cap", [1.5, -0.25, True, "0.75", None])
+    def test_cap_outside_the_unit_interval_rejected(self, cap):
+        # A cap of 1.5 on 20 points would put cap_index at 30, so a
+        # record could write past its row.
+        with pytest.raises(ValueError, match="cap"):
+            QuantityGrid(20, cap)
+
+    @pytest.mark.parametrize("cap", [0, 0.5, 0.9, 1])
+    def test_cap_in_the_unit_interval_accepted(self, cap):
+        g = QuantityGrid(20, cap)
+        assert g.cap_index == round(cap * g.n)
+
 
 def lots_book():
     # Prices per share of the 4-lot supply: per-lot price x 4.

@@ -194,7 +194,10 @@ class TestConfigValidation:
         ("max_price", float("inf"), "max_price"),
         ("money_scale", 0, "money_scale"), ("money_scale", -5, "money_scale"),
         ("money_scale", 1e6, "money_scale"),
-        ("money_scale", True, "money_scale")])
+        ("money_scale", True, "money_scale"),
+        ("eps", True, "eps"), ("max_price", "2.0", "max_price"),
+        ("refine_tol", False, "refine_tol"),
+        ("refine", "false", "refine"), ("log_rounds", 0, "log_rounds")])
     def test_rejected(self, field, value, message):
         *_, config = lots_env()
         with pytest.raises(ValueError, match=message):

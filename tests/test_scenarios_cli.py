@@ -91,6 +91,47 @@ class TestScenarioParsing:
             cfg = Scenario.from_dict(pow_scenario(**{name: value})).config
             assert getattr(cfg, name) is value
 
+    @pytest.mark.parametrize("level, key, value, message", [
+        ("config", "eps", True, "config eps must be a finite real"),
+        ("config", "max_price", "2.0", "config max_price must be a finite"),
+        ("config", "epsilon", 0.1, "config .*'epsilon'"),
+        ("environment", "alpha", True, "alpha must be a finite real"),
+        ("environment", "alfa", 2.0, "'alfa'"),
+        ("environment", "thetas", [True, 0.5], "theta must be a finite real"),
+        ("environment", "validate_regime", False, "'validate_regime'"),
+        ("environment", "distribution", {"kind": "triangular"},
+         "kind must be 'uniform', not 'triangular'"),
+        ("environment", "distribution", {"points": [0.2]}, "'points'"),
+        (None, "seed", 3, r"unknown single scenario keys \['seed'\]")])
+    def test_each_key_is_taken_as_given_or_rejected(self, level, key,
+                                                    value, message):
+        # Not run with eps 1.0, max price 2.0 or the default eps in its
+        # place, nor with a misspelt key dropped.
+        data = pow_scenario()
+        (data if level is None else data[level])[key] = value
+        with pytest.raises(ScenarioError, match=message):
+            Scenario.from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"mode": "verify", "verify": {"claim": "lots-example"},
+         "config": {}},
+        {"mode": "audit", "audit": {"record": "denmark-2016"},
+         "strategies": []}])
+    def test_verify_and_audit_read_no_run_keys(self, data):
+        with pytest.raises(ScenarioError, match="unknown .* scenario keys"):
+            Scenario.from_dict(data)
+
+    def test_defaults(self):
+        data = pow_scenario()
+        data["config"] = {}
+        del data["environment"]["thetas"], data["environment"]["theta_support"]
+        scenario = Scenario.from_dict(data)
+        cfg = scenario.config
+        assert (cfg.grid.n, cfg.eps, cfg.max_price, cfg.start) == \
+            (20, 1e-3, 10.0, 0.0)
+        assert cfg.refine is cfg.log_rounds is True
+        assert scenario.env.distribution.support == (1.0, 1.0)
+
     @pytest.mark.parametrize("theta_grid", [0, -3, 2.5, True, "3"])
     def test_sweep_type_grid_must_be_positive(self, theta_grid):
         # Not run on 2, 1 or 3 types in its place.

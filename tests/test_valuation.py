@@ -308,3 +308,35 @@ class TestModelValidation:
             MarketEnv((m, m), 0.5)
         with pytest.raises(ValueError):
             ValuationModel.power(2.0, cap=0.5)
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: ValuationModel.power(True, 0.75, 0.5), "alpha"),
+        (lambda: ValuationModel.power(2.0, 0.75, "0.5"), "theta"),
+        (lambda: ValuationModel.quadratic(1.25, 0.5, cap=True), "cap"),
+        (lambda: ValuationModel.quadratic(1.25, float("nan")), "curvature"),
+        (lambda: ValuationModel.polynomial((1.0, False, 0.0)), "c2"),
+        (lambda: ValuationModel.power(2.0).with_theta(True), "theta")])
+    def test_numbers_must_be_real(self, make, name):
+        # True is not read as 1 nor "0.5" as 0.5.
+        with pytest.raises(ValueError, match=f"{name} must be a finite real"):
+            make()
+
+
+class TestTypeDistribution:
+    @pytest.mark.parametrize("args, message", [
+        (("normal",), "kind must be 'uniform'"),
+        (("grid", (0.0, 1.0)), "kind must be 'uniform'"),
+        (("uniform", (1.0, 0.5)), "lo > hi"),
+        (("uniform", (0.0, 0.5, 1.0)), "support must be"),
+        (("uniform", 1.0), "support must be"),
+        (("uniform", (True, 1.0)), "support_lo"),
+        (("uniform", (0.0, "1")), "support_hi")])
+    def test_rejected(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            TypeDistribution(*args)
+
+    def test_point_mass_and_list_support(self):
+        # A scenario's default types [1.0, 1.0] give the support (1.0, 1.0).
+        point = TypeDistribution("uniform", [1.0, 1.0])
+        assert point.support == (1.0, 1.0)
+        assert point.mean() == 1.0 and point.grid(3) == [1.0, 1.0, 1.0]
