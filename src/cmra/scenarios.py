@@ -90,7 +90,8 @@ class Scenario:
         mode = data.get("mode", "single")
         if mode not in ("single", "sweep", "verify", "audit"):
             raise ScenarioError(f"unknown mode {mode!r}")
-        read = {"name", "mode", mode}
+        # Single mode has no options object of its own.
+        read = {"name", "mode"} | ({mode} - {"single"})
         if mode in ("single", "sweep"):
             read |= {"auction", "environment", "strategies", "config"}
         if unknown := sorted(set(data) - read):

@@ -140,7 +140,6 @@ class ValuationModel:
         return m
 
     def with_theta(self, theta: float) -> "ValuationModel":
-        _require_real(theta=theta)
         return replace(self, theta=theta)
 
     # -- closed forms ------------------------------------------------

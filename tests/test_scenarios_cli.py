@@ -102,7 +102,8 @@ class TestScenarioParsing:
         ("environment", "distribution", {"kind": "triangular"},
          "kind must be 'uniform', not 'triangular'"),
         ("environment", "distribution", {"points": [0.2]}, "'points'"),
-        (None, "seed", 3, r"unknown single scenario keys \['seed'\]")])
+        (None, "seed", 3, r"unknown single scenario keys \['seed'\]"),
+        (None, "single", {}, r"unknown single scenario keys \['single'\]")])
     def test_each_key_is_taken_as_given_or_rejected(self, level, key,
                                                     value, message):
         # Not run with eps 1.0, max price 2.0 or the default eps in its
@@ -161,6 +162,27 @@ class TestRunScenario:
         run_scenario(pow_scenario(), outdir=b)
         for fname in ("pow-test_rounds.csv", "pow-test_outcome.json"):
             assert (a / fname).read_bytes() == (b / fname).read_bytes()
+
+    def test_integer_values_are_taken_as_given(self, tmp_path):
+        # JSON integers reach the constructors as ints, as they would from
+        # Python: the run is the one of the equal floats, and only an
+        # integer clock price is written as an integer.
+        runs = {}
+        for name, one in (("ints", 1), ("floats", 1.0)):
+            data = pow_scenario(name, eps=one, max_price=2 * one,
+                                start=0 * one)
+            data["environment"].update(alpha=2 * one, thetas=[one, one],
+                                       theta_support=[0 * one, one])
+            assert run_scenario(data, outdir=tmp_path)["ok"]
+            with open(tmp_path / f"{name}_rounds.csv") as fh:
+                runs[name] = list(csv.reader(fh))
+        assert (tmp_path / "ints_outcome.json").read_bytes() == \
+            (tmp_path / "floats_outcome.json").read_bytes()
+        ints, floats = runs["ints"], runs["floats"]
+        assert [r[1] for r in ints[1:6]] == ["0", "0", "0", "0", "1"]
+        assert [r[1] for r in floats[1:6]] == ["0.0"] * 4 + ["1.0"]
+        assert [r[:1] + r[2:] for r in ints] == \
+            [r[:1] + r[2:] for r in floats]
 
     def test_sweep_mode(self, tmp_path):
         data = pow_scenario("sweep-test")

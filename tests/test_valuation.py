@@ -314,8 +314,7 @@ class TestModelValidation:
         (lambda: ValuationModel.power(2.0, 0.75, "0.5"), "theta"),
         (lambda: ValuationModel.quadratic(1.25, 0.5, cap=True), "cap"),
         (lambda: ValuationModel.quadratic(1.25, float("nan")), "curvature"),
-        (lambda: ValuationModel.polynomial((1.0, False, 0.0)), "c2"),
-        (lambda: ValuationModel.power(2.0).with_theta(True), "theta")])
+        (lambda: ValuationModel.polynomial((1.0, False, 0.0)), "c2")])
     def test_numbers_must_be_real(self, make, name):
         # True is not read as 1 nor "0.5" as 0.5.
         with pytest.raises(ValueError, match=f"{name} must be a finite real"):
