@@ -46,18 +46,20 @@ two ticks the deviation's books therefore equal the ladders' books, and
 the replay resumes from the ladders' snapshot at the last snapshot tick
 not past it.
 
-The replays of the search cells (seat x deviator type x opponent type)
-of one seat and opponent type run in lockstep, in one clock loop: each
-joins at its resume tick, the opponent's book is recorded once per tick
-for all of them, and one batched closing test covers every replay still
-on the clock.  The opponent's emissions depend only on the price, so its
-book at every tick is the same for every replay, and a replay that
-closes refines from exactly the books its own clock loop would hold; the
-outcomes are those of separate runs.  The profile's own runs, the
-baselines that gains are measured against, take their first closing
-tick from the engine's closing test on the full ladders and resume from
-the last snapshot not past it, those against one opponent type in one
-such loop.  :func:`replay_deviation` runs one deviation from price 0.
+A search in verification mode replays all its search cells (seat x
+deviator type x opponent type) in one lockstep clock loop, split only
+between cells past ``_BLOCK_CELLS // (n+1)`` members: each replay joins
+at its resume tick with its own seat and opponent, each opponent's book
+is recorded once per tick for all replays against it, and one batched
+closing test covers every replay still on the clock.  An opponent's
+emissions depend only on the price, so its book at every tick is the
+same for every replay against it, and a replay that closes refines from
+exactly the books its own clock loop would hold, as in a separate run.
+The profile's own runs, the baselines that gains are measured against,
+take their first closing tick from the engine's closing test on the
+full ladders, resume from the last snapshot not past it and share one
+such loop.  In refutation mode (``stop_at_gain``) each cell replays when
+the search reaches it.  :func:`replay_deviation` runs one deviation.
 
 The module also houses the collusion-threshold analysis for the
 riskless demand-reduction strategy and the VCG outcome-equivalence
@@ -73,8 +75,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bidbook import _NOTHING, BookRows, QuantityGrid, _require_count
-from .mechanism import (AuctionConfig, _closing_rows, _emissions,
-                        _run_lockstep, run_cmra)
+from .mechanism import (_BLOCK_CELLS, AuctionConfig, _closing_rows,
+                        _emissions, _run_lockstep, run_cmra)
 from .strategies import STRATEGY_TAGS, ProxyStrategy
 from .valuation import AssumptionViolation, MarketEnv, ValuationModel
 
@@ -277,36 +279,36 @@ def _divergence_tick(deviation: Deviation, prices) -> int | None:
     return int(np.searchsorted(prices, price - _PRICE_TOL))
 
 
-def _replay_cells(seat, cells, opp, ladder, opp_row, prices,
-                  config: AuctionConfig) -> list:
-    """Engine replays of several search cells against one opponent, all
-    in one lockstep run; the outcomes of each cell, in order.
+def _replay_cells(cells, ladder, prices, config: AuctionConfig) -> list:
+    """Engine replays of search cells in lockstep runs, split between
+    cells at ``_BLOCK_CELLS // (n+1)`` members so that blocks keep their
+    length; the outcomes of each cell, in order.
 
-    A cell is ``(deviations, dev_base, dev_row, t0)``: row ``dev_row`` of
-    ``ladder`` is the headline-only ladder of ``dev_base``, row
-    ``opp_row`` the ladder of ``opp``, and ``t0`` their first closing
-    tick (None if they never close).  The run of a deviation from price 0
-    reaches the last snapshot tick at or below both ``t0`` and its
-    divergence tick with exactly the snapshots' books and no close, so it
-    joins the clock there.
+    A cell is ``(deviations, base, row, opponent, opp_row, seat, t0)``:
+    ``base`` plays in seat ``seat`` against ``opponent``, their ladders are
+    rows ``row`` and ``opp_row`` of ``ladder``, and ``t0`` is their first
+    closing tick (None if they never close).  A deviation of None replays
+    ``base`` itself.  A member's run from price 0 reaches the last
+    snapshot tick at or below both ``t0`` and its divergence tick with
+    exactly the snapshots' books and no close, so it joins the clock there.
     """
-    members, starts, rows = [], [], []
-    for deviations, dev_base, dev_row, t0 in cells:
-        for dev in deviations:
-            limit = _divergence_tick(dev, prices)
-            if t0 is not None:
-                limit = t0 if limit is None else min(limit, t0)
-            starts.append(_resume_tick(ladder, limit))
-            members.append(dev.build(dev_base))
-            rows.append(dev_row)
-    outcomes = iter(_run_lockstep(members, starts, opp, ladder.snaps, rows,
-                                  opp_row, seat, config))
-    return [[next(outcomes) for _ in cell[0]] for cell in cells]
-
-
-def _resume_tick(ladder, limit) -> int:
-    """The last snapshot tick of ``ladder`` not past ``limit`` (None: any)."""
-    return max(t for t in ladder.snaps if limit is None or t <= limit)
+    bound, runs = _BLOCK_CELLS // (config.grid.n + 1), [[]]
+    for devs, base, row, opp, opp_row, seat, t0 in cells:
+        if len(runs[-1]) + len(devs) > bound:
+            runs.append([])
+        for dev in devs:
+            div = None if dev is None else _divergence_tick(dev, prices)
+            limit = min(x for x in (t0, div, len(prices)) if x is not None)
+            start = max(t for t in ladder.snaps if t <= limit)
+            runs[-1].append((base if dev is None else dev.build(base), start,
+                             opp, row, opp_row, seat))
+    outcomes = []
+    for run in filter(None, runs):
+        strategies, starts, opps, rows, opp_rows, seats = zip(*run)
+        outcomes += _run_lockstep(strategies, starts, opps, ladder.snaps,
+                                  rows, opp_rows, seats, config)
+    replayed = iter(outcomes)
+    return [[next(replayed) for _ in cell[0]] for cell in cells]
 
 
 # -- ladder replays ---------------------------------------------------
@@ -675,19 +677,21 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     baselines = {}
 
     def baseline_run(th1, th2):
-        # The profile's own runs against ``th2``, all in one lockstep run:
-        # each first closes where its full ladders do, so it resumes from
-        # their last snapshot not past that tick.
+        # The profile's own runs, all at once or, in refutation mode, those
+        # against ``th2``: each first closes where its full ladders do, so
+        # it resumes from their last snapshot not past that tick.
         if (th1, th2) not in baselines:
-            rows, r2 = [full[th] for th in thetas], full[th2]
-            closed = _closing_rows(ladder.values[rows],
-                                   ladder.values[r2])[2]
-            starts = [_resume_tick(ladder, _first_true(c)) for c in closed]
-            outs = _run_lockstep([strat[th] for th in thetas], starts,
-                                 strat[th2], ladder.snaps, rows, r2, 0,
-                                 run_cfg)
-            for th, out in zip(thetas, outs):
-                baselines[th, th2] = out.surplus((models[th], models[th2]))
+            rows, pairs, cells = [full[th] for th in thetas], [], []
+            for opp in thetas if stop_at_gain is None else [th2]:
+                closed = _closing_rows(ladder.values[rows],
+                                       ladder.values[full[opp]])[2]
+                pairs += [(th, opp) for th in thetas]
+                cells += [([None], strat[th], full[th], strat[opp],
+                           full[opp], 0, _first_true(c))
+                          for th, c in zip(thetas, closed)]
+            for (th, opp), (out,) in zip(pairs, _replay_cells(
+                    cells, ladder, prices, run_cfg)):
+                baselines[th, opp] = out.surplus((models[th], models[opp]))
         return baselines[th1, th2]
 
     cutoff = tol / 2
@@ -720,16 +724,18 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
 
     def cell(seat, th_dev, th_opp):
         """A cell's screen and the outcomes of its replays.  Every cell
-        against ``th_opp`` in ``seat`` replays in one lockstep run, unless
-        the search may stop at the first gain over ``stop_at_gain``."""
+        replays in one lockstep run, unless the search may stop at the first
+        gain over ``stop_at_gain``: then each replays when it is reached."""
         if (seat, th_dev, th_opp) not in replayed:
-            group = thetas if stop_at_gain is None else [th_dev]
-            found = [screen_cell(seat, th, th_opp) for th in group]
-            for th, screened, outcomes in zip(group, found, _replay_cells(
-                    seat, [([dev for _, dev in top], strat[th], head[th], t0)
-                           for th, (*_, top, _, t0) in zip(group, found)],
-                    strat[th_opp], ladder, full[th_opp], prices, run_cfg)):
-                replayed[seat, th, th_opp] = screened, outcomes
+            group = ([(s, a, b) for s in seats for a in thetas for b in thetas]
+                     if stop_at_gain is None else [(seat, th_dev, th_opp)])
+            found = [screen_cell(*key) for key in group]
+            for key, screened, outcomes in zip(group, found, _replay_cells(
+                    [([dev for _, dev in top], strat[a], head[a], strat[b],
+                      full[b], s, t0)
+                     for (s, a, b), (*_, top, _, t0) in zip(group, found)],
+                    ladder, prices, run_cfg)):
+                replayed[key] = screened, outcomes
         return replayed[seat, th_dev, th_opp]
 
     reports = {}

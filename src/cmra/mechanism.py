@@ -15,22 +15,13 @@ legitimate prices), which makes recorded values converge to their
 continuous-clock suprema.
 
 There is one clock loop, :func:`_run_lockstep`, which runs any number
-of strategies in one seat against one opponent.  The books on the clock
-are rows of one ``BookRows`` state, the opponent's included, and one
-block clock, :func:`_block`, makes their emissions for a block of ticks,
-records the block in one ``BookRows.record`` call and runs one batched
-closing test over it.  A block is one tick after each join and each close,
-then doubles up to ``_BLOCK_MAX`` ticks within ``_BLOCK_CELLS`` cells; each
-bidder emits a longer block in one ``emissions`` call.  :func:`run_cmra`
-is the loop's one-member call from the start price; the deviation
-search enters it with many members, each at its own resume tick.  A
-member that closes leaves the clock, and every closer finishes at the
-loop's end in :func:`_refine_closers`: the closers' books are rows of one
-``BookRows`` state, each bisection step records one probe round on every
-closer still bisecting and runs one batched closing test, and then one
-record makes every closer's books at its final price and one batched
-solve allocates them.  A closer that does not bisect (at tick 0 or with
-refinement off) takes the same path with no probe.
+of strategies, each in its own seat against its own opponent, with every
+book on the clock a row of one ``BookRows`` state.  :func:`_block`
+advances it a block of ticks at a time, with one record and one batched
+closing test per block, and :func:`_refine_closers` finishes every close
+at the loop's end, all closers together.  :func:`run_cmra` is the loop's
+one-member call from the start price; the deviation search enters it
+with all its replays, or baselines, each at its own resume tick.
 """
 
 from __future__ import annotations
@@ -225,21 +216,23 @@ def _closing_results(b1, b2, n: int) -> list:
                 zip(k1.tolist(), partner[rows, k1].tolist()))]
 
 
-def _closing_rows(b1, b2):
+def _closing_rows(b1, b2, at=None):
     """The closing test of side-1 rows ``(..., n+1)`` against side-2 rows,
     values in money units with ``_NOTHING`` where no bid.
 
     Side 2 is one book or rows that broadcast against side 1's, such as
-    two ladders tick by tick.  Returns ``(best_pair, best_single,
-    closed)`` per row.  Bid values are non-negative and a sum with a
-    ``_NOTHING`` is negative (at least -2**63), so a revenue is negative
-    exactly when it does not exist (no feasible pair, no bid at all);
-    ``best_single`` is then ``_NOTHING``, and a missing ``best_pair`` is
-    some negative value.  The test is symmetric in the two sides; only
-    the allocation is not.
+    two ladders tick by tick; with ``at``, side-1 row i meets side-2 row
+    ``at[i]``.  Returns ``(best_pair, best_single, closed)`` per row.
+    Bid values are non-negative and a sum with a ``_NOTHING`` is negative
+    (at least -2**63), so a revenue is negative exactly when it does not
+    exist (no feasible pair, no bid at all); ``best_single`` is then
+    ``_NOTHING``, and a missing ``best_pair`` is some negative value.  The
+    test is symmetric in the two sides; only the allocation is not.
     """
     # Best partner value with x2 <= 1 - x1, indexed by x1.
     partner = np.maximum.accumulate(b2, axis=-1)[..., ::-1]
+    if at is not None:
+        partner = partner[at]
     best_pair = (b1 + partner).max(axis=-1)
     best_single = np.maximum(b1.max(axis=-1), partner[..., 0])
     # Closed: some pair exists and no single acceptance beats it.
@@ -298,121 +291,125 @@ def run_cmra(strategy1, strategy2, env, config: AuctionConfig) -> AuctionOutcome
     closing clock price.
     """
     fresh = {0: BookRows(config.grid, config.money_scale)}
-    return _run_lockstep([strategy1], [0], strategy2, fresh, [0], 0, 0,
+    return _run_lockstep([strategy1], [0], [strategy2], fresh, [0], [0], [0],
                          config)[0]
 
 
-def _run_lockstep(strategies, starts, opponent, snaps, rows, opp_row,
-                  seat: int, config: AuctionConfig) -> list:
-    """CMRA runs of many strategies against one opponent, in one clock loop.
+def _run_lockstep(strategies, starts, opponents, snaps, rows, opp_rows,
+                  seats, config: AuctionConfig) -> list:
+    """CMRA runs of many strategies, each in its own seat against its own
+    opponent, in one clock loop.
 
-    Member ``i`` plays ``strategies[i]`` in seat ``seat`` (0 or 1) and
-    joins the clock at tick ``starts[i]``; its book, with its rounds at
-    every earlier tick, none of which closed, is row ``rows[i]`` of
-    ``snaps[starts[i]]``.  Row ``opp_row`` of ``snaps[t]`` is the
-    opponent's book before tick t's round.  Nothing in ``snaps`` changes.
-    Returns each member's outcome, in member order, equal to that of its
-    own clock loop resumed at its start tick; with ``config.log_rounds``
-    each keeps the round log of the ticks it was on the clock.
+    Member ``i`` plays ``strategies[i]`` in seat ``seats[i]`` against
+    ``opponents[i]`` from tick ``starts[i]``; its book and its opponent's,
+    with their rounds at every earlier tick, none of which closed, are
+    rows ``rows[i]`` and ``opp_rows[i]`` of ``snaps[starts[i]]``, which
+    nothing changes.  Returns each member's outcome, in member order,
+    equal to that of its own clock loop resumed at its start tick; with
+    ``config.log_rounds`` each keeps the round log of its ticks.
 
-    Every book on the clock is a row of one ``BookRows`` state in seat
-    order: members' rows from ``seat`` in joining order, the opponent's
-    last in seat 0 and first in seat 1.  Emissions are pure functions of
-    the price, so the opponent's book at a tick is the same for every
-    member: its row is recorded once per tick.  The clock runs in blocks
-    (:func:`_block`): the state is recorded ahead for up to ``size``
-    ticks, which never reach the next member's start tick, and one
-    closing test covers the block.  A block is 1 tick long after each join
-    and each close, so a close soon after one wastes few ticks, and doubles
-    after each block up to ``_BLOCK_MAX``; unless it is one tick, its values
-    hold at most ``_BLOCK_CELLS`` cells, so memory stays bounded.
+    The books on the clock are rows of one ``BookRows`` state: the seat-0
+    members', one per distinct opponent (strategy object and snapshot
+    row), then the seat-1 members', each part in joining order, so each
+    member's two rows, and their faults, come in its own run's order.
+    Emissions are pure functions of the price, so an opponent's row serves
+    every member against it.  The clock runs in blocks (:func:`_block`)
+    short of the next start tick: 1 tick after each join and each close,
+    so a close soon after one wastes few ticks, then doubling up to
+    ``_BLOCK_MAX``; unless one tick long, a block's values hold at most
+    ``_BLOCK_CELLS`` cells.
 
     A member that closes leaves the clock with its own pre-tick book and
-    the opponent's, and all closers finish together once the clock stops
+    its opponent's, and all closers finish together once the clock stops
     (:func:`_refine_closers`): the loop makes no closing solve itself.
     While no member is on the clock, the clock jumps to the next start
     tick.
     """
-    outcomes = [None] * len(strategies)
-    logs = [[] for _ in strategies]
-    closers: list = []
-    pending = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
-    active: list = []
+    count = len(strategies)
+    outcomes, logs = [None] * count, [[] for _ in strategies]
+    # A row's owner is member i, or count + j for the opponent of the first
+    # member j against it; each owner's bidder, snapshot row and part.
+    first: dict = {}
+    against = [count + first.setdefault((id(opp), row), j)
+               for j, (opp, row) in enumerate(zip(opponents, opp_rows))]
+    bidder, source = [*strategies, *opponents], [*rows, *opp_rows]
+    part = [2 * seat for seat in seats] + [1] * count
+    closers, held = [], []  # held: the owner of each row of the state
+    pending = sorted(range(count), key=starts.__getitem__, reverse=True)
     t = state = None
     block = 1
-    while pending or active:
-        if not active:
+    while pending or held:
+        if not held:
             t = starts[pending[-1]]
         if pending and starts[pending[-1]] == t:
             block = 1
-            snap, joining = snaps[t], []
+            joining = []
             while pending and starts[pending[-1]] == t:
-                active.append(pending.pop())
-                joining.append(rows[active[-1]])
-            # Joining rows follow the members on the clock (none: the
-            # opponent's snapshot); in seat 0 the opponent's stays last.
-            on = len(active) - len(joining)
-            now, rows_now = (state, range(on + 1)) if on else (snap, [opp_row])
-            state = BookRows.join(
-                [(now, rows_now), (snap, joining)] if seat == 1 else
-                [(now, rows_now[:-1]), (snap, joining), (now, rows_now[-1:])])
+                i = pending.pop()
+                joining += [i, against[i]]
+            at = {o: r for r, o in enumerate(held)}
+            held = sorted(dict.fromkeys(held + joining), key=part.__getitem__)
+            state = BookRows.join([(state, [at[o]]) if o in at
+                                   else (snaps[t], [source[o]]) for o in held])
+        if block == 1:  # as after a join or a close, which change the rows
+            at = {o: r for r, o in enumerate(held)}
+            active = [i for i in held if i < count]
+            own = [at[i] for i in active]
+            opp = [at[against[i]] for i in active]
+            bidders = [bidder[o] for o in held]
         if t >= config.ticks:
             for i in active:
                 outcomes[i] = _outcome(config, logs[i])
-            active = []
+            held = []
             continue
-        cells = (len(active) + 1) * (config.grid.n + 1)  # per tick
+        cells = len(held) * (config.grid.n + 1)  # per tick
         size = min(block, max(1, _BLOCK_CELLS // cells),
                    starts[pending[-1]] - t if pending else block)
         block = min(2 * block, _BLOCK_MAX)
-        ticks, closed, state = _block(active, strategies, state, opponent,
-                                      seat, t, size, config, logs)
+        ticks, closed, state = _block(active, own, opp, bidders, state, t,
+                                      size, config, logs)
         t += ticks
-        if not closed:
-            continue
-        block = 1
-        gone = {c.member for c in closed}
-        active = [i for i in active if i not in gone]
-        closers += closed
+        if closed:
+            block = 1
+            closers += closed
+            on = set(active) - {c.member for c in closed}
+            on |= {against[i] for i in on}
+            held = [o for o in held if o in on]
     if closers:
         for c, (price, books, pair, result, fallback) in zip(
-                closers, _refine_closers(closers, strategies, opponent, seat,
-                                         config)):
+                closers, _refine_closers(closers, strategies, config)):
             outcomes[c.member] = _build_outcome(price, books, pair, result,
                                                 config, logs[c.member],
                                                 fallback)
     return outcomes
 
 
-def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
-           size: int, config: AuctionConfig, logs) -> tuple:
+def _block(active, own, opp, bidders, state: BookRows, t: int, size: int,
+           config: AuctionConfig, logs) -> tuple:
     """Up to ``size`` clock ticks of the active members from tick ``t``.
 
-    ``state`` holds the books on the clock as rows in seat order.  The
-    block makes every row's emissions (:func:`_emissions`) to the first
-    tick where one raises, records them in one ``BookRows.record`` call,
-    which keeps the ticks before a fault and fills one ``(rows, K, n+1)``
-    values array for one closing test of the member rows against the
-    opponent's, and ends at the clock's last tick or the first tick
+    ``state`` holds the books on the clock, row r bid by ``bidders[r]``:
+    member ``active[j]``'s in row ``own[j]``, its opponent's in ``opp[j]``.
+    The block makes every row's emissions (:func:`_emissions`) to the
+    first tick where one raises, records them in one ``BookRows.record``
+    call, which keeps the ticks before a fault and fills one ``(rows, K,
+    n+1)`` values array for one closing test of each member's row against
+    its opponent's, and ends at the clock's last tick or the first tick
     where some member closes; each member's log gets a tick record per
     tick up to it.  An exception surfaces only when no tick of the block
     closes, and it is the first one a tick-by-tick loop meets.
 
     Returns ``(ticks, closers, state)``: the ticks the clock advanced, a
     :class:`_Closer` per member that closed at the last of them, and the
-    state after it without the closers' rows (None when every member
-    closed).  The state is copied once, at the block's start; rows
-    recorded past the close, and the closers' rows before their closing
-    tick, are rebuilt from the copy by one record of the ticks before
-    the close and one of the closing tick, so the block is exact for any
-    length and number of members.
+    state after it without the closers' rows or an opponent's row no
+    member left bids against (None when every member closed).  The state
+    is copied once, at the block's start; rows recorded past the close,
+    and the closers' rows before their closing tick, are rebuilt from the
+    copy by one record of the ticks before the close and one of the
+    closing tick, so the block is exact for any length and membership.
     """
     width = len(active)
-    opp = width if seat == 0 else 0  # members' rows start at ``seat``
-    bidders = [strategies[i] for i in active]
-    bidders.insert(opp, opponent)
-    shape = (width + 1, size, config.grid.n + 1)
-    values = np.empty(shape, np.int64)
+    values = np.empty((len(bidders), size, config.grid.n + 1), np.int64)
     base = state.copy()
     prices = [config.price(t + j) for j in range(min(size, config.ticks - t))]
     emitted, error = _emissions(bidders, prices)
@@ -426,9 +423,12 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
             error = exc
             del prices[exc.tick:], emitted[exc.tick:]
     ticks = len(prices)
-    own, opp_rows = slice(seat, seat + width), slice(opp, opp + 1)
+    # Rows rise: members' are a slice unless both seats are on the clock.
+    rows = slice(own[0], own[-1] + 1) if own[-1] - own[0] < width else own
+    lo, top = min(opp), max(opp)
     best_pair, best_single, closed = _closing_rows(
-        values[own, :ticks], values[opp_rows, :ticks])
+        values[rows, :ticks], values[lo:top + 1, :ticks],
+        None if lo == top else [o - lo for o in opp])
     closed = closed.T.ravel().tolist()  # member r at tick j: [j * width + r]
     first = closed.index(True) // width if True in closed else None
     if first is not None:
@@ -437,11 +437,10 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
         best_pair, best_single = best_pair.T.tolist(), best_single.T.tolist()
         for j in range(ticks):
             emits = emitted[j]
-            for r, i in enumerate(active):
+            for r, (i, a, b) in enumerate(zip(active, own, opp)):
                 r_star = max(best_pair[j][r], best_single[j][r])
                 _log_round(logs[i], t + j, prices[j],
-                           (emits[r], emits[opp]) if seat == 0
-                           else (emits[0], emits[r + 1]),
+                           (emits[min(a, b)], emits[max(a, b)]),
                            closed[j * width + r],
                            r_star if r_star >= 0 else None)
     if first is None:
@@ -459,25 +458,25 @@ def _block(active, strategies, state: BookRows, opponent, seat: int, t: int,
         hi = base.copy()
         hi.record(prices[first:first + 1], emitted[first:first + 1])
     flags = closed[first * width:ticks * width]
-    flags.insert(opp, False)  # per row of the state
     done = [r for r, flag in enumerate(flags) if flag]
-    members = [active[r - seat] for r in done]
-    state = None
-    if len(done) < width:
+    stay = [r for r, flag in enumerate(flags) if not flag]
+    state, at = None, range(len(bidders))
+    if stay:
         # Rows stay on the clock: the closers keep copies of their rows
-        # and the opponent's, which nothing records on again.
-        state = hi.take([r for r, flag in enumerate(flags) if not flag])
-        base, hi = base.take(done + [opp]), hi.take(done + [opp])
-        done, opp = range(len(done)), len(done)
-    closers = [_Closer(i, t + first, base, hi, r, opp)
-               for i, r in zip(members, done)]
+        # and their opponents', which nothing records on again.
+        state = hi.take(sorted({x for r in stay for x in (own[r], opp[r])}))
+        kept = sorted({x for r in done for x in (own[r], opp[r])})
+        base, hi = base.take(kept), hi.take(kept)
+        at = {row: j for j, row in enumerate(kept)}
+    closers = [_Closer(active[r], t + first, base, hi, at[own[r]], at[opp[r]],
+                       bidders[opp[r]], int(own[r] > opp[r])) for r in done]
     return ticks, closers, state
 
 
 class _Closer(NamedTuple):
-    """A member that closed at clock tick ``tick``.  Its book is row
-    ``own`` and the opponent's row ``opp`` of ``base``, before the tick's
-    round, and of ``hi``, after it; nothing records on either again."""
+    """A member that closed at clock tick ``tick`` in ``seat``.  Its book is
+    row ``own`` and ``opponent``'s row ``opp`` of ``base``, before the
+    tick's round, and of ``hi``, after it; nothing records on either again."""
 
     member: int
     tick: int
@@ -485,19 +484,22 @@ class _Closer(NamedTuple):
     hi: BookRows
     own: int
     opp: int
+    opponent: object
+    seat: int
 
 
-def _solve_rows(state: BookRows, own, opp, seat: int) -> list:
+def _solve_rows(state: BookRows, own, opp, seats) -> list:
     """``(pair, result)`` per row pair: rows ``own[i]`` and ``opp[i]`` of
-    ``state`` in seat order, and their closing solve, all in one."""
-    pairs = list(zip(own, opp) if seat == 0 else zip(opp, own))
+    ``state`` in the order of seat ``seats[i]``, and their closing solve,
+    all in one."""
+    pairs = [(a, b) if seat == 0 else (b, a)
+             for a, b, seat in zip(own, opp, seats)]
     first, second = (list(rows) for rows in zip(*pairs))
     return list(zip(pairs, _closing_results(
         state.values[first], state.values[second], state.grid.n)))
 
 
-def _refine_closers(closers, strategies, opponent, seat: int,
-                    config: AuctionConfig) -> list:
+def _refine_closers(closers, strategies, config: AuctionConfig) -> list:
     """Bisect every closer's continuous closing price, all in one loop, and
     solve every closer's books at its final price in one batched solve.
 
@@ -508,9 +510,9 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     closing price; a probe needs only the closing flag.  A closer's probes
     depend on its own books and interval alone, so bisecting all at once
     gives each closer the probes it would make by itself.  The books of
-    all closers live in one ``BookRows``, members' rows first, and each
-    step makes one record on the closers still bisecting and one batched
-    closing test.
+    all closers live in one ``BookRows``, members' rows first and then
+    each closer's opponent's, and each step makes one record on the
+    closers still bisecting and one batched closing test.
 
     Returns ``(price, state, seat-ordered rows, ClosingResult, fallback)``
     per closer.  One record on the state makes every closer's books at its
@@ -524,7 +526,8 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     tol = config.refine_tol
     state = BookRows.join([(c.base, [c.own]) for c in closers]
                           + [(c.base, [c.opp]) for c in closers])
-    bidders = [strategies[c.member] for c in closers] + [opponent] * m
+    bidders = ([strategies[c.member] for c in closers]
+               + [c.opponent for c in closers])
     lo = [config.price(c.tick - 1) for c in closers]
     hi = [config.price(c.tick) for c in closers]
     live = [j for j, c in enumerate(closers) if config.refine and c.tick > 0
@@ -562,10 +565,10 @@ def _refine_closers(closers, strategies, opponent, seat: int,
     state.record([prices], [[_emit(b, p) for b, p in zip(bidders, prices)]])
     refined = []
     for c, price, (pair, result) in zip(closers, hi, _solve_rows(
-            state, range(m), range(m, 2 * m), seat)):
+            state, range(m), range(m, 2 * m), [c.seat for c in closers])):
         fallback = not result.closed
         if fallback:
-            (pair, result), = _solve_rows(c.hi, [c.own], [c.opp], seat)
+            (pair, result), = _solve_rows(c.hi, [c.own], [c.opp], [c.seat])
         refined.append((price, c.hi if fallback else state, pair, result,
                         fallback))
     return refined

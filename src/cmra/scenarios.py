@@ -97,6 +97,10 @@ class Scenario:
         if unknown := sorted(set(data) - read):
             raise ScenarioError(f"unknown {mode} scenario keys {unknown}")
         options = dict(data.get(mode, {}))
+        # Verify options pass through to the claim, which drops any other.
+        keys = {"sweep": {"theta_grid"}, "audit": {"record"}}.get(mode)
+        if keys is not None and (unknown := sorted(set(options) - keys)):
+            raise ScenarioError(f"unknown {mode} option keys {unknown}")
         if mode == "sweep":
             _require_count("sweep theta_grid", options.get("theta_grid", 5))
         if mode in ("verify", "audit"):

@@ -37,6 +37,17 @@ class AssumptionViolation(ValueError):
     """A model or environment breaks one of the maintained assumptions."""
 
 
+def _require_support(name: str, support) -> tuple:
+    """``support`` as ``(lo, hi)`` of finite reals, lo <= hi, or ValueError."""
+    if not (isinstance(support, (tuple, list)) and len(support) == 2):
+        raise ValueError(f"{name} must be (lo, hi), not {support!r}")
+    lo, hi = support
+    _require_real(**{f"{name}_lo": lo, f"{name}_hi": hi})
+    if lo > hi:
+        raise ValueError(f"{name} ({lo}, {hi}) has lo > hi")
+    return lo, hi
+
+
 def _bisect(f, lo: float, hi: float, tol: float = _BISECT_TOL) -> float:
     """Root of a monotone function on [lo, hi] to absolute tolerance on x."""
     flo, fhi = f(lo), f(hi)
@@ -68,7 +79,8 @@ class ValuationModel:
     'custom-polynomial'; ``coeffs`` is family specific (see the
     constructors below).  ``regime`` tags whether marginal values are
     decreasing or non-decreasing on [0, cap].  A ``theta``, ``cap`` or
-    coefficient that is not a finite real number raises ``ValueError``.
+    coefficient that is not a finite real number raises ``ValueError``, as
+    does a ``theta_support`` that ``TypeDistribution`` would reject.
     """
 
     family: str
@@ -270,6 +282,8 @@ class ValuationModel:
         )
 
     def _validate(self, check_regime: bool = True) -> None:
+        object.__setattr__(self, "theta_support", _require_support(
+            "theta_support", self.theta_support))
         if not 0.0 < self.cap < 1.0:
             raise ValueError("cap must lie in (0, 1)")
         ms = [self.marginal(min(i * 1e-3, self.cap))
@@ -301,15 +315,8 @@ class TypeDistribution:
         if self.kind != "uniform":
             raise ValueError(f"type distribution kind must be 'uniform', "
                              f"not {self.kind!r}")
-        if not (isinstance(self.support, (tuple, list))
-                and len(self.support) == 2):
-            raise ValueError(f"type support must be (lo, hi), "
-                             f"not {self.support!r}")
-        lo, hi = self.support
-        _require_real(support_lo=lo, support_hi=hi)
-        if lo > hi:
-            raise ValueError(f"type support ({lo}, {hi}) has lo > hi")
-        object.__setattr__(self, "support", (lo, hi))
+        object.__setattr__(self, "support",
+                           _require_support("support", self.support))
 
     def mean(self) -> float:
         lo, hi = self.support

@@ -41,7 +41,7 @@ class BlockLog(list):
     close tick or None)``, in call order.  ``joint`` holds, per block of
     several members, ``(members, length, ticks recorded, closers)``, and
     ``calls`` every block as ``(first tick, members, length, ticks
-    recorded, closers)``."""
+    recorded, closers, opponents)``."""
 
     def __init__(self):
         super().__init__()
@@ -54,10 +54,11 @@ def blocks(monkeypatch):
     seen = BlockLog()
     real = mechanism._block
 
-    def spy(active, strategies, state, opponent, seat, t, size, *rest):
-        ticks, closers, state = real(active, strategies, state, opponent,
-                                     seat, t, size, *rest)
-        seen.calls.append((t, tuple(active), size, ticks, len(closers)))
+    def spy(active, own, opp, bidders, state, t, size, *rest):
+        ticks, closers, state = real(active, own, opp, bidders, state, t,
+                                     size, *rest)
+        seen.calls.append((t, tuple(active), size, ticks, len(closers),
+                           len(bidders) - len(active)))
         if len(active) == 1:
             seen.append((t, size, ticks,
                          closers[0].tick if closers else None))
@@ -75,10 +76,10 @@ def assert_block_rule(calls, starts, n, seen):
     blocks of several members longer than one tick, and those that closed
     before their last tick with other members left on the clock."""
     block, before = 1, None  # the last block's members and closers
-    for t, members, size, ticks, closers in calls:
+    for t, members, size, ticks, closers, opponents in calls:
         reset = before is None or before[1] or not set(members) <= before[0]
         block = 1 if reset else min(2 * block, mechanism._BLOCK_MAX)
-        cells = (len(members) + 1) * (n + 1)  # per tick
+        cells = (len(members) + opponents) * (n + 1)  # per tick
         assert size == 1 or cells * size <= mechanism._BLOCK_CELLS
         assert size == min([block, max(1, mechanism._BLOCK_CELLS // cells)]
                            + [s - t for s in starts if s > t])
@@ -118,7 +119,7 @@ def random_strategy(seed, make, model, config):
 def lone_run(member, opponent, seat, config):
     """A one-member lockstep run from the start price in ``seat``."""
     fresh = {0: BookRows(config.grid, config.money_scale)}
-    out, = _run_lockstep([member], [0], opponent, fresh, [0], 0, seat,
+    out, = _run_lockstep([member], [0], [opponent], fresh, [0], [0], [seat],
                          config)
     return out
 
@@ -230,9 +231,10 @@ class TestBlockClock:
             # Member i's book is row i, the opponent's the last row.
             snaps = snapshots(members + [opponent], max(starts) + 1, config)
             del blocks[:], blocks.calls[:]
-            got = _run_lockstep(members, starts, opponent, snaps,
-                                list(range(len(members))), len(members),
-                                seat, config)
+            count = len(members)
+            got = _run_lockstep(members, starts, [opponent] * count, snaps,
+                                list(range(count)), [count] * count,
+                                [seat] * count, config)
             for out, want, start in zip(got, wants, starts):
                 assert_same_outcome(out, want, (i, profile), start)
             assert_block_rule(blocks.calls, starts, grid.n, rule)
@@ -309,8 +311,9 @@ class TestBlockClock:
             fresh = {0: BookRows(grid, config.money_scale)}
             tracemalloc.start()
             try:
-                _run_lockstep(members, [0] * count, make(model(0.95), grid),
-                              fresh, [0] * count, 0, 0, config)
+                _run_lockstep(members, [0] * count,
+                              [make(model(0.95), grid)] * count, fresh,
+                              [0] * count, [0] * count, [0] * count, config)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -349,10 +352,10 @@ class TestBlockClock:
         size = 7
         rewound = 0
 
-        def wide(active, strategies, state, opponent, seat, t, _, *rest):
+        def wide(active, own, opp, bidders, state, t, _, *rest):
             nonlocal rewound
-            ticks, closers, state = real(active, strategies, state, opponent,
-                                         seat, t, size, *rest)
+            ticks, closers, state = real(active, own, opp, bidders, state, t,
+                                         size, *rest)
             rewound += 0 < len(closers) < len(active) and ticks < size
             return ticks, closers, state
         monkeypatch.setattr(mechanism, "_block", wide)
@@ -436,9 +439,10 @@ class TestBlockClock:
             # The opponent's book is row 0, member k's row k + 1.
             snaps = snapshots([opp] + bidders, max(starts) + 1, config)
             kept = {t: rows.copy() for t, rows in snaps.items()}
-            got = _run_lockstep(bidders, starts, opp, snaps,
-                                list(range(1, len(thetas) + 1)), 0, seat,
-                                config)
+            count = len(thetas)
+            got = _run_lockstep(bidders, starts, [opp] * count, snaps,
+                                list(range(1, count + 1)), [0] * count,
+                                [seat] * count, config)
             for k, (out, want) in enumerate(zip(got, wants)):
                 assert_same_outcome(out, want, (i, profile, seat, k),
                                     starts[k])
@@ -493,8 +497,8 @@ def run_several_members(rng, i, refine, count=6, drop_at_start=False):
         for m in members()]
     fresh = {0: BookRows(config.grid, config.money_scale)}
     bidders = members()
-    got = _run_lockstep(bidders, [0] * count, opponent(), fresh, [0] * count,
-                        0, seat, config)
+    got = _run_lockstep(bidders, [0] * count, [opponent()] * count, fresh,
+                        [0] * count, [0] * count, [seat] * count, config)
     for k, (out, want) in enumerate(zip(got, wants)):
         assert_same_outcome(out, want, (i, profile, family, seat, k))
     return config, seat, bidders, got
@@ -560,9 +564,10 @@ def run_both(members, opponent, seat, config):
         want = exc
     try:
         fresh = {0: BookRows(config.grid, config.money_scale)}
-        got = _run_lockstep([m() for m in members], [0] * len(members),
-                            opponent(), fresh, [0] * len(members), 0, seat,
-                            config)[0]
+        count = len(members)
+        got = _run_lockstep([m() for m in members], [0] * count,
+                            [opponent()] * count, fresh, [0] * count,
+                            [0] * count, [seat] * count, config)[0]
     except (BidError, EmissionFault) as exc:
         got = exc
     return got, want
@@ -718,8 +723,10 @@ class TestIllegalEmissions:
                                    "raise")
             state = BookRows(grid, config.money_scale, 2)
             with pytest.raises(EmissionFault) as got:
-                mechanism._block([0], [member], state, opponent, seat, 0,
-                                 size, config, [[]])
+                mechanism._block([0], [seat], [1 - seat],
+                                 (member, opponent) if seat == 0
+                                 else (opponent, member), state, 0, size,
+                                 config, [[]])
             books, want = tick_by_tick(
                 (member, opponent) if seat == 0 else (opponent, member),
                 config, size)

@@ -14,16 +14,19 @@ import pytest
 
 from reference_engine import (ReferenceBidBook, reference_round,
                               reference_run_cmra, sentinel_values)
+from test_block_clock import (EmissionFault, _Faulty, assert_same_outcome,
+                              faulty_auction, snapshots)
 
 from cmra import (AssumptionViolation, AuctionConfig, AuctionOutcome,
                   MarketEnv, QuantityGrid, TypeDistribution, ValuationModel,
                   check_expost, check_rdr_bne, minimal_winning_bid,
                   rdr_threshold, replay_deviation, run_cmra,
                   vcg_equivalence_check, vcg_outcome)
-from cmra.bidbook import _NOTHING, money_units
+from cmra.bidbook import _NOTHING, BidError, BookRows, money_units
 from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
                               _Ladder, _PairScreen, _replay_cells,
                               _uniform_partial_mean)
+from cmra.mechanism import _run_lockstep
 from cmra.strategies import STRATEGY_TAGS
 
 _NEG = np.int64(-(2 ** 53))  # the screens' marker for an absent bid or pair
@@ -605,8 +608,8 @@ class TestResumedReplay:
                     batch = [_random_deviation(rng, cfg, prices, t_n)
                              for _ in range(10)]
                     got, = _replay_cells(
-                        seat, [([dev for dev, _ in batch], base, 0, t0)],
-                        opp, ladder, 1, prices, cfg)
+                        [([dev for dev, _ in batch], base, 0, opp, 1, seat,
+                          t0)], ladder, prices, cfg)
                     starts, closes = set(), set()
                     for (dev, div), out in zip(batch, got):
                         pair = (dev.build(make(md, grid)), make(mo, grid))
@@ -637,6 +640,113 @@ class TestResumedReplay:
         assert min(seen["at 0"], seen["at t0"], seen["below t0"],
                    seen["past t0"], seen["mixed starts"],
                    seen["mixed closes"]) > 0, seen
+
+
+class TestMergedRuns:
+    """One lockstep run of members of both seats against several opponent
+    types, each member against its own reference run from price 0."""
+
+    def test_matches_reference_runs(self):
+        rng = np.random.default_rng(31)
+        seen = {"kinds": set(), "refined": 0, "unrefined": 0, "unclosed": 0,
+                "late starts": 0, "both seats on": 0, "three opponents": 0}
+        for i in range(12):
+            profile = ("cmra-truthful", "constant", "clock-truthful")[i % 3]
+            env, cap, top = ((pow_env(), 0.75, 1.6) if i // 3 % 2 == 0
+                             else (quad_env(), 0.9, 1.5))
+            cfg = replace(small_config(cap, top if i % 4 else 0.6, 2e-2),
+                          refine=bool(i % 3), log_rounds=True,
+                          start=float(rng.choice([0.0, 0.13])))
+            grid, t_n = cfg.grid, cfg.ticks
+            prices = cfg.price(np.arange(t_n))
+            lo, hi = env.distribution.support
+            make = STRATEGY_TAGS[profile]
+            count, kinds = 12, 2 + i % 2
+            opp_thetas = [float(th) for th in rng.uniform(lo, hi, kinds)]
+            thetas = [float(th) for th in rng.uniform(lo, hi, count)]
+            devs = [_random_deviation(rng, cfg, prices, t_n)[0]
+                    for _ in range(count)]
+            seats = [int(s) for s in rng.integers(0, 2, count)]
+            which = [k % kinds for k in range(count)]
+
+            def member(k):
+                model = env.models[seats[k]].with_theta(thetas[k])
+                return devs[k].build(make(model, grid))
+
+            def opponent(o, seat):
+                return make(env.models[1 - seat].with_theta(opp_thetas[o]),
+                            grid)
+            wants = []
+            for k in range(count):
+                pair = (member(k), opponent(which[k], seats[k]))
+                wants.append(reference_run_cmra(
+                    *(pair if seats[k] == 0 else pair[::-1]), cfg))
+            ends = [w.rounds[-1][0] for w in wants]
+            starts = [int(rng.integers(0, end + 1)) if k % 3 else 0
+                      for k, end in enumerate(ends)]
+            # One opponent object per type, whichever seat it faces.
+            opps = [opponent(o, 0) for o in range(kinds)]
+            members = [member(k) for k in range(count)]
+            snaps = snapshots(opps + members, max(starts) + 1, cfg)
+            got = _run_lockstep(members, starts, [opps[o] for o in which],
+                                snaps, [kinds + k for k in range(count)],
+                                which, seats, cfg)
+            for k, (out, want) in enumerate(zip(got, wants)):
+                assert_same_outcome(out, want, (i, profile, k), starts[k])
+                seen["kinds"].add(devs[k].kind)
+                seen["refined" if cfg.refine else "unrefined"] += want.closed
+                seen["unclosed"] += not want.closed
+                seen["late starts"] += starts[k] > 0
+            on = [[k for k in range(count) if starts[k] <= t <= ends[k]]
+                  for t in range(max(ends) + 1)]
+            seen["both seats on"] += any(
+                len({seats[k] for k in ks}) == 2 and len({which[k] for k in
+                                                          ks}) >= 2
+                for ks in on)
+            seen["three opponents"] += any(len({which[k] for k in ks}) == 3
+                                           for ks in on)
+        assert seen.pop("kinds") == {"headline-only", "drop", "single-bid"}
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("seat", [0, 1])
+    @pytest.mark.parametrize("faults", [("negative", "bid-cap"),
+                                        ("bid-cap", "negative"),
+                                        ("raise", "raise")])
+    def test_fault_on_a_shared_tick(self, seat, faults):
+        """A member and the opponent it shares with members of the other
+        seat fault on one tick: the run raises what the member's own run
+        raises, the member's fault in seat 0 and the opponent's in seat 1."""
+        make, models, config, close = faulty_auction("cmra-truthful")
+        grid = config.grid
+        bad_price = config.start + (close - 2.5) * config.eps
+
+        def member():
+            return _Faulty(make(models[0], grid), bad_price, faults[0])
+
+        def opponent():
+            return _Faulty(make(models[1], grid), bad_price, faults[1])
+        def lone(member_seat):
+            pair = (member(), opponent())
+            with pytest.raises((BidError, EmissionFault)) as info:
+                reference_run_cmra(*(pair if member_seat == 0
+                                     else pair[::-1]), config)
+            return info.value
+        want = lone(seat)
+        # The other seat order meets the other fault first.
+        assert str(lone(1 - seat)) != str(want)
+        # Healthy members of the member's type in both seats, against the
+        # faulty opponent and a healthy one of another type.
+        other = make(models[0].with_theta(0.55), grid)
+        shared = opponent()
+        members = [make(models[0], grid) for _ in range(4)] + [member()]
+        opps = [shared, other, shared, other, shared]
+        seats = [1 - seat, 1 - seat, seat, seat, seat]
+        fresh = {0: BookRows(grid, config.money_scale)}
+        with pytest.raises(type(want)) as got:
+            _run_lockstep(members, [0] * 5, opps, fresh, [0] * 5, [0] * 5,
+                          seats, config)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
 
 
 class _ReferenceLadder:

@@ -606,9 +606,9 @@ FAMILIES = {
 
 def run_to_close(member, opponent, config):
     """A member's own clock loop on reference books, up to its first
-    closing tick t > 0: the ``_Closer`` of that tick, or None.  The
-    closing test is seat-symmetric, so the closer is the same in either
-    seat."""
+    closing tick t > 0: the ``_Closer`` of that tick in seat 0, or None.
+    The closing test is seat-symmetric, so in seat 1 only its ``seat``
+    differs."""
     books = (ReferenceBidBook(config.grid, config.money_scale),
              ReferenceBidBook(config.grid, config.money_scale))
     t = 0
@@ -620,7 +620,7 @@ def run_to_close(member, opponent, config):
         if _closing_rows(sentinel_values(books[0]),
                          sentinel_values(books[1]))[2]:
             return _Closer(None, t, to_rows(*base), to_rows(*books), 0,
-                           1) if t > 0 else None
+                           1, opponent, 0) if t > 0 else None
         t += 1
     return None
 
@@ -644,7 +644,8 @@ def assert_refine_matches(closers, members, opponent, seat, config,
     """Each closer's refine against the scalar bisection; with
     ``last_probes``, count the closers by whether the last probe of their
     bisection closed (True), did not (False) or was never made (None)."""
-    got = _refine_closers(closers, members, opponent, seat, config)
+    closers = [c._replace(opponent=opponent, seat=seat) for c in closers]
+    got = _refine_closers(closers, members, config)
     probes = []
     closing_rows = reference_engine._closing_rows
 

@@ -122,6 +122,34 @@ class TestScenarioParsing:
         with pytest.raises(ScenarioError, match="unknown .* scenario keys"):
             Scenario.from_dict(data)
 
+    @pytest.mark.parametrize("mode, options, bad", [
+        ("sweep", {"theta_grdi": 3}, "theta_grdi"),
+        ("sweep", {"theta_grid": 3, "seed": 1}, "seed"),
+        ("audit", {"record": "denmark-2016", "recrd": "x"}, "recrd")])
+    def test_sweep_and_audit_options_are_checked(self, mode, options, bad):
+        # Not run on the default 5 types, nor with a misspelt key dropped.
+        data = pow_scenario() if mode == "sweep" else {}
+        data.update({"mode": mode, mode: options})
+        with pytest.raises(ScenarioError,
+                           match=rf"unknown {mode} option keys \['{bad}'\]"):
+            Scenario.from_dict(data)
+        del options[bad]
+        assert Scenario.from_dict(data).options == options
+
+    def test_theta_support_is_checked(self):
+        # Not first inside rdr_threshold, with the distribution's support
+        # given apart.
+        data = pow_scenario()
+        data["environment"].update(theta_support=[True, "x"], distribution={
+            "support": [0.1, 1.0]})
+        with pytest.raises(ScenarioError, match="theta_support_lo must be"):
+            Scenario.from_dict(data)
+
+    def test_verify_options_pass_through(self):
+        options = {"claim": "lots-example", "theta_grdi": 3}
+        scenario = Scenario.from_dict({"mode": "verify", "verify": options})
+        assert scenario.options == options
+
     def test_defaults(self):
         data = pow_scenario()
         data["config"] = {}

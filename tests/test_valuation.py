@@ -320,6 +320,27 @@ class TestModelValidation:
         with pytest.raises(ValueError, match=f"{name} must be a finite real"):
             make()
 
+    @pytest.mark.parametrize("support, message", [
+        ((True, "x"), "theta_support_lo must be a finite real"),
+        ((0.1, "1.0"), "theta_support_hi must be a finite real"),
+        ((0.1, float("inf")), "theta_support_hi must be a finite real"),
+        ((1.0, 0.1), r"theta_support \(1.0, 0.1\) has lo > hi"),
+        ((0.1, 0.5, 1.0), r"theta_support must be \(lo, hi\)"),
+        (0.5, r"theta_support must be \(lo, hi\)")])
+    def test_theta_support_is_checked(self, support, message):
+        # By each constructor, not first inside rdr_threshold.
+        for make in (
+                lambda: ValuationModel.power(2.0, theta_support=support),
+                lambda: ValuationModel.quadratic(1.25, theta_support=support),
+                lambda: ValuationModel.polynomial((1.0, 0.0, 0.0),
+                                                  theta_support=support)):
+            with pytest.raises(ValueError, match=message):
+                make()
+
+    def test_theta_support_point_and_list(self):
+        m = ValuationModel.power(2.0, theta=0.5, theta_support=[0.5, 0.5])
+        assert m.theta_support == (0.5, 0.5)
+
 
 class TestTypeDistribution:
     @pytest.mark.parametrize("args, message", [

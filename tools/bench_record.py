@@ -25,8 +25,10 @@ Measured, each as the minimum over 7 runs:
   with warm emission memos; the block closes on none of its ticks.
 - ``refine_us``: one ``mechanism._refine_closers`` call on the closers
   of a lockstep run of 1 and of 64 cmra-truthful members at n = 20
-  (power valuations, cap 0.75, clock step 0.005) against one opponent:
-  their bisections, the record at their final prices and the solve.
+  (power valuations, cap 0.75, clock step 0.005) against one opponent in
+  seat 0, and of 64 members split over two opponents and both seats
+  (``64-split``): their bisections, the record at their final prices
+  and the solve.
 
 The engine is imported from the ``src`` directory beside this one.
 """
@@ -154,13 +156,14 @@ def block_us(n: int, calls: int = 5, start: int = 128) -> float:
             return [state.copy() for _ in range(calls)]
         for rows in copies:
             ticks, closers, _ = mechanism._block(
-                [0], [member], rows, opponent, 0, start, 32, config, [[]])
+                [0], [0], [1], [member, opponent], rows, start, 32, config,
+                [[]])
             assert ticks == 32 and not closers, (ticks, closers)
 
     return _best(run, calls)
 
 
-def refine_us(count: int) -> float:
+def refine_us(count: int, split: bool = False) -> float:
     grid = QuantityGrid(20, 0.75)
     config = AuctionConfig(grid=grid, eps=5e-3, max_price=2.0,
                            log_rounds=False)
@@ -169,6 +172,8 @@ def refine_us(count: int) -> float:
         return STRATEGY_TAGS["cmra-truthful"](
             ValuationModel.power(2.0, 0.75, float(theta), (0.1, 1.0)), grid)
     members = [truthful(th) for th in np.linspace(0.2, 0.9, count)]
+    # Split: member k plays against opponent k % 2, in seat k // 2 % 2.
+    opponents = [truthful(0.5), truthful(0.6)] if split else [truthful(0.5)]
     # The closers are those the loop hands to its one refine call.
     captured = []
     refine = mechanism._refine_closers
@@ -178,9 +183,12 @@ def refine_us(count: int) -> float:
         return refine(*args)
     mechanism._refine_closers = capture
     try:
-        mechanism._run_lockstep(members, [0] * count, truthful(0.5),
-                                {0: BookRows(grid, config.money_scale)},
-                                [0] * count, 0, 0, config)
+        mechanism._run_lockstep(
+            members, [0] * count,
+            [opponents[k % len(opponents)] for k in range(count)],
+            {0: BookRows(grid, config.money_scale)}, [0] * count,
+            [0] * count, [k // 2 % 2 if split else 0 for k in range(count)],
+            config)
     finally:
         mechanism._refine_closers = refine
     (closers, *rest), = captured
@@ -202,7 +210,8 @@ def main() -> int:
                                for r in (2, 30)},
         "closing_us": {str(n): closing_us(n) for n in (20, 500)},
         "block_us": {str(n): block_us(n) for n in (20, 500)},
-        "refine_us": {str(c): refine_us(c) for c in (1, 64)},
+        "refine_us": {"1": refine_us(1), "64": refine_us(64),
+                      "64-split": refine_us(64, split=True)},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
