@@ -58,8 +58,9 @@ exactly the books its own clock loop would hold, as in a separate run.
 The profile's own runs, the baselines that gains are measured against,
 take their first closing tick from the engine's closing test on the
 full ladders, resume from the last snapshot not past it and share one
-such loop.  In refutation mode (``stop_at_gain``) each cell replays when
-the search reaches it.  :func:`replay_deviation` runs one deviation.
+such loop, run before any screen in both modes.  In refutation mode
+(``stop_at_gain``) each cell is screened and replayed only when the
+search reaches it.  :func:`replay_deviation` runs one deviation.
 
 The module also houses the collusion-threshold analysis for the
 riskless demand-reduction strategy and the VCG outcome-equivalence
@@ -74,7 +75,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .bidbook import _NOTHING, BookRows, QuantityGrid, _require_count
+from .bidbook import (_NOTHING, BookRows, QuantityGrid, _money_units,
+                      _require_count, _require_real)
 from .mechanism import (_BLOCK_CELLS, AuctionConfig, _closing_rows,
                         _emissions, _run_lockstep, run_cmra)
 from .strategies import STRATEGY_TAGS, ProxyStrategy
@@ -97,15 +99,7 @@ __all__ = [
     "SingleBidDeviation",
 ]
 
-# Masked money values of the screens, kept at +-2**53 rather than the
-# books' "no bid", bidbook._NOTHING (-2**62).  The screens add masked
-# entries to amounts and to the engine's closing-test results, e.g.
-# ``np.maximum(self.hd[t, k], a) + self.po_rev[t, k]`` and
-# ``self.s - self.po_rev``: distinct magnitudes keep a screen sentinel
-# and an engine sentinel from cancelling to a legal amount, and a masked
-# value plus an amount below 2**53 is still exact as a float.
-_NEG = np.int64(-(2 ** 53))
-_BIG = np.int64(2 ** 53)
+_BIG = np.int64(2 ** 53)  # an activity cap or amount threshold never met
 _PRICE_TOL = 1e-15  # a deviation acts at clock prices >= its price - this
 
 
@@ -363,6 +357,11 @@ class _PairScreen:
     whose bound clears the cutoff are replayed through the engine.  The
     closing test is seat-symmetric; seat-dependent tie-breaks only ever
     matter for members that get replayed anyway.
+
+    Ladders are read as ``BookRows`` holds them, ``_NOTHING`` where no
+    bid, so a revenue is negative exactly when it does not exist.  numpy's
+    int64 sums wrap silently; none here can, as bids are non-negative and
+    no sum adds more than two terms that can be ``_NOTHING``.
     """
 
     def __init__(self, ladder: _Ladder, dev: int, opp: int, prices,
@@ -371,26 +370,22 @@ class _PairScreen:
         self.grid = grid
         self.scale = scale
         self.u_dev = u_dev
-        n = grid.n
 
         # Row ``dev``: the deviator's headline-only ladder.
         self.dev_vals = ladder.values[dev]
         self.md = self.dev_vals > _NOTHING
-        self.hd = np.maximum(self.dev_vals, _NEG)
         self.dev_caps = {t: caps[dev] for t, caps in ladder.caps.items()}
         self.kpath = ladder.kpath[dev]
 
-        om = np.maximum(ladder.values[opp], _NEG)
-        self.po = np.maximum.accumulate(om, axis=1)
-        self.po_has = self.po > _NEG
-        self.po_rev = self.po[:, ::-1]
-        self.po_has_rev = self.po_has[:, ::-1]
-        self.max_o = om.max(axis=1)
+        # po_rev[t, k]: the opponent's best bid on at most n - k points.
+        self.po_rev = np.maximum.accumulate(ladder.values[opp],
+                                            axis=1)[:, ::-1]
+        self.po_has_rev = self.po_rev > _NOTHING
+        self.max_o = self.po_rev[:, 0]
 
         # pair_hh[t, k]: revenue of the pair (k, best partner) on the
         # headline-only book at tick t.
-        self.pair_hh = np.where(self.md & self.po_has_rev,
-                                self.dev_vals + self.po_rev, _NEG)
+        self.pair_hh = self.dev_vals + self.po_rev
         # The engine's closing test on the two ladders, tick by tick: the
         # best pair, the best single acceptance, and the first close.
         self.hh, self.s, self.closed = _closing_rows(
@@ -422,7 +417,6 @@ class _PairScreen:
         Returns the member count and ``(bound, deviation)`` for each
         member whose bound exceeds ``low`` by more than ``cutoff``.
         """
-        n = self.grid.n
         quants = (family.bid_quantities if family.bid_quantities is not None
                   else range(1, self.grid.cap_index + 1))
         k, th = (a.ravel() for a in np.meshgrid(
@@ -434,10 +428,9 @@ class _PairScreen:
         members = family.n_amounts * int(late.sum())
         k, th = k[~late], th[~late]
         # The legal maximum; prices, hence caps, are non-negative.
-        lin = np.floor(self.prices[th] * k / n * self.scale + 0.5)
+        lin = _money_units(self.prices[th] * k / self.grid.n, self.scale)
         caps = np.array([self.dev_caps[t] for t in t_hats])
-        cap = np.minimum(lin.astype(np.int64),
-                         caps[np.searchsorted(t_hats, th), k])
+        cap = np.minimum(lin, caps[np.searchsorted(t_hats, th), k])
         # Amount levels: np.unique(np.linspace(0, cap, n_amounts).round())
         # for each cap, bit for bit.  Each row is non-decreasing, so its
         # distinct levels are those that differ from their left neighbour.
@@ -451,8 +444,7 @@ class _PairScreen:
         members += int(distinct.sum())
         # A bid at or below the deviator's recorded headline value never
         # changes the book: identical to headline-only play.
-        live = distinct & ~(self.md[th, k][:, None]
-                            & (levels <= self.dev_vals[th, k][:, None]))
+        live = distinct & (levels > self.dev_vals[th, k][:, None])
         row, col = np.nonzero(live)
         k, th, a = k[row], th[row], levels[row, col]
 
@@ -462,13 +454,10 @@ class _PairScreen:
             # The extra bid is in no revenue-maximizing pair: outcome
             # identical to the headline-only deviation.
             t = self.t0
-            pair2 = np.where(self.po_has_rev[t, k], np.maximum(self.hd[t, k], a)
-                             + self.po_rev[t, k], _NEG)
+            pair2 = np.maximum(self.dev_vals[t, k], a) + self.po_rev[t, k]
             keep &= ~((tc == t) & (pair2 < self.hh[t]))
         k, th, a, tc = k[keep], th[keep], a[keep], tc[keep]
-        prev = np.maximum(tc - 1, 0)
-        held = (tc > 0) & self.md[prev, k]
-        pay_lb = np.maximum(a, np.where(held, self.dev_vals[prev, k], 0))
+        pay_lb = np.maximum(a, np.where(tc > 0, self.dev_vals[tc - 1, k], 0))
         win_opt = self.u_dev[k] - pay_lb / self.scale
         pair_opt = self.hh_opt[tc]
         bound = np.where(pair_opt > win_opt, pair_opt, win_opt)
@@ -497,11 +486,11 @@ class _PairScreen:
         t_n, w = len(self.prices), self.grid.n + 1
         levels = t_n.bit_length()   # 2**(levels - 1) <= t_n < 2**levels
         lo = np.full((levels, t_n + 1), _BIG)
-        hi = np.full((levels, t_n + 1, w), _NEG)
+        hi = np.full((levels, t_n + 1, w), _NOTHING)
         lo[0, :t_n] = np.where(self.closed, self.hh, -1)
         need = self.s[:, None] - self.po_rev
         hi[0, :t_n] = np.where(self.po_has_rev,
-                               np.where(self.hd >= need, 0, need), _BIG)
+                               np.where(self.dev_vals >= need, 0, need), _BIG)
         for l in range(1, levels):
             h, end = 1 << (l - 1), t_n - (1 << l) + 1
             np.maximum(lo[l - 1, :end], lo[l - 1, h:h + end], out=lo[l, :end])
@@ -532,7 +521,6 @@ class _PairScreen:
         form (tick, y) tables built once.  Each drop tick adds only its
         frozen book above y.  Returns as :meth:`screen_single_bids` does.
         """
-        n = self.grid.n
         t_n = len(self.prices)
         ys = np.asarray(family.drop_quantities
                         if family.drop_quantities is not None
@@ -553,14 +541,14 @@ class _PairScreen:
         # linear-price bid at every tick.
         last = np.searchsorted(-self.kpath, -ys, side="right") - 1
         at = np.minimum(last[:, None], np.arange(t_n))
-        v_y = np.floor(self.prices[at] * ys[:, None] / n * self.scale + 0.5) \
-            .astype(np.int64)
-        po_rev, po_has = self.po_rev.T, self.po_has_rev.T
-        pair_y = np.where(po_has[ys], v_y + po_rev[ys], _NEG)
+        v_y = _money_units(self.prices[at] * ys[:, None] / self.grid.n,
+                           self.scale)
+        po_rev = self.po_rev.T
+        pair_y = v_y + po_rev[ys]
         # Best pair revenue and best single acceptance on k <= y.
-        hh_y = np.maximum(_before(self.pair_hh, _NEG)[:, ys].T, pair_y)
-        s_y = np.maximum(np.maximum(_before(self.hd, _NEG)[:, ys].T, v_y),
-                         self.max_o)
+        hh_y = np.maximum(_before(self.pair_hh, _NOTHING)[:, ys].T, pair_y)
+        s_y = np.maximum(np.maximum(_before(self.dev_vals, _NOTHING)[:, ys].T,
+                                    v_y), self.max_o)
         for j, td in live:
             cols = np.nonzero(self.kpath[td] > ys)[0]
             y = ys[cols]
@@ -571,14 +559,13 @@ class _PairScreen:
             above = np.searchsorted(f_k, y, side="right")
             # Best frozen pair and bid from each frozen bid up, at every
             # tick from td; the last row holds none.
-            pair_f = np.full((f_k.size + 1, t_n - td), _NEG)
-            pair_f[:-1] = np.where(po_has[f_k, td:],
-                                   f_vals[:, None] + po_rev[f_k, td:], _NEG)
+            pair_f = np.full((f_k.size + 1, t_n - td), _NOTHING)
+            pair_f[:-1] = f_vals[:, None] + po_rev[f_k, td:]
             post_pair = _suffix_max(pair_f, 0)[above]
-            post_hd = _suffix_max(np.append(f_vals, _NEG), 0)[above]
+            post_hd = _suffix_max(np.append(f_vals, _NOTHING), 0)[above]
             hh_d = np.maximum(hh_y[cols, td:], post_pair)
             s_d = np.maximum(s_y[cols, td:], post_hd[:, None])
-            closed = (hh_d > _NEG // 2) & (hh_d >= s_d)
+            closed = hh_d >= np.maximum(s_d, 0)  # the engine's test
             hit = closed.any(axis=1)
             cols, y, above = cols[hit], y[hit], above[hit]
             tc = td + np.argmax(closed[hit], axis=1)
@@ -633,6 +620,12 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     grid = config.grid
     _require_count("theta_grid", theta_grid)
     _require_count("replay_cap", replay_cap)
+    gains = {"tol": tol} if stop_at_gain is None else {
+        "tol": tol, "stop_at_gain": stop_at_gain}
+    _require_real(**gains)
+    for name, gain in gains.items():
+        if gain < 0:
+            raise ValueError(f"{name} must be at least 0, not {gain!r}")
     if any(isinstance(s, bool) or not isinstance(s, numbers.Integral)
            for s in seats) or sorted(seats) not in ([0], [1], [0, 1]):
         raise ValueError(f"seats {seats!r} must be 0, 1 or both, once each")
@@ -673,26 +666,20 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
     full = {th: i for i, th in enumerate(thetas)}
     head = {th: len(thetas) + i for i, th in enumerate(thetas)}
 
+    # The profile's own runs, in one lockstep loop in both modes: each
+    # first closes where its full ladders do, so it resumes from their
+    # last snapshot not past that tick.
     run_cfg = replace(config, log_rounds=False)
-    baselines = {}
-
-    def baseline_run(th1, th2):
-        # The profile's own runs, all at once or, in refutation mode, those
-        # against ``th2``: each first closes where its full ladders do, so
-        # it resumes from their last snapshot not past that tick.
-        if (th1, th2) not in baselines:
-            rows, pairs, cells = [full[th] for th in thetas], [], []
-            for opp in thetas if stop_at_gain is None else [th2]:
-                closed = _closing_rows(ladder.values[rows],
-                                       ladder.values[full[opp]])[2]
-                pairs += [(th, opp) for th in thetas]
-                cells += [([None], strat[th], full[th], strat[opp],
-                           full[opp], 0, _first_true(c))
-                          for th, c in zip(thetas, closed)]
-            for (th, opp), (out,) in zip(pairs, _replay_cells(
-                    cells, ladder, prices, run_cfg)):
-                baselines[th, opp] = out.surplus((models[th], models[opp]))
-        return baselines[th1, th2]
+    rows, pairs, cells = [full[th] for th in thetas], [], []
+    for opp in thetas:
+        closed = _closing_rows(ladder.values[rows],
+                               ladder.values[full[opp]])[2]
+        pairs += [(th, opp) for th in thetas]
+        cells += [([None], strat[th], full[th], strat[opp], full[opp], 0,
+                   _first_true(c)) for th, c in zip(thetas, closed)]
+    baselines = {(th, opp): out.surplus((models[th], models[opp]))
+                 for (th, opp), (out,) in zip(pairs, _replay_cells(
+                     cells, ladder, prices, run_cfg))}
 
     cutoff = tol / 2
     by_pair, replayed = {}, {}
@@ -702,9 +689,8 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
         is per type pair, against the lowest baseline of the searched seats;
         selection is per seat, against its own baseline."""
         if (th_dev, th_opp) not in by_pair:
-            bases = {s: baseline_run(*((th_dev, th_opp) if s == 0
-                                       else (th_opp, th_dev)))[s]
-                     for s in seats}
+            bases = {s: baselines[(th_dev, th_opp) if s == 0
+                                  else (th_opp, th_dev)][s] for s in seats}
             screen = _PairScreen(ladder, head[th_dev], full[th_opp], prices,
                                  grid, scale, u_dev[th_dev])
             t0, low = screen.t0, min(bases.values())
@@ -775,7 +761,7 @@ def check_expost(profile: str, env: MarketEnv, config: AuctionConfig,
                         return ExPostResult(
                             profile, env.regime, tol, max_gain, False,
                             reports, replays, members, truncated)
-                report.by_opponent[th_opp] = best_here if top else -math.inf
+                report.by_opponent[th_opp] = best_here
     if max_gain == -math.inf:
         max_gain = 0.0  # nothing screened above the cutoff anywhere
     return ExPostResult(profile, env.regime, tol, max_gain,

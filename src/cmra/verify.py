@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bidbook import QuantityGrid
+from .bidbook import QuantityGrid, _require_count
 from .equilibrium import (DeviationFamily, check_expost, check_rdr_bne,
                           rdr_threshold, vcg_equivalence_check)
 from .mechanism import AuctionConfig, run_clock, run_cmra
@@ -293,6 +293,7 @@ def claim_expost_battery(theta_grid: int = 11, eps: float = 5e-3,
 def claim_vcg_equivalence(pairs: int = 25, seed: int = 7, eps: float = 1e-3,
                           **kw) -> ClaimResult:
     """Truthful and constant profiles both implement the VCG outcome."""
+    _require_count("pairs", pairs)
     res = ClaimResult("vcg-equivalence", True)
     rng = np.random.default_rng(seed)
     grid = QuantityGrid(20, 0.75)

@@ -28,8 +28,9 @@ from cmra.equilibrium import (_BIG, Deviation, DeviationFamily, HeadlineOnly,
                               _uniform_partial_mean)
 from cmra.mechanism import _run_lockstep
 from cmra.strategies import STRATEGY_TAGS
+from cmra.verify import _expost_config, _pow_env, _quad_env, run_claim
 
-_NEG = np.int64(-(2 ** 53))  # the screens' marker for an absent bid or pair
+_NEG = np.int64(-(2 ** 53))  # the loop screens' marker for an absent pair
 
 
 def pow_env(alpha=2.0, thetas=(0.8, 0.5), support=(0.1, 1.0)):
@@ -230,6 +231,21 @@ class TestVcgEquivalence:
         with pytest.raises(AssumptionViolation):
             vcg_equivalence_check(quad_env(), small_config(0.9, 1.4))
 
+    @pytest.mark.parametrize("pairs", [0, -2, 2.5, True])
+    def test_claim_needs_at_least_one_pair(self, pairs):
+        # Not a pass over no type pairs at all.
+        with pytest.raises(ValueError, match="pairs"):
+            run_claim("vcg-equivalence", pairs=pairs)
+
+
+class TestStrategyMatrix:
+    def test_claim_passes(self):
+        # Each profile's efficiency and equilibrium verdict per regime.
+        res = run_claim("strategy-matrix")
+        assert res.passed, res.lines
+        assert res.data["matrix"]["non-decreasing/cmra-truthful"] == {
+            "efficient": True, "verdict": "ex-post equilibrium (desk check)"}
+
 
 class TestExPostSearch:
     def test_verified_profile_small_grid(self):
@@ -362,6 +378,70 @@ class TestExPostSearch:
                         replayed[dev.kind] += 1
         assert min(replayed.values()) > 0, replayed
 
+    @pytest.mark.parametrize("profile, env, cfg", [
+        ("cmra-truthful", _pow_env(), _expost_config(0.75, 1.6, 20, 5e-3)),
+        ("constant", _pow_env(), _expost_config(0.75, 1.6, 20, 5e-3)),
+        ("constant", _quad_env(), _expost_config(0.9, 1.5, 20, 5e-3))])
+    def test_pruned_members_within_their_bounds(self, profile, env, cfg):
+        # The search replays only members whose bound clears the baseline
+        # by more than tol/2.  In the verified cells of the battery, at a
+        # type grid of 3 with the default family, a sample of the members
+        # it prunes replays to gains no larger than their own bounds.
+        tol, fam, rng = 1e-4, DeviationFamily(), np.random.default_rng(29)
+        grid, scale, t_n = cfg.grid, cfg.money_scale, cfg.ticks
+        prices = cfg.price(np.arange(t_n))
+        t_hats, drop_ticks = (
+            sorted({int(round(i)) for i in np.linspace(0, t_n - 1, m)})
+            for m in (fam.n_submit_prices, fam.n_drop_prices))
+        thetas = env.distribution.grid(3)
+        models = [env.models[0].with_theta(th) for th in thetas]
+        make = STRATEGY_TAGS[profile]
+        strat = [make(m, grid) for m in models]
+        # Rows 0-2 are the types' full ladders, rows 3-5 headline-only.
+        ladder = _Ladder(strat + [HeadlineOnly(s) for s in strat], prices,
+                         grid, scale, cap_ticks=t_hats,
+                         snap_ticks={0, *t_hats, *drop_ticks})
+        cells, pruned = [], []
+        for seat in (0, 1):
+            for d, th_d in enumerate(thetas):
+                u_dev = np.array([models[d].value(grid.share(k))
+                                  for k in range(grid.n + 1)])
+                for o, th_o in enumerate(thetas):
+                    base = _baseline(profile, env, cfg, th_d, th_o, seat)
+                    screen = _PairScreen(ladder, 3 + d, o, prices, grid,
+                                         scale, u_dev)
+                    found = [] if screen.t0 is None else [
+                        (float(screen.hh_opt[screen.t0]),
+                         Deviation("headline-only"))]
+                    found += screen.screen_single_bids(
+                        fam, t_hats, base, -np.inf)[1]
+                    found += screen.screen_drops(
+                        fam, drop_ticks, base, -np.inf)[1]
+                    pruned += [(len(cells), b - base, dev)
+                               for b, dev in found if b - base <= tol / 2]
+                    cells.append((seat, d, o, base, screen.t0))
+        assert len(pruned) >= 2000
+        picked = [pruned[i] for i in sorted(
+            rng.choice(len(pruned), 2000, replace=False))]
+        by_cell = {}
+        for c, slack, dev in picked:
+            by_cell.setdefault(c, []).append((slack, dev))
+        replays = _replay_cells(
+            [([dev for _, dev in members], strat[cells[c][1]],
+              3 + cells[c][1], strat[cells[c][2]], cells[c][2],
+              cells[c][0], cells[c][4]) for c, members in by_cell.items()],
+            ladder, prices, cfg)
+        kinds = set()
+        for (c, members), outcomes in zip(by_cell.items(), replays):
+            seat, d, o, base, _ = cells[c]
+            pair = (models[d], models[o]) if seat == 0 \
+                else (models[o], models[d])
+            for (slack, dev), out in zip(members, outcomes):
+                assert out.surplus(pair)[seat] - base <= slack + 1e-12, \
+                    (seat, thetas[d], thetas[o], dev)
+                kinds.add(dev.kind)
+        assert {"single-bid", "drop"} <= kinds, kinds
+
     def test_one_screen_per_type_pair(self, monkeypatch):
         # A pair's screen serves both seats: a two-seat search on a grid
         # of 3 types builds 9 screens, one per (deviator, opponent) pair.
@@ -467,14 +547,17 @@ class TestExPostSearch:
 
 class TestSearchArguments:
     """A search whose grids, replay cap or seats are empty, negative,
-    repeated or off the quantity grid is refused rather than run on a
-    different grid or reported verified without its replays."""
+    repeated or off the quantity grid, or whose tolerance or refutation
+    gain is not a finite real of at least 0, is refused rather than run
+    on a different grid or reported verified without its replays."""
 
     @pytest.mark.parametrize("kw", [
         {"theta_grid": 0}, {"theta_grid": -3}, {"replay_cap": 0},
         {"replay_cap": -1}, {"replay_cap": 2.5}, {"seats": ()},
         {"seats": (0, 0)}, {"seats": (2,)}, {"seats": (1.0,)},
-        {"theta_grid": 2.5}, {"theta_grid": True}])
+        {"theta_grid": 2.5}, {"theta_grid": True}, {"tol": math.nan},
+        {"tol": -1e-4}, {"tol": "1e-4"}, {"tol": True},
+        {"stop_at_gain": math.nan}, {"stop_at_gain": -1.0}])
     def test_type_grid_replay_cap_and_seats_must_be_legal(self, kw):
         with pytest.raises(ValueError, match=next(iter(kw))):
             check_expost("constant", quad_env(), small_config(0.9, 1.5),
@@ -911,12 +994,12 @@ class TestScreenEquivalence:
         screen.prices = np.arange(t_n) * 0.01
         screen.grid = QuantityGrid(n, 0.5)
         # a_lo = where(closed, hh, -1); a_hi = where(has, need, BIG) with
-        # need = s - po_rev above the headline-only bid hd.
+        # need = s - po_rev above the headline-only bid dev_vals.
         screen.closed, screen.hh = a_lo >= 0, a_lo
         screen.po_has_rev = a_hi < 2 ** 53
         screen.s = np.zeros(t_n, dtype=np.int64)
         screen.po_rev = -a_hi
-        screen.hd = np.full((t_n, n + 1), -1)
+        screen.dev_vals = np.full((t_n, n + 1), -1)
         m = 400
         k = rng.integers(0, n + 1, m)
         t_hat = rng.integers(0, t_n, m)
@@ -950,9 +1033,9 @@ def _loop_single_bids(screen, family, t_hats, low, cutoff):
     quants = (family.bid_quantities if family.bid_quantities is not None
               else range(1, screen.grid.cap_index + 1))
     for k_hat in quants:
-        hk = screen.hd[:, k_hat]
-        qcol = screen.po[:, n - k_hat]
-        qhas = screen.po_has[:, n - k_hat]
+        hk = screen.dev_vals[:, k_hat]
+        qcol = screen.po_rev[:, k_hat]
+        qhas = screen.po_has_rev[:, k_hat]
         u_k = screen.u_dev[k_hat]
         for t_hat in t_hats:
             if screen.t0 is not None and screen.t0 < t_hat:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from reference_engine import reference_run_cmra
+from test_block_clock import EmissionFault, _Faulty
 
 from cmra import (AuctionConfig, AuctionOutcome, BidBook, MarketEnv,
                   QuantityGrid, ValuationModel, revenue_curve, run_clock,
@@ -169,6 +170,13 @@ class TestRunCmra:
         assert out.quantities is None
         assert out.revenue == 0.0
 
+    def test_emission_error_at_the_first_tick(self):
+        # The clock's first block is one tick, emitted bidder by bidder.
+        env, grid, config = lots_env()
+        bad = _Faulty(cmra_truthful(env.models[0], grid), 0.0, "raise")
+        with pytest.raises(EmissionFault, match="at 0.0"):
+            run_cmra(bad, cmra_truthful(env.models[1], grid), env, config)
+
     def test_feasibility_and_linear_bound(self):
         env, grid, config = lots_env()
         for maker in (cmra_truthful, rdr_strategy):
@@ -265,6 +273,30 @@ class TestClockSchedule:
                 [start + t * eps for t in range(ticks)]
         assert AuctionConfig(grid=grid, eps=1e-3, max_price=1.4).ticks == 1401
 
+    def test_ticks_match_a_count_of_prices(self):
+        """The quotient's estimate, stepped down or up to the last tick in
+        range, against a count of the ticks priced in range; maximum
+        prices a few ulps around a tick's price less the slack enter
+        each step."""
+        rng = np.random.default_rng(3)
+        grid = QuantityGrid(4, 0.75)
+        steps = {"down": 0, "up": 0}
+        for _ in range(300):
+            start = float(rng.choice([0.0, rng.uniform(0, 2)]))
+            eps = float(10 ** rng.uniform(-3, -1))
+            top = start + int(rng.integers(1, 400)) * eps - 1e-12
+            top += int(rng.integers(-4, 5)) * math.ulp(top)
+            config = AuctionConfig(grid=grid, eps=eps, max_price=top,
+                                   start=start)
+            limit, count = top + 1e-12, 0
+            while config.price(count) <= limit:
+                count += 1
+            assert config.ticks == count, (start, eps, top)
+            estimate = int((limit - start) / eps)
+            steps["down"] += estimate > count - 1
+            steps["up"] += estimate < count - 1
+        assert min(steps.values()) > 0, steps
+
 
 class TestOneClockLoop:
     """run_cmra, a one-member lockstep run, against the per-auction loop."""
@@ -335,6 +367,19 @@ class TestRunClock:
         assert out.final_price == pytest.approx(0.75, abs=2e-3)
         assert out.quantities == (0.75, 0.0)
         assert out.excess_supply == pytest.approx(0.25)
+
+    def test_max_price_hit(self):
+        # Both power bidders still demand the cap at 0.5: no close.
+        model = ValuationModel.power(2.0, 0.75, 0.8)
+        env = MarketEnv((model, model), 0.75)
+        grid = QuantityGrid(20, 0.75)
+        config = AuctionConfig(grid=grid, eps=0.05, max_price=0.5)
+        out = run_clock(clock_truthful(model, grid),
+                        clock_truthful(model, grid), env, config)
+        assert out.termination == "max-price-hit"
+        assert out.final_price == 0.5
+        assert out.quantities is None and out.revenue_units == 0
+        assert len(out.rounds.ticks) == config.ticks == 11
 
     def test_dec_market_clears(self):
         m1 = ValuationModel.quadratic(1.25, 0.5, cap=0.9)

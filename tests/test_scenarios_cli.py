@@ -231,6 +231,13 @@ class TestRunScenario:
         report = json.loads((tmp_path / "v_report.json").read_text())
         assert report["passed"] is True
 
+    def test_verify_mode_checks_the_claim_options(self, tmp_path):
+        data = {"name": "v", "mode": "verify",
+                "verify": {"claim": "vcg-equivalence", "pairs": 0}}
+        with pytest.raises(ValueError, match="pairs"):
+            run_scenario(data, outdir=tmp_path)
+        assert not (tmp_path / "v_report.json").exists()
+
     def test_audit_mode_bundled(self, tmp_path):
         data = {"name": "aud", "mode": "audit",
                 "audit": {"record": "denmark-2016"}}

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Micro-benchmark of the one-tick engine step: a book's record and the
-closing solve, and of the refine that finishes every close.  Prints one
-JSON line of microseconds per call.
+closing solve, of the refine that finishes every close, and of the
+deviation search's pair screens.  Prints one JSON line of microseconds
+per call.
 
     python3 tools/bench_record.py
 
@@ -29,6 +30,15 @@ Measured, each as the minimum over 7 runs:
   seat 0, and of 64 members split over two opponents and both seats
   (``64-split``): their bisections, the record at their final prices
   and the solve.
+- ``screen_us``: one ``equilibrium._PairScreen`` and both of its screens
+  (single bids, then drops) with the default ``DeviationFamily`` and the
+  search's cutoff, on one type pair: the top type of the support
+  deviating against the bottom one, on a clock step of 0.005.
+  ``expost-screen`` is constant play on quadratic valuations at n = 20
+  (cap 0.9, maximum price 1.5), ``expost-replay`` cmra-truthful play on
+  power valuations at n = 20 (cap 0.75, maximum price 1.6), as in the
+  benchmark workloads of those names.  The ladder and the baseline are
+  built outside the timed call.
 
 The engine is imported from the ``src`` directory beside this one.
 """
@@ -45,14 +55,16 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cmra import (AuctionConfig, BidBook, QuantityGrid,  # noqa: E402
-                  ValuationModel, closing_from_arrays, mechanism)
+from cmra import (AuctionConfig, BidBook, MarketEnv,  # noqa: E402
+                  QuantityGrid, ValuationModel, closing_from_arrays,
+                  equilibrium, mechanism, run_cmra)
 from cmra.bidbook import BookRows  # noqa: E402
 from cmra.strategies import STRATEGY_TAGS  # noqa: E402
 
 RUNS = 7
 ROUNDS = 60
 BIDS = 11
+TOL = 1e-4  # check_expost's default tolerance; the screens cut at half
 
 
 def _best(fn, calls: int) -> float:
@@ -202,6 +214,44 @@ def refine_us(count: int, split: bool = False) -> float:
     return _best(run, 1)
 
 
+def screen_us(workload: str) -> float:
+    # The deviator is the support's top type, its opponent the bottom one.
+    if workload == "expost-screen":
+        profile, cap, top, support = "constant", 0.9, 1.5, (1.05, 1.25)
+        dev, opp = (ValuationModel.quadratic(th, 0.5, cap, support)
+                    for th in support[::-1])
+    else:
+        profile, cap, top, support = "cmra-truthful", 0.75, 1.6, (0.1, 1.0)
+        dev, opp = (ValuationModel.power(2.0, cap, th, support)
+                    for th in support[::-1])
+    grid = QuantityGrid(20, cap)
+    config = AuctionConfig(grid=grid, eps=5e-3, max_price=top,
+                           log_rounds=False)
+    scale, family = config.money_scale, equilibrium.DeviationFamily()
+    prices = config.price(np.arange(config.ticks))
+    t_hats, drop_ticks = (
+        sorted({int(round(i)) for i in np.linspace(0, config.ticks - 1, m)})
+        for m in (family.n_submit_prices, family.n_drop_prices))
+    make = STRATEGY_TAGS[profile]
+    ladder = equilibrium._Ladder(
+        [equilibrium.HeadlineOnly(make(dev, grid)), make(opp, grid)],
+        prices, grid, scale, cap_ticks=t_hats)
+    u_dev = np.array([dev.value(grid.share(k)) for k in range(grid.n + 1)])
+    base = run_cmra(make(dev, grid), make(opp, grid),
+                    MarketEnv((dev, opp), grid.cap), config
+                    ).surplus((dev, opp))[0]
+
+    def run(ready):
+        if ready is None:
+            return True
+        screen = equilibrium._PairScreen(ladder, 0, 1, prices, grid, scale,
+                                         u_dev)
+        screen.screen_single_bids(family, t_hats, base, TOL / 2)
+        screen.screen_drops(family, drop_ticks, base, TOL / 2)
+
+    return _best(run, 1)
+
+
 def main() -> int:
     result = {
         "bidbook_round_us": {"headline": bidbook_round_us(0),
@@ -212,6 +262,8 @@ def main() -> int:
         "block_us": {str(n): block_us(n) for n in (20, 500)},
         "refine_us": {"1": refine_us(1), "64": refine_us(64),
                       "64-split": refine_us(64, split=True)},
+        "screen_us": {w: screen_us(w) for w in ("expost-screen",
+                                                "expost-replay")},
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": platform.machine(),
